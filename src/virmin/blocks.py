@@ -2,9 +2,9 @@
 
 Coefficients are computed by the exact linear recursion obtained from
 substituting (local variable)^rho * sum a_k (local)^k into the ODE and
-stay rational; floating point enters only at evaluation time.  The
-local variable is z at the base point 0 and u = 1 - z at the base
-point 1.
+stay rational; floating point enters only at evaluation time, through
+complex copies of the coefficients made once per series.  The local
+variable is z at the base point 0 and u = 1 - z at the base point 1.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import lcm
 
 from .bpz import ODESpec, indicial_exponents, indicial_polynomial, reduced_ode
 from .errors import DomainError, LogarithmicCaseError, ModelViolationError, RangeError
 from .models import KacLabel, conformal_weight
 from .poly import Poly, degree, ord0, peval
-from .verma import Partition  # noqa: F401  (re-exported typing convenience)
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,11 @@ class FrobeniusSeries:
 
     def local_ode(self) -> ODESpec:
         return self.ode if self.base_point == 0 else self.ode.shifted_to_one()
+
+    @cached_property
+    def complex_coefficients(self) -> tuple[complex, ...]:
+        """complex(a_k) for every coefficient, converted once."""
+        return tuple(complex(c) for c in self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -60,21 +66,24 @@ def _recursion_data(ode: ODESpec):
     nz = [(i, c) for i, c in enumerate(ode.coefficients) if c]
     nu = min(ord0(c) - i for i, c in nz)
     jmax = max(degree(c) - i for i, c in nz) - nu
+    falling = {i: _falling(i) for i, _ in nz}
     shifts = []
     for j in range(jmax + 1):
         acc: Poly = ()
         for i, c in nz:
             idx = nu + i + j
             if 0 <= idx < len(c) and c[idx]:
-                acc = padd(acc, pscale(_falling(i), c[idx]))
+                acc = padd(acc, pscale(falling[i], c[idx]))
         shifts.append(acc)
     return shifts
 
 
+@lru_cache(maxsize=128)
 def frobenius_expand(
     ode: ODESpec, point: int, exponent: Fraction, order: int
 ) -> FrobeniusSeries:
-    """Exact series coefficients at a regular singular point.
+    """Exact series coefficients at a regular singular point, computed
+    once per (ode, point, exponent, order).
 
     Resonances (the indicial polynomial vanishing at exponent + k for
     some k >= 1) are handled by setting the free coefficient to zero
@@ -93,16 +102,42 @@ def frobenius_expand(
         raise RangeError(f"{exponent} is not an indicial root at {point}")
     shifts = _recursion_data(local)
     jmax = len(shifts) - 1
+    # The recursion in integers: with exponent = p/q and L the common
+    # denominator of the shift coefficients, L q^deg A_j(exponent + m) =
+    # P_j(p + m q) for integer polynomials P_j.  a_0..a_n are carried as
+    # integer numerators over one running denominator, so each a_n is
+    # reduced to lowest terms once instead of at every operation.
+    p, q = exponent.numerator, exponent.denominator
+    deg = max(len(s) for s in shifts) - 1
+    scale = lcm(*(c.denominator for s in shifts for c in s))
+    int_shifts = [
+        [int(c * scale) * q ** (deg - k) for k, c in enumerate(s)] for s in shifts
+    ]
+
+    def shift_value(j: int, m: int) -> int:
+        x = p + m * q
+        acc = 0
+        for c in reversed(int_shifts[j]):
+            acc = acc * x + c
+        return acc
+
     a = [Fraction(1)]
+    nums = [1]  # numerators over den; only the last jmax are kept current
+    den = 1
     for n in range(1, order + 1):
-        rhs = Fraction(0)
+        rhs = 0
         for j in range(1, min(n, jmax) + 1):
             if shifts[j]:
-                rhs -= peval(shifts[j], exponent + n - j) * a[n - j]
-        denom = peval(shifts[0], exponent + n)
-        if denom != 0:
-            a.append(rhs / denom)
+                rhs -= shift_value(j, n - j) * nums[n - j]
+        lead = shift_value(0, n)
+        if lead != 0:
+            den *= lead
+            for k in range(max(0, n + 1 - jmax), n):
+                nums[k] *= lead
+            nums.append(rhs)
+            a.append(Fraction(rhs, den))
         elif rhs == 0:
+            nums.append(0)
             a.append(Fraction(0))
         else:
             raise LogarithmicCaseError(
@@ -146,8 +181,8 @@ def eval_local(series: FrobeniusSeries, u: complex) -> complex:
             return complex(series.coefficients[0])
         raise DomainError("series with negative exponent diverges at its base point")
     acc = 0j
-    for c in reversed(series.coefficients):
-        acc = acc * u + complex(c)
+    for c in reversed(series.complex_coefficients):
+        acc = acc * u + c
     return acc * cmath.exp(rho * cmath.log(u))
 
 
@@ -168,7 +203,7 @@ def eval_local_derivatives(series: FrobeniusSeries, u: complex, count: int) -> l
 
 def _tail_bound(series: FrobeniusSeries, u: complex) -> float:
     """Last-term ratio heuristic for the truncation error."""
-    mags = [abs(complex(c)) * abs(u) ** k for k, c in enumerate(series.coefficients)]
+    mags = [abs(c) * abs(u) ** k for k, c in enumerate(series.complex_coefficients)]
     last = next((k for k in range(len(mags) - 1, -1, -1) if mags[k] > 0), 0)
     if last == 0:
         return 0.0

@@ -402,7 +402,14 @@ def indicial_exponents(ode: ODESpec, point) -> list[Fraction]:
     ModelViolationError if any root is irrational or complex; the
     minimal-model equations never trigger the latter, so an occurrence
     points at a derivation bug rather than being silently accepted.
+    The roots are extracted once per (ode, point); each call returns a
+    new list.
     """
+    return list(_indicial_exponents(ode, point))
+
+
+@lru_cache(maxsize=256)
+def _indicial_exponents(ode: ODESpec, point) -> tuple[Fraction, ...]:
     ind = indicial_polynomial(ode, point)
     if not ind or degree(ind) < ode.order:
         raise StructureError(
@@ -418,7 +425,7 @@ def indicial_exponents(ode: ODESpec, point) -> list[Fraction]:
     out: list[Fraction] = []
     for r, mult in roots:
         out.extend([r] * mult)
-    return sorted(out)
+    return tuple(out)
 
 
 def reduce_to_ode(op: TwoVarOperator, anchor: ExponentPair) -> ODESpec:

@@ -33,7 +33,6 @@ from .continuation import circle_path, continue_along, lower_arc_path
 from .errors import ConditioningError, DomainError, FusionError, LogarithmicCaseError
 from .fusion import fusion_rule
 from .models import KacLabel, MinimalModel, TensorModel, conformal_weight
-from .verma import Partition  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,28 @@ def _chebyshev_points(n: int, lo: float = 0.35, hi: float = 0.65) -> list[float]
     return [mid + half * float(np.cos(np.pi * (2 * i + 1) / (2 * n))) for i in range(n)]
 
 
+def _local(s: FrobeniusSeries, x: float) -> complex:
+    return eval_local(s, complex(x if s.base_point == 0 else 1 - x))
+
+
+def _heldout_residual(rows, basis0: ChannelBasis, basis1: ChannelBasis, points) -> float:
+    """Largest |lhs - rhs| over the points, where lhs is a point-0
+    solution and rhs its expansion through `rows` in the point-1 basis,
+    relative to that solution's largest |lhs| on the points.
+
+    Normalising per row rather than per point keeps the residual
+    meaningful where a solution passes through zero at one of the
+    points (a pointwise ratio would read 0/0 there).
+    """
+    resid = 0.0
+    for row, s0 in zip(rows, basis0.solutions):
+        lhs = [_local(s0, x) for x in points]
+        rhs = [sum(f * _local(s1, x) for f, s1 in zip(row, basis1.solutions)) for x in points]
+        scale = max(max(abs(v) for v in lhs), 1e-300)
+        resid = max(resid, max(abs(l - r) for l, r in zip(lhs, rhs)) / scale)
+    return resid
+
+
 def fusing_matrix(
     ode: ODESpec,
     order: int = 60,
@@ -92,7 +113,8 @@ def fusing_matrix(
 
     With swap=True the roles of the two points are exchanged (useful
     for the roundtrip identity F' F = 1).  The residual is the largest
-    relative mismatch on held-out points distinct from the fit points.
+    mismatch on held-out points distinct from the fit points, relative
+    per row (see _heldout_residual).
     """
     k = ode.order
     basis0 = channel_basis(ode, 0, order)
@@ -102,10 +124,7 @@ def fusing_matrix(
     fit = list(samples) if samples is not None else _chebyshev_points(max(2 * k, 8))
     held = [x for x in _chebyshev_points(max(2 * k, 8) + 5) if x not in fit]
 
-    def local(s: FrobeniusSeries, x: float) -> complex:
-        return eval_local(s, complex(x if s.base_point == 0 else 1 - x))
-
-    a = np.array([[local(s, x) for s in basis1.solutions] for x in fit], dtype=complex)
+    a = np.array([[_local(s, x) for s in basis1.solutions] for x in fit], dtype=complex)
     cond = np.linalg.cond(a)
     if cond > cond_limit:
         raise ConditioningError(
@@ -114,18 +133,12 @@ def fusing_matrix(
         )
     rows = []
     for s0 in basis0.solutions:
-        b = np.array([local(s0, x) for x in fit], dtype=complex)
+        b = np.array([_local(s0, x) for x in fit], dtype=complex)
         sol, *_ = np.linalg.lstsq(a, b, rcond=None)
         rows.append(tuple(complex(v) for v in sol))
-    resid = 0.0
-    for i, s0 in enumerate(basis0.solutions):
-        for x in held:
-            lhs = local(s0, x)
-            rhs = sum(rows[i][j] * local(s1, x) for j, s1 in enumerate(basis1.solutions))
-            resid = max(resid, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     return FusingMatrix(
         entries=tuple(rows),
-        residual=resid,
+        residual=_heldout_residual(rows, basis0, basis1, held),
         fit_points=tuple(fit),
         heldout_points=tuple(held),
         exponents0=basis0.exponents,
@@ -156,7 +169,7 @@ def braiding_phase(
     return BraidingPhase(exponent, cmath.exp(1j * cmath.pi * float(exponent)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _pipeline(spec: CorrelatorSpec, order: int):
     """Shared ODE, anchor, bases, fusing matrix and channel indices."""
     ode, anchor, anchor_channel = reduced_ode(spec)
@@ -260,8 +273,8 @@ def commutativity_residual(
             phase = cmath.exp(sgn * 1j * cmath.pi * float(s1.exponent))
             mag = (x - 1) ** float(s1.exponent)  # real branch, x > 1
             series_sum = 0j
-            for c in reversed(s1.coefficients):
-                series_sum = series_sum * (1 - x) + complex(c)
+            for c in reversed(s1.complex_coefficients):
+                series_sum = series_sum * (1 - x) + c
             pred += f[i, j] * phase * mag * series_sum
         return pred
 

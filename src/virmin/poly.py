@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
+
+import numpy as np
 
 Poly = tuple[Fraction, ...]
 
@@ -118,11 +120,21 @@ def root_multiplicity(a: Poly, r: Fraction) -> int:
 
 
 def rational_roots(a: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
-    """All rational roots with multiplicities, plus the unfactored part.
+    """All rational roots with multiplicities, sorted, plus the unfactored part.
 
-    Candidates come from the rational root theorem on the primitive
-    integer form; divisors are enumerated by trial division (the
-    indicial polynomials handled here have small coefficients).
+    Works on the primitive integer form c_n z^n + ... + c_0.  Every
+    rational root p/q has q | c_n, so a floating-point root within
+    1/(2 c_n) of it rounds to exactly p/q on the grid Z / c_n; each such
+    candidate from numpy.roots is kept only if exact synthetic division
+    confirms it, and is then divided out to its full multiplicity.  What
+    the candidates miss (roots numpy resolves too coarsely, coefficients
+    beyond float range) is found by the rational root theorem on the
+    deflated leftover, enumerating divisors of its constant and leading
+    terms by trial division; that costs O(sqrt|c_0|), and indicial
+    polynomials of order-6 correlator ODEs have 30-bit constant terms.
+    The result does not depend on the floating-point stage: the roots
+    are all rational roots and the leftover is the integer form divided
+    by their linear factors.
     """
     if not a:
         raise ValueError("zero polynomial")
@@ -135,6 +147,25 @@ def rational_roots(a: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     ints = [int(c * den) for c in a]
     g = gcd(*ints)
     ints = [c // g for c in ints]
+    work = poly(ints)
+    lead = ints[-1]
+
+    def divide_out(work: Poly, r: Fraction) -> Poly:
+        mult = 0
+        while True:
+            q, rem = divide_by_root(work, r)
+            if rem != 0:
+                break
+            work = q
+            mult += 1
+        if mult:
+            roots.append((r, mult))
+        return work
+
+    for x in _float_roots(ints):
+        scaled = x.real * lead
+        if isfinite(scaled) and degree(work) > 0:
+            work = divide_out(work, Fraction(round(scaled), lead))
 
     def divisors(n: int) -> list[int]:
         n = abs(n)
@@ -147,13 +178,10 @@ def rational_roots(a: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
             d += 1
         return sorted(out)
 
-    work = poly(ints)
     while degree(work) > 0:
         found = None
-        lead = work[-1]
-        const = work[0]
-        for pnum in divisors(int(const)):
-            for qden in divisors(int(lead)):
+        for pnum in divisors(int(work[0])):
+            for qden in divisors(int(work[-1])):
                 for cand in (Fraction(pnum, qden), Fraction(-pnum, qden)):
                     if peval(work, cand) == 0:
                         found = cand
@@ -164,16 +192,19 @@ def rational_roots(a: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
                 break
         if found is None:
             break
-        mult = 0
-        while True:
-            q, rem = divide_by_root(work, found)
-            if rem != 0:
-                break
-            work = q
-            mult += 1
-        roots.append((found, mult))
+        work = divide_out(work, found)
     leftover = work if degree(work) > 0 else ZERO
-    return roots, leftover
+    return sorted(roots), leftover
+
+
+def _float_roots(ints: list[int]) -> list[complex]:
+    """Floating-point roots of an integer polynomial (ascending
+    coefficients), or none when a coefficient exceeds float range."""
+    try:
+        coeffs = [float(c) for c in reversed(ints)]
+    except OverflowError:
+        return []
+    return [complex(x) for x in np.roots(coeffs) if np.isfinite(x)]
 
 
 def normalize_system(polys: list[Poly]) -> tuple[Poly, ...]:

@@ -159,6 +159,49 @@ def test_inconsistent_resonance_raises():
         frobenius_expand(ode, 0, F(0), 5)
 
 
+def reference_expand(ode, point, exponent, order):
+    """The Frobenius recursion in Fraction arithmetic, term by term;
+    returns the coefficients, or the order of an inconsistent resonance."""
+    from virmin.blocks import _recursion_data
+    from virmin.poly import peval
+
+    shifts = _recursion_data(ode if point == 0 else ode.shifted_to_one())
+    a = [F(1)]
+    for n in range(1, order + 1):
+        rhs = -sum(
+            (peval(shifts[j], exponent + n - j) * a[n - j]
+             for j in range(1, min(n, len(shifts) - 1) + 1)),
+            F(0),
+        )
+        denom = peval(shifts[0], exponent + n)
+        if denom == 0 and rhs != 0:
+            return n
+        a.append(rhs / denom if denom else F(0))
+    return tuple(a)
+
+
+@pytest.mark.parametrize(
+    "p, q, labels",
+    [
+        (3, 4, [(1, 2)] * 4),
+        (5, 6, [(3, 2)] * 4),  # order 6, exponents with denominator 60
+        (5, 6, [(1, 2), (1, 2), (1, 3), (1, 3)]),  # consistent resonances
+        (4, 5, [(3, 1)] * 4),  # an inconsistent resonance
+    ],
+)
+def test_series_match_fraction_recursion(p, q, labels):
+    spec = CorrelatorSpec(MinimalModel(p, q), *(KacLabel(*lab) for lab in labels))
+    ode = reduced_ode(spec)[0]
+    for point in (0, 1):
+        for rho in indicial_exponents(ode, point):
+            want = reference_expand(ode, point, rho, 30)
+            if isinstance(want, int):
+                with pytest.raises(LogarithmicCaseError, match=f"order {want} "):
+                    frobenius_expand(ode, point, rho, 30)
+            else:
+                assert frobenius_expand(ode, point, rho, 30).coefficients == want
+
+
 def test_wronskian_nonvanishing():
     ode = sigma_ode()
     roots = indicial_exponents(ode, 0)

@@ -9,6 +9,7 @@ from virmin.blocks import block, eval_local_derivatives, frobenius_expand
 from virmin.bpz import CorrelatorSpec, ODESpec, reduced_ode
 from virmin.continuation import continue_along, lower_arc_path
 from virmin.crossing import (
+    _heldout_residual,
     associativity_residual,
     braiding_phase,
     channel_basis,
@@ -69,6 +70,25 @@ def test_fusing_matrix_single_channel():
     assert fm.as_array().shape == (1, 1)
     assert abs(fm.as_array()[0, 0] - 1.0) < 1e-12
     assert fm.residual < 1e-12
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_fusing_residual_where_a_block_vanishes(q):
+    """One basis solution at each point vanishes at the held-out point
+    z = 1/2, where a pointwise relative mismatch would read 0/0."""
+    spec = CorrelatorSpec(MinimalModel(3, q), EPS, EPS, EPS, EPS)
+    ode = reduced_ode(spec)[0]
+    fm = fusing_matrix(ode, 60)
+    assert 0.5 in fm.heldout_points
+    assert fm.residual < 1e-8
+    basis0, basis1 = channel_basis(ode, 0, 60), channel_basis(ode, 1, 60)
+    assert _heldout_residual(fm.entries, basis0, basis1, fm.heldout_points) == fm.residual
+    # negative control: the largest entry of either row, off by 1e-3
+    for i, row in enumerate(fm.entries):
+        j = max(range(len(row)), key=lambda j: abs(row[j]))
+        rows = [list(r) for r in fm.entries]
+        rows[i][j] *= 1 + 1e-3
+        assert _heldout_residual(rows, basis0, basis1, fm.heldout_points) > 1e-4
 
 
 def test_fusing_matrix_conditioning_guard():

@@ -1,9 +1,13 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from virmin.poly import (
     RatZ,
+    _float_roots,
     divide_by_root,
     normalize_system,
     ord0,
@@ -57,6 +61,121 @@ def test_rational_roots():
     # irreducible quadratic is left over
     roots, leftover = rational_roots(poly([-2, 0, 1]))
     assert roots == [] and leftover == (F(-2), F(0), F(1))
+
+
+def reference_rational_roots(coeffs):
+    """Rational root theorem by plain trial division, on the primitive
+    integer form; returns (sorted [(root, multiplicity)], leftover)."""
+    coeffs = [Fraction(c) for c in coeffs]
+    roots = []
+    zeros = 0
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+        zeros += 1
+    if zeros:
+        roots.append((F(0), zeros))
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    g = gcd(*ints)
+    work = [F(c // g) for c in ints]
+
+    def divide(work, r):
+        acc, quot = F(0), []
+        for c in reversed(work):
+            acc = acc * r + c
+            quot.append(acc)
+        return quot[-2::-1], quot[-1]
+
+    def divs(n):
+        n = abs(int(n))
+        small = [d for d in range(1, int(n**0.5) + 1) if n % d == 0]
+        return sorted(set(small + [n // d for d in small]))
+
+    for pnum in divs(work[0]):
+        for qden in divs(work[-1]):
+            for r in {F(pnum, qden), F(-pnum, qden)}:
+                mult = 0
+                while len(work) > 1:
+                    quot, rem = divide(work, r)
+                    if rem != 0:
+                        break
+                    work, mult = quot, mult + 1
+                if mult:
+                    roots.append((r, mult))
+    return sorted(roots), (tuple(work) if len(work) > 1 else ())
+
+
+def from_factors(content, roots, extra=(F(1),)):
+    """content * extra * prod (z - r)^m."""
+    out = pscale(poly(extra), F(content))
+    for r, m in roots:
+        for _ in range(m):
+            out = pmul(out, poly([-r, 1]))
+    return out
+
+
+def test_rational_roots_triple_root():
+    p = from_factors(9, [(F(2, 3), 3), (F(-1), 1)])
+    assert rational_roots(p) == ([(F(-1), 1), (F(2, 3), 3)], ())
+
+
+def test_rational_roots_large_leading_coefficient():
+    # point-1 indicial polynomial of (5,6)<(3,2)^4>: 31-bit leading and
+    # 30-bit constant coefficient, roots with denominator 60
+    p = poly([-811281093, -207224920, 7464584400, 3399904000, -10211040000,
+              -5011200000, 1728000000])
+    assert p[-1].numerator.bit_length() == 31
+    roots, leftover = rational_roots(p)
+    assert leftover == ()
+    assert [r for r, _ in roots] == [F(-21, 20), F(-59, 60), F(-23, 60), F(7, 20),
+                                     F(49, 60), F(83, 20)]
+    assert from_factors(p[-1], roots) == p
+
+
+def test_rational_roots_quadratic_leftover():
+    # 5 (z^2 - 2)(3z - 1)(2z + 5): the leftover is the primitive form
+    # 6 (z^2 - 2) divided by the monic linear factors
+    p = from_factors(30, [(F(1, 3), 1), (F(-5, 2), 1)], extra=(F(-2), F(0), F(1)))
+    roots, leftover = rational_roots(p)
+    assert roots == [(F(-5, 2), 1), (F(1, 3), 1)]
+    assert leftover == poly([-12, 0, 6])
+
+
+def test_rational_roots_beyond_float_range():
+    big = 10**400
+    p = from_factors(2, [(F(1), 1), (F(-3, 2), 2)], extra=(F(1), F(big), F(1)))
+    ints = [int(c) for c in p]
+    assert _float_roots(ints) == []  # float(coefficient) overflows
+    roots, leftover = rational_roots(p)
+    assert roots == [(F(-3, 2), 2), (F(1), 1)]
+    assert leftover == poly([4, 4 * big, 4])  # primitive form (z-1)(2z+3)^2 (z^2+big z+1)
+    assert (roots, leftover) == reference_rational_roots(p)
+
+
+linear_factors = st.lists(
+    st.tuples(st.integers(-9, 9), st.integers(1, 6), st.integers(1, 2)),
+    min_size=0,
+    max_size=4,
+)
+
+
+@given(
+    factors=linear_factors,
+    quadratic=st.sampled_from([None, (-2, 0, 1), (1, 1, 1), (-7, 3, 5)]),
+    content=st.integers(1, 10**30),
+)
+@settings(max_examples=60, deadline=None)
+def test_rational_roots_matches_trial_division(factors, quadratic, content):
+    merged = {}
+    for num, den, mult in factors:
+        merged[F(num, den)] = merged.get(F(num, den), 0) + mult
+    extra = tuple(F(c) for c in quadratic) if quadratic else (F(1),)
+    p = from_factors(content, sorted(merged.items()), extra)
+    if len(p) < 2:
+        return
+    got = rational_roots(p)
+    assert got == reference_rational_roots(p)
+    assert got[0] == sorted(merged.items())
 
 
 def test_normalize_system():
