@@ -37,21 +37,20 @@ from .models import (
 )
 
 
-def _triple_ok(p: int, q: int, a: KacLabel, b: KacLabel, c: KacLabel) -> bool:
-    m, n = a.m, a.n
-    mp_, np_ = b.m, b.n
-    mpp, npp = c.m, c.n
-    sm = m + mp_ + mpp
-    sn = n + np_ + npp
-    if sm % 2 == 0 or sn % 2 == 0:
-        return False
-    if not (sm < 2 * p and sn < 2 * q):
-        return False
-    if not (m < mp_ + mpp and mp_ < mpp + m and mpp < m + mp_):
-        return False
-    if not (n < np_ + npp and np_ < npp + n and npp < n + np_):
-        return False
-    return True
+def _triple_ok(p: int, q: int, a, b, c):
+    """The single-representative rule for Kac pairs a, b, c = (m, n).
+
+    The entries may be ints or broadcastable integer arrays; the result
+    is a bool or a boolean array of the broadcast shape.
+    """
+    (m1, n1), (m2, n2), (m3, n3) = a, b, c
+    sm = m1 + m2 + m3
+    sn = n1 + n2 + n3
+    return (
+        (sm % 2 == 1) & (sn % 2 == 1) & (sm < 2 * p) & (sn < 2 * q)
+        & (m1 < m2 + m3) & (m2 < m3 + m1) & (m3 < m1 + m2)
+        & (n1 < n2 + n3) & (n2 < n3 + n1) & (n3 < n1 + n2)
+    )
 
 
 def fusion_rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacLabel) -> int:
@@ -65,7 +64,7 @@ def fusion_rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacLabel) -> i
     for ra in (a, reflect(model, a)):
         for rb in (b, reflect(model, b)):
             for rc in (c, reflect(model, c)):
-                if _triple_ok(model.p, model.q, ra, rb, rc):
+                if _triple_ok(model.p, model.q, ra.as_tuple(), rb.as_tuple(), rc.as_tuple()):
                     return 1
     return 0
 
@@ -107,20 +106,29 @@ class FusionTable:
         return int(self.table[self.index(a), self.index(b), self.index(c)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def fusion_table(model: MinimalModel) -> FusionTable:
-    """Compute (once per model) the full multiplicity table."""
+    """Compute (once per model) the full multiplicity table.
+
+    The rule is evaluated on the whole (k, k, k) label grid for each of
+    the eight choices of reflection representatives, and the results
+    are ORed, exactly as fusion_rule does for one triple.
+    """
     labels = tuple(lab for lab, _ in kac_table(model))
-    k = len(labels)
-    table = np.zeros((k, k, k), dtype=np.int8)
-    for i, a in enumerate(labels):
-        for j in range(i, k):
-            b = labels[j]
-            for l, c in enumerate(labels):
-                if fusion_rule(model, a, b, c):
-                    table[i, j, l] = 1
-                    table[j, i, l] = 1
-    return FusionTable(model, labels, table)
+    # int16 keeps the (k, k, k) sums small; every sum is below 3 * q
+    m = np.array([lab.m for lab in labels], dtype=np.int16)
+    n = np.array([lab.n for lab in labels], dtype=np.int16)
+    reps = ((m, n), (model.p - m, model.q - n))
+    table = np.zeros((len(labels),) * 3, dtype=bool)
+    for (ma, na), (mb, nb), (mc, nc) in product(reps, repeat=3):
+        table |= _triple_ok(
+            model.p,
+            model.q,
+            (ma[:, None, None], na[:, None, None]),
+            (mb[None, :, None], nb[None, :, None]),
+            (mc[None, None, :], nc[None, None, :]),
+        )
+    return FusionTable(model, labels, table.astype(np.int8))
 
 
 @dataclass(frozen=True)
@@ -139,12 +147,11 @@ def verify_ring_axioms(model: MinimalModel) -> RingReport:
     """
     ft = fusion_table(model)
     k = len(ft.labels)
-    t = ft.table.astype(np.int64)
+    t = ft.table
     failures: list[str] = []
 
     vac = ft.labels.index(canonicalize(model, KacLabel(1, 1)))
-    eye = np.eye(k, dtype=np.int64)
-    if not np.array_equal(t[vac], eye):
+    if not np.array_equal(t[vac], np.eye(k, dtype=t.dtype)):
         failures.append("vacuum row is not the identity pattern")
 
     if not np.array_equal(t, t.transpose(1, 0, 2)):
@@ -154,15 +161,19 @@ def verify_ring_axioms(model: MinimalModel) -> RingReport:
             failures.append(f"slot permutation {perm} changes the multiplicity")
             break
 
-    # Associativity: sum_e N_ab^e N_ec^d = sum_f N_bc^f N_af^d for all a,b,c,d.
-    # With matrices (M_a)_c^d = N_ac^d this is M_a M_b = sum_e N_ab^e M_e.
-    mats = [t[i] for i in range(k)]
-    for i, j in product(range(k), repeat=2):
-        lhs = mats[i] @ mats[j]
-        rhs = sum(int(t[i, j, e]) * mats[e] for e in range(k))
-        if not np.array_equal(lhs, rhs):
+    # Associativity: sum_e N_ab^e N_ec^d = sum_x N_ac^x N_bx^d for all a,b,c,d.
+    # With matrices (M_a)_c^d = N_ac^d this is M_a M_b = sum_e N_ab^e M_e;
+    # one a at a time both sides are (k, k, k) arrays indexed [b, c, d].
+    # float32 is exact here: every sum is an integer of at most k.
+    tf = t.astype(np.float32)
+    flat = tf.reshape(k, k * k)
+    for i in range(k):
+        lhs = tf[i] @ tf
+        rhs = (tf[i] @ flat).reshape(k, k, k)
+        bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+        if bad.size:
             failures.append(
-                f"associativity fails for a={ft.labels[i]}, b={ft.labels[j]}"
+                f"associativity fails for a={ft.labels[i]}, b={ft.labels[bad[0]]}"
             )
             break
 

@@ -58,12 +58,12 @@ def _report(suite, claim, passed, max_residual, tolerance, details, t0):
         "max_residual": max_residual,
         "tolerance": tolerance,
         "details": details,
-        "runtime_s": round(time.time() - t0, 3),
+        "runtime_s": round(time.perf_counter() - t0, 3),
     }
 
 
 def suite_kac_data() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     for model in models_up_to(13):
         expect = (model.p - 1) * (model.q - 1) // 2
@@ -90,7 +90,7 @@ def suite_kac_data() -> dict:
 
 
 def suite_fusion_ring() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     checked = 0
     for model in models_up_to(9):
@@ -110,7 +110,7 @@ def suite_fusion_ring() -> dict:
 
 
 def suite_kac_determinant(cache=None) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     zero_checks = 0
     nonzero_checks = 0
@@ -145,7 +145,7 @@ def suite_kac_determinant(cache=None) -> dict:
 
 
 def suite_singular_vectors() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     count = 0
     cases = [
@@ -177,7 +177,7 @@ def suite_singular_vectors() -> dict:
 
 
 def suite_bpz_indicial() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     failures = []
     cases = 0
     for model in models_up_to(5):
@@ -225,7 +225,7 @@ def _ising_eps_spec() -> CorrelatorSpec:
 def suite_blocks(order: int = 50) -> dict:
     import math
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     tol = 1e-10
     spec = _ising_sigma_spec()
     worst = 0.0
@@ -264,7 +264,7 @@ def suite_blocks(order: int = 50) -> dict:
 
 
 def suite_ising_crossing(order: int = 60) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     tol = 1e-8
     grid_z1 = (0.9, 1.0, 1.1, 1.2, 1.3)
     grid_z = (0.52, 0.54, 0.56, 0.58, 0.60)
@@ -286,7 +286,7 @@ def suite_ising_crossing(order: int = 60) -> dict:
 
 
 def suite_commutativity(order: int = 60) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     tol = 1e-6
     spec = _ising_sigma_spec()
     resid = commutativity_residual(spec, order)
@@ -312,7 +312,7 @@ def suite_commutativity(order: int = 60) -> dict:
 
 
 def suite_monodromy(order: int = 60) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     tol = 1e-8
     worst = 0.0
     control_min = float("inf")
@@ -339,7 +339,7 @@ def suite_monodromy(order: int = 60) -> dict:
 
 
 def suite_tensor(order: int = 50) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     tol = 1e-12
     failures = []
     spec = _ising_sigma_spec()

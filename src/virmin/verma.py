@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import RangeError
 from .linalg import RowSpace, det, nullspace
@@ -62,18 +63,6 @@ class PBWVector:
     def scaled(self, factor: Fraction) -> "PBWVector":
         return PBWVector(self.level, {p: v * factor for p, v in self.coefficients.items()})
 
-    def __str__(self):
-        if self.is_zero():
-            return "0"
-        bits = []
-        for parts in pbw_basis(self.level):
-            coef = self.coefficients.get(parts)
-            if coef is None:
-                continue
-            mono = "".join(f"L(-{m})" for m in parts) or "1"
-            bits.append(f"({coef})*{mono}")
-        return " + ".join(bits)
-
 
 @lru_cache(maxsize=None)
 def pbw_basis(level: int) -> tuple[Partition, ...]:
@@ -92,7 +81,7 @@ def pbw_basis(level: int) -> tuple[Partition, ...]:
     return tuple(gen(level, level))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**15)
 def _normal_order(word: tuple[int, ...]) -> tuple[tuple[Partition, int], ...]:
     """Reorder a product of lowering operators L(-word[0])...L(-word[-1]).
 
@@ -113,7 +102,7 @@ def _normal_order(word: tuple[int, ...]) -> tuple[tuple[Partition, int], ...]:
     return ((word, 1),)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**15)
 def _raise_monomial(
     c: Fraction, h: Fraction, m: int, parts: Partition
 ) -> tuple[tuple[Partition, Fraction], ...]:
@@ -177,32 +166,68 @@ class GramMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
 
-def gram_matrix(params: VermaParams, level: int, cache=None) -> GramMatrix:
-    """Exact Gram matrix; entry (i, j) pairs basis monomials i and j.
+def _raising_rows(params: VermaParams, m: int, level: int) -> list[dict[int, Fraction]]:
+    """L(m) on each monomial of pbw_basis(level), 1 <= m <= level, as
+    {position in pbw_basis(level - m): coefficient}."""
+    index = {parts: i for i, parts in enumerate(pbw_basis(level - m))}
+    return [
+        {index[word]: cf for word, cf in _raise_monomial(params.c, params.h, m, parts)}
+        for parts in pbw_basis(level)
+    ]
 
-    Row i is computed by applying the raising modes of partition i
-    (the adjoint composition, innermost mode first) to basis vector j
-    and reading off the coefficient of the empty partition.
+
+def _gram_entries(params: VermaParams, level: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Gram entries at `level` by recursion over the levels below.
+
+    The adjoint of L(-l_1)...L(-l_k) applies L(l_1) first, so with
+    L(l_1)|mu> = sum_nu R[mu -> nu] |nu> one level down,
+
+        G_N[lam, mu] = sum_nu R_{l_1}[mu -> nu] G_{N - l_1}[lam[1:], nu].
+
+    Only the rows lam[1:], lam[2:], ... that the level-N rows reach are
+    built, each once, and all are dropped on return.  Every raising
+    coefficient lies in Z + Z h + Z c/2, so with d = lcm(2 den(c), den(h))
+    a level-n row times d^n is integral: rows are kept as those integers
+    and divided by d^N once at the end.
     """
+    d = lcm(2 * params.c.denominator, params.h.denominator)
+    tables: dict[tuple[int, int], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    rows: dict[Partition, list[int]] = {(): [1]}
+    for lam in pbw_basis(level):
+        for start in reversed(range(len(lam))):  # shortest tail first
+            tail = lam[start:]
+            if tail in rows:
+                continue
+            m, n = tail[0], sum(tail)
+            if (m, n) not in tables:
+                tables[m, n] = [
+                    (
+                        tuple(image),
+                        tuple(cf.numerator * (d // cf.denominator) for cf in image.values()),
+                    )
+                    for image in _raising_rows(params, m, n)
+                ]
+            below = rows[tail[1:]]
+            scale = d ** (m - 1)
+            rows[tail] = [
+                scale * sum(cf * below[j] for j, cf in zip(positions, coefficients))
+                for positions, coefficients in tables[m, n]
+            ]
+    denominator = d**level
+    return tuple(
+        tuple(Fraction(x, denominator) for x in rows[lam]) for lam in pbw_basis(level)
+    )
+
+
+def gram_matrix(params: VermaParams, level: int, cache=None) -> GramMatrix:
+    """Exact Gram matrix; entry (i, j) pairs basis monomials i and j."""
     if level < 0:
         raise RangeError("level must be nonnegative")
     if cache is not None:
         hit = cache.load(params, level)
         if hit is not None:
             return hit
-    basis = pbw_basis(level)
-    rows = []
-    for parts_i in basis:
-        row = []
-        for parts_j in basis:
-            # the adjoint of L(-m_1)...L(-m_k) is L(m_k)...L(m_1) read as a
-            # composition, so the innermost (first applied) mode is m_1
-            v = PBWVector(level, {parts_j: Fraction(1)})
-            for m in parts_i:
-                v = apply_raising(params, m, v)
-            row.append(v.coefficients.get((), Fraction(0)))
-        rows.append(tuple(row))
-    gram = GramMatrix(params, level, basis, tuple(rows))
+    gram = GramMatrix(params, level, pbw_basis(level), _gram_entries(params, level))
     if cache is not None:
         cache.store(gram)
     return gram
@@ -225,13 +250,9 @@ def _singular_space(params: VermaParams, level: int) -> list[PBWVector]:
     for m in (1, 2):
         if level - m < 0:
             continue
-        target = pbw_basis(level - m)
-        images = [
-            apply_raising(params, m, PBWVector(level, {parts: Fraction(1)}))
-            for parts in basis
-        ]
-        for t in target:
-            rows.append([img.coefficients.get(t, Fraction(0)) for img in images])
+        images = _raising_rows(params, m, level)
+        for t in range(len(pbw_basis(level - m))):
+            rows.append([img.get(t, Fraction(0)) for img in images])
     kernel = nullspace(rows, n_cols=len(basis))
     return [
         PBWVector(level, {parts: coef for parts, coef in zip(basis, vec)})
@@ -248,7 +269,7 @@ def _normalize_singular(v: PBWVector) -> PBWVector:
 
 
 def singular_vectors(
-    model: MinimalModel, label: KacLabel, max_level: int, cache=None
+    model: MinimalModel, label: KacLabel, max_level: int
 ) -> list[tuple[int, PBWVector]]:
     """Primitive singular vectors up to max_level.
 

@@ -29,6 +29,9 @@ def test_exact_memos_are_bounded_module_lru_caches():
         "virmin.bpz._indicial_exponents",
         "virmin.blocks.frobenius_expand",
         "virmin.crossing._pipeline",
+        "virmin.verma._raise_monomial",
+        "virmin.verma._normal_order",
+        "virmin.fusion.fusion_table",
     ):
         assert name in caches, name
         maxsize = caches[name].cache_info().maxsize

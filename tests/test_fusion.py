@@ -1,10 +1,13 @@
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
+import numpy as np
 import pytest
 
+from virmin import fusion
 from virmin.errors import RangeError, ShapeError
 from virmin.fusion import (
+    FusionTable,
     fuse,
     fusion_rule,
     fusion_table,
@@ -124,3 +127,67 @@ def test_multiplicities_are_zero_or_one():
     for model in (M34, M25, MinimalModel(5, 6)):
         ft = fusion_table(model)
         assert set(ft.table.flatten().tolist()) <= {0, 1}
+
+
+def test_fusion_table_matches_rule_for_all_models_up_to_9():
+    for q in range(3, 10):
+        for p in range(2, q):
+            if gcd(p, q) != 1:
+                continue
+            model = MinimalModel(p, q)
+            ft = fusion_table(model)
+            k = len(ft.labels)
+            want = np.array(
+                [fusion_rule(model, a, b, c) for a, b, c in product(ft.labels, repeat=3)],
+                dtype=np.int8,
+            ).reshape(k, k, k)
+            assert ft.table.dtype == np.int8
+            assert np.array_equal(ft.table, want), model
+
+
+def pairwise_ring_failures(ft):
+    """Reference ring check: vacuum, symmetry, then associativity
+    M_a M_b = sum_e N_ab^e M_e tested pair by pair in row-major order."""
+    k = len(ft.labels)
+    t = ft.table.astype(np.int64)
+    failures = []
+    vac = ft.labels.index(canonicalize(ft.model, KacLabel(1, 1)))
+    if not np.array_equal(t[vac], np.eye(k, dtype=np.int64)):
+        failures.append("vacuum row is not the identity pattern")
+    if not np.array_equal(t, t.transpose(1, 0, 2)):
+        failures.append("commutativity N_ab^c = N_ba^c fails")
+    for perm in [(0, 2, 1), (2, 1, 0)]:
+        if not np.array_equal(t, t.transpose(*perm)):
+            failures.append(f"slot permutation {perm} changes the multiplicity")
+            break
+    for i, j in product(range(k), repeat=2):
+        lhs = t[i] @ t[j]
+        rhs = sum(int(t[i, j, e]) * t[e] for e in range(k))
+        if not np.array_equal(lhs, rhs):
+            failures.append(f"associativity fails for a={ft.labels[i]}, b={ft.labels[j]}")
+            break
+    return tuple(failures)
+
+
+@pytest.mark.parametrize("model", [MinimalModel(4, 5), MinimalModel(5, 6)])
+def test_ring_check_names_first_failing_pair(model, monkeypatch):
+    # Flip one multiplicity in all six slot orders: the table stays
+    # symmetric, so only associativity can catch it.
+    good = fusion_table(model)
+    k = len(good.labels)
+    vac = good.index(KacLabel(1, 1))
+    caught = 0
+    for triple in product(range(k), repeat=3):
+        if vac in triple or list(triple) != sorted(triple):
+            continue
+        table = good.table.copy()
+        for perm in set(permutations(triple)):
+            table[perm] = 1 - table[perm]
+        bad = FusionTable(model, good.labels, table)
+        monkeypatch.setattr(fusion, "fusion_table", lambda m, bad=bad: bad)
+        report = verify_ring_axioms(model)
+        want = pairwise_ring_failures(bad)
+        assert report.failures == want, triple
+        assert report.passed == (not want)
+        caught += not report.passed
+    assert caught > 0

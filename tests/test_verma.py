@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from virmin.cache import GramCache
 from virmin.errors import RangeError
-from virmin.linalg import rank
+from virmin.linalg import nullspace, rank
 from virmin.models import KacLabel, MinimalModel, central_charge, conformal_weight
 from virmin.verma import (
     PBWVector,
@@ -16,12 +16,51 @@ from virmin.verma import (
     gram_matrix,
     kac_determinant,
     pbw_basis,
+    _singular_space,
     singular_vectors,
     verify_singular,
 )
 
 F = Fraction
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+M56 = MinimalModel(5, 6)
+ORACLE_POINTS = [
+    VermaParams(F(7, 3), F(-2, 5)),  # generic
+    VermaParams(F(0), F(0)),
+    VermaParams(central_charge(M56), conformal_weight(M56, KacLabel(2, 2))),  # null at 4
+]
+
+
+def adjoint_composition_gram(params, level):
+    """Reference Gram entries: apply the raising modes of row partition i,
+    first part first, to basis vector j and read off the |h> coefficient."""
+    basis = pbw_basis(level)
+    rows = []
+    for parts_i in basis:
+        row = []
+        for parts_j in basis:
+            v = PBWVector(level, {parts_j: F(1)})
+            for m in parts_i:
+                v = apply_raising(params, m, v)
+            row.append(v.coefficients.get((), F(0)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def apply_raising_singular_space(params, level):
+    """Reference kernel of L(1) and L(2) at `level`, from apply_raising."""
+    basis = pbw_basis(level)
+    rows = []
+    for m in (1, 2):
+        if m > level:
+            continue
+        images = [apply_raising(params, m, PBWVector(level, {b: F(1)})) for b in basis]
+        for t in pbw_basis(level - m):
+            rows.append([img.coefficients.get(t, F(0)) for img in images])
+    return [
+        PBWVector(level, dict(zip(basis, vec))) for vec in nullspace(rows, n_cols=len(basis))
+    ]
 
 
 def test_pbw_basis():
@@ -98,6 +137,21 @@ def test_gram_symmetric(c, h):
         for i in range(n):
             for j in range(i):
                 assert g.entries[i][j] == g.entries[j][i]
+
+
+@pytest.mark.parametrize("params", ORACLE_POINTS)
+def test_gram_recursion_matches_adjoint_composition(params):
+    for level in range(9):
+        got = gram_matrix(params, level)
+        assert got.basis == pbw_basis(level)
+        assert got.entries == adjoint_composition_gram(params, level)
+        assert all(type(x) is F for row in got.entries for x in row)
+
+
+@pytest.mark.parametrize("params", ORACLE_POINTS)
+def test_singular_space_matches_apply_raising(params):
+    for level in range(1, 7):
+        assert _singular_space(params, level) == apply_raising_singular_space(params, level)
 
 
 def test_gram_symmetric_deep():
@@ -218,3 +272,11 @@ def test_gram_cache_roundtrip(tmp_path):
     again = gram_matrix(params, 3, cache)
     assert again == g
     assert list(tmp_path.glob("gram-*.json"))
+
+
+def test_gram_cache_stores_only_the_requested_level(tmp_path):
+    cache = GramCache(tmp_path)
+    params = VermaParams(F(7, 3), F(-2, 5))
+    gram_matrix(params, 6, cache)
+    assert len(list(tmp_path.glob("gram-*.json"))) == 1
+    assert cache.load(params, 5) is None
