@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
+import numpy as np
+
 from .bpz import ODESpec, indicial_exponents, indicial_polynomial, reduced_ode
 from .errors import DomainError, LogarithmicCaseError, ModelViolationError, RangeError
 from .models import KacLabel, conformal_weight
@@ -187,17 +189,21 @@ def eval_local(series: FrobeniusSeries, u: complex) -> complex:
 
 
 def eval_local_derivatives(series: FrobeniusSeries, u: complex, count: int) -> list[complex]:
-    """[f(u), f'(u), ..., f^(count-1)(u)] w.r.t. the local coordinate."""
+    """[f(u), f'(u), ..., f^(count-1)(u)] w.r.t. the local coordinate.
+
+    f^(t)(u) = u^(rho - t) sum_k a_k (rho + k)(rho + k - 1)...(rho + k - t + 1) u^k,
+    evaluated in complex floats on the principal branch.
+    """
+    coeffs = series.complex_coefficients
+    rho = float(series.exponent)
+    shifted = rho + np.arange(len(coeffs))
+    powers = complex(u) ** np.arange(len(coeffs))
+    log_u = cmath.log(u)
+    weights = np.array(coeffs)
     out = []
-    rho = series.exponent
     for t in range(count):
-        acc = 0j
-        for k in range(len(series.coefficients) - 1, -1, -1):
-            ff = Fraction(1)
-            for d in range(t):
-                ff *= rho + k - d
-            acc = acc * u + complex(series.coefficients[k] * ff)
-        out.append(acc * cmath.exp(float(rho - t) * cmath.log(u)))
+        out.append(complex(weights @ powers) * cmath.exp(float(series.exponent - t) * log_u))
+        weights = weights * (shifted - t)
     return out
 
 

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .errors import (
     FusionError,
@@ -302,6 +304,17 @@ class ODESpec:
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
+
+    @cached_property
+    def complex_coefficients(self) -> np.ndarray:
+        """complex(c_i[b]) as a read-only (order + 1, largest length)
+        array, zero-padded, converted once."""
+        width = max(len(c) for c in self.coefficients)
+        out = np.zeros((len(self.coefficients), width), dtype=complex)
+        for i, c in enumerate(self.coefficients):
+            out[i, : len(c)] = [complex(v) for v in c]
+        out.setflags(write=False)
+        return out
 
     def validate_minimal_form(self) -> None:
         """Assert singular points within {0, 1} and regular singularity

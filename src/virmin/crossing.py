@@ -231,16 +231,15 @@ def monodromy_check(
     if basis.point != 0:
         raise DomainError("monodromy_check expects the basis at the point 0")
     k = ode.order
+    states0 = np.column_stack(
+        [eval_local_derivatives(s, complex(radius), k) for s in basis.solutions]
+    )
     path = circle_path(radius, steps)
-    worst = 0.0
-    for s in basis.solutions:
-        state0 = eval_local_derivatives(s, complex(radius), k)
-        final = continue_along(ode, complex(radius), state0, path, taylor_order)
-        phase = cmath.exp(2j * cmath.pi * (float(s.exponent) + exponent_offset))
-        scale = max(max(abs(v) for v in state0), 1e-300)
-        for got, want in zip(final, state0):
-            worst = max(worst, abs(got - phase * want) / scale)
-    return worst
+    final = continue_along(ode, complex(radius), states0, path, taylor_order)
+    rho = np.array([float(s.exponent) for s in basis.solutions])
+    phases = np.exp(2j * np.pi * (rho + exponent_offset))
+    scales = np.maximum(np.abs(states0).max(axis=0), 1e-300)
+    return float((np.abs(final - phases * states0) / scales).max())
 
 
 def commutativity_residual(
@@ -266,29 +265,36 @@ def commutativity_residual(
     start = 0.5
     f = fm.as_array()
 
-    def swapped_side_prediction(i: int, x: float) -> complex:
-        pred = 0j
-        for j, s1 in enumerate(basis1.solutions):
-            sgn = -1.0 if flip_phases else 1.0
+    sgn = -1.0 if flip_phases else 1.0
+
+    def swapped_side_blocks(x: float) -> np.ndarray:
+        """e^{i pi s_j} R_j(x) for every point-1 solution j."""
+        out = []
+        for s1 in basis1.solutions:
             phase = cmath.exp(sgn * 1j * cmath.pi * float(s1.exponent))
             mag = (x - 1) ** float(s1.exponent)  # real branch, x > 1
             series_sum = 0j
             for c in reversed(s1.complex_coefficients):
                 series_sum = series_sum * (1 - x) + c
-            pred += f[i, j] * phase * mag * series_sum
-        return pred
+            out.append(phase * mag * series_sum)
+        return np.array(out)
 
+    # All allowed channels are continued together as the columns of one
+    # (k, channels) state matrix.
+    channels = list(channel_index.values())
+    cur = np.column_stack(
+        [eval_local_derivatives(basis0.solutions[i], complex(start), k) for i in channels]
+    )
+    pos = complex(start)
+    waypoints = sorted(targets)
+    path = lower_arc_path(0.5, 16) + [complex(waypoints[0])]
     worst = 0.0
-    for c, i in channel_index.items():
-        cur = eval_local_derivatives(basis0.solutions[i], complex(start), k)
-        pos = complex(start)
-        waypoints = sorted(targets)
-        path = lower_arc_path(0.5, 16) + [complex(waypoints[0])]
-        for target, leg in zip(waypoints, [path] + [[complex(x)] for x in waypoints[1:]]):
-            cur = continue_along(ode, pos, cur, leg, 40)
-            pos = complex(target)
-            pred = swapped_side_prediction(i, target)
-            worst = max(worst, abs(cur[0] - pred) / max(abs(pred), 1e-300))
+    for target, leg in zip(waypoints, [path] + [[complex(x)] for x in waypoints[1:]]):
+        cur = continue_along(ode, pos, cur, leg, 40)
+        pos = complex(target)
+        pred = f[channels] @ swapped_side_blocks(target)
+        resid = np.abs(cur[0] - pred) / np.maximum(np.abs(pred), 1e-300)
+        worst = max(worst, float(resid.max()))
     return worst
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -220,3 +221,33 @@ def test_eval_local_derivatives_consistency():
     val, dval = eval_local_derivatives(s, complex(z), 2)
     fd = (eval_local(s, z + h) - eval_local(s, z - h)) / (2 * h)
     assert abs(fd - dval) < 1e-7 * max(1.0, abs(dval))
+
+
+def exact_local_derivatives(series, u: complex, count: int) -> list[complex]:
+    """Reference for eval_local_derivatives: each term a_k times the
+    falling factorial of rho + k formed as a Fraction, rounded once."""
+    out = []
+    rho = series.exponent
+    for t in range(count):
+        acc = 0j
+        for k in range(len(series.coefficients) - 1, -1, -1):
+            ff = Fraction(1)
+            for d in range(t):
+                ff *= rho + k - d
+            acc = acc * u + complex(series.coefficients[k] * ff)
+        out.append(acc * cmath.exp(float(rho - t) * cmath.log(u)))
+    return out
+
+
+def test_float_local_derivatives_match_exact_form():
+    spec = CorrelatorSpec(MinimalModel(5, 6), *[KacLabel(2, 3)] * 4)
+    ode = reduced_ode(spec)[0]
+    assert ode.order == 6
+    for point in (0, 1):
+        for rho in indicial_exponents(ode, point):
+            series = frobenius_expand(ode, point, rho, 60)
+            for u in (0.35 + 0j, 0.5 + 0j, 0.3 - 0.2j):
+                got = eval_local_derivatives(series, u, ode.order)
+                want = exact_local_derivatives(series, u, ode.order)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-13 * abs(w)

@@ -32,6 +32,7 @@ def test_exact_memos_are_bounded_module_lru_caches():
         "virmin.verma._raise_monomial",
         "virmin.verma._normal_order",
         "virmin.fusion.fusion_table",
+        "virmin.continuation._step_tables",
     ):
         assert name in caches, name
         maxsize = caches[name].cache_info().maxsize
@@ -55,3 +56,13 @@ def test_complex_coefficients_match_exact_coefficients():
             assert len(series.complex_coefficients) == len(series.coefficients)
             for k, c in enumerate(series.coefficients):
                 assert series.complex_coefficients[k] == complex(c)
+
+
+def test_ode_complex_coefficients_match_exact_coefficients():
+    ode = reduced_ode(SIGMA_SPEC)[0]
+    arr = ode.complex_coefficients
+    assert arr is ode.complex_coefficients
+    assert not arr.flags.writeable
+    assert arr.shape == (ode.order + 1, max(len(c) for c in ode.coefficients))
+    for i, c in enumerate(ode.coefficients):
+        assert list(arr[i]) == [complex(v) for v in c] + [0j] * (arr.shape[1] - len(c))

@@ -1,14 +1,100 @@
 import cmath
 import math
 from fractions import Fraction
+from math import comb, factorial
 
+import numpy as np
 import pytest
 
-from virmin.bpz import ODESpec
+from virmin.blocks import eval_local_derivatives
+from virmin.bpz import CorrelatorSpec, ODESpec, reduced_ode
 from virmin.continuation import circle_path, continue_along, lower_arc_path, taylor_step
+from virmin.crossing import channel_basis
 from virmin.errors import DomainError
+from virmin.models import KacLabel, MinimalModel
 
 F = Fraction
+
+
+def _shifted_coeffs(c, p: complex) -> list[complex]:
+    """Coefficients of c(p + t) as a polynomial in t."""
+    n = len(c)
+    out = [0j] * n
+    for big in range(n):
+        cb = complex(c[big])
+        if cb == 0:
+            continue
+        pw = 1.0 + 0j
+        for d in range(big, -1, -1):
+            out[d] += comb(big, d) * cb * pw
+            pw *= p
+    return out
+
+
+def scalar_taylor_step(
+    ode: ODESpec, p: complex, state: list[complex], target: complex, order: int = 40
+) -> list[complex]:
+    """Reference: one Taylor step of a single state, term by term in
+    Python complex arithmetic (the recursion written out directly)."""
+    k = ode.order
+    gamma = [_shifted_coeffs(c, p) for c in ode.coefficients]
+    lead = gamma[k][0] if gamma[k] else 0j
+    if abs(lead) < 1e-300:
+        raise DomainError(f"{p} is too close to a singular point for a Taylor step")
+
+    def falling(x: int, i: int) -> float:
+        out = 1.0
+        for d in range(i):
+            out *= x - d
+        return out
+
+    b = [state[t] / factorial(t) for t in range(k)]
+    for n in range(order - k + 1):
+        rhs = 0j
+        for i in range(k + 1):
+            gi = gamma[i]
+            for d in range(len(gi)):
+                if gi[d] == 0:
+                    continue
+                if i == k and d == 0:
+                    continue
+                idx = n - d + i
+                if 0 <= idx < len(b):
+                    rhs += gi[d] * falling(idx, i) * b[idx]
+        b.append(-rhs / (lead * falling(n + k, k)))
+
+    dz = target - p
+    out = []
+    for t in range(k):
+        acc = 0j
+        power = 1.0 + 0j
+        for n in range(t, len(b)):
+            acc += b[n] * falling(n, t) * power
+            power *= dz
+        out.append(acc)
+    return out
+
+
+def _diagonal(p: int, q: int, *labels) -> CorrelatorSpec:
+    labels = [KacLabel(*lab) for lab in labels]
+    return CorrelatorSpec(MinimalModel(p, q), *(labels * (4 // len(labels))))
+
+
+# The commutativity check's correlators: orders 2, 4, 6 and a mixed one.
+COMMUTATIVITY_SPECS = [
+    _diagonal(3, 4, (1, 2)),
+    _diagonal(4, 5, (2, 2)),
+    _diagonal(5, 6, (2, 3)),
+    _diagonal(6, 7, (1, 4), (1, 4), (5, 3), (5, 3)),
+]
+COMMUTATIVITY_PATH = lower_arc_path(0.5, 16) + [1.35, 1.5, 1.65]
+
+
+def _start_states(spec: CorrelatorSpec):
+    ode = reduced_ode(spec)[0]
+    basis = channel_basis(ode, 0, 60)
+    states = [eval_local_derivatives(s, 0.5 + 0j, ode.order) for s in basis.solutions]
+    return ode, np.column_stack(states)
 
 
 def test_exponential_ode():
@@ -49,3 +135,37 @@ def test_lower_arc_geometry():
     assert abs(path[-1] - 1.5) < 1e-12
     assert all(p.imag <= 1e-12 for p in path)  # passes below the singular point
     assert min(p.imag for p in path) < -0.4
+
+
+@pytest.mark.parametrize("spec", COMMUTATIVITY_SPECS, ids=str)
+def test_batched_steps_match_scalar_reference_along_commutativity_path(spec):
+    ode, states = _start_states(spec)
+    cur = states
+    ref = [list(col) for col in states.T]
+    p = 0.5 + 0j
+    for target in COMMUTATIVITY_PATH:
+        cur = taylor_step(ode, p, cur, complex(target))
+        ref = [scalar_taylor_step(ode, p, col, complex(target)) for col in ref]
+        p = complex(target)
+        for j, col in enumerate(ref):
+            want = np.array(col)
+            assert np.abs(cur[:, j] - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def test_batched_columns_equal_single_column_calls():
+    ode, states = _start_states(COMMUTATIVITY_SPECS[2])
+    batched = continue_along(ode, 0.5, states, COMMUTATIVITY_PATH)
+    assert batched.shape == states.shape
+    for j in range(states.shape[1]):
+        single = continue_along(ode, 0.5, states[:, j : j + 1], COMMUTATIVITY_PATH)
+        assert single.shape == (ode.order, 1)
+        scale = np.abs(single).max()
+        assert np.abs(batched[:, j] - single[:, 0]).max() <= 1e-14 * scale
+
+
+def test_vector_state_returns_vector():
+    ode, states = _start_states(COMMUTATIVITY_SPECS[0])
+    out = taylor_step(ode, 0.5, list(states[:, 0]), 0.6)
+    assert out.shape == (ode.order,)
+    assert continue_along(ode, 0.5, states[:, 0], [0.6, 0.7]).shape == (ode.order,)
+    assert np.array_equal(out, taylor_step(ode, 0.5, states[:, :1], 0.6)[:, 0])
