@@ -17,10 +17,10 @@ from math import lcm
 
 import numpy as np
 
-from .bpz import ODESpec, indicial_exponents, indicial_polynomial, reduced_ode
+from .bpz import ODESpec, indicial_exponents, reduced_ode
 from .errors import DomainError, LogarithmicCaseError, ModelViolationError, RangeError
 from .models import KacLabel, conformal_weight
-from .poly import Poly, degree, ord0, peval
+from .poly import peval
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class FrobeniusSeries:
         return len(self.coefficients) - 1
 
     def local_ode(self) -> ODESpec:
-        return self.ode if self.base_point == 0 else self.ode.shifted_to_one()
+        return self.ode if self.base_point == 0 else self.ode.shifted_to_one
 
     @cached_property
     def complex_coefficients(self) -> tuple[complex, ...]:
@@ -52,32 +52,6 @@ class EvaluationResult:
     value: complex
     tail_bound: float
     order_used: int
-
-
-def _recursion_data(ode: ODESpec):
-    """Shift polynomials A_j(x) of the Frobenius recursion.
-
-    With nu = min_i (ord c_i - i), the substitution gives
-    sum_j A_j(rho + n - j) a_{n-j} = 0 per order n, where
-    A_j(x) = sum_i c_{i, nu+i+j} x(x-1)...(x-i+1).
-    A_0 is the indicial polynomial.
-    """
-    from .bpz import _falling
-    from .poly import padd, pscale
-
-    nz = [(i, c) for i, c in enumerate(ode.coefficients) if c]
-    nu = min(ord0(c) - i for i, c in nz)
-    jmax = max(degree(c) - i for i, c in nz) - nu
-    falling = {i: _falling(i) for i, _ in nz}
-    shifts = []
-    for j in range(jmax + 1):
-        acc: Poly = ()
-        for i, c in nz:
-            idx = nu + i + j
-            if 0 <= idx < len(c) and c[idx]:
-                acc = padd(acc, pscale(falling[i], c[idx]))
-        shifts.append(acc)
-    return shifts
 
 
 @lru_cache(maxsize=128)
@@ -98,11 +72,10 @@ def frobenius_expand(
     if order < 0:
         raise RangeError("order must be nonnegative")
     exponent = Fraction(exponent)
-    local = ode if point == 0 else ode.shifted_to_one()
-    ind = indicial_polynomial(local, 0)
-    if peval(ind, exponent) != 0:
+    local = ode if point == 0 else ode.shifted_to_one
+    shifts = local.frobenius_shifts
+    if peval(shifts[0], exponent) != 0:
         raise RangeError(f"{exponent} is not an indicial root at {point}")
-    shifts = _recursion_data(local)
     jmax = len(shifts) - 1
     # The recursion in integers: with exponent = p/q and L the common
     # denominator of the shift coefficients, L q^deg A_j(exponent + m) =
@@ -113,7 +86,8 @@ def frobenius_expand(
     deg = max(len(s) for s in shifts) - 1
     scale = lcm(*(c.denominator for s in shifts for c in s))
     int_shifts = [
-        [int(c * scale) * q ** (deg - k) for k, c in enumerate(s)] for s in shifts
+        [c.numerator * (scale // c.denominator) * q ** (deg - k) for k, c in enumerate(s)]
+        for s in shifts
     ]
 
     def shift_value(j: int, m: int) -> int:
@@ -156,8 +130,7 @@ def residual_orders(series: FrobeniusSeries) -> list[int]:
     residual is nonzero.  By construction these all exceed the
     truncation order.
     """
-    local = series.local_ode()
-    shifts = _recursion_data(local)
+    shifts = series.local_ode().frobenius_shifts
     jmax = len(shifts) - 1
     a = series.coefficients
     top = len(a) - 1

@@ -24,9 +24,17 @@ back to (z1, z2) gives, per mode,
 
 whose coefficients are singular on z1 = z2 while route A's are not.
 
-The scaling ansatz F = z1^t1 z2^t2 g(z2/z1) turns either PDE into an
-ODE for g with polynomial coefficients and regular singular points
-contained in {0, 1, infinity}.
+The scaling ansatz F = z1^t1 z2^t2 g(z), z = z2/z1, turns either PDE
+into an ODE for g by one identity: with theta = z d/dz and (x)_n the
+falling factorial,
+
+    d1^r d2^s [z1^t1 z2^t2 g(z)] = z1^(t1-r) z2^(t2-s) [(t1-theta)_r (t2+theta)_s g](z),
+
+and (theta)_j = z^j d^j/dz^j.  Each PDE term therefore maps to a
+polynomial in theta times z^(b-s) (1-z)^e, and the resulting ODE has
+polynomial coefficients and regular singular points contained in
+{0, 1, infinity}.  An `ODESpec` builds its local data once: the same
+ODE at z = 1 and the Frobenius shift polynomials there and at 0.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb, lcm
 
 import numpy as np
 
@@ -54,20 +63,7 @@ from .models import (
     conformal_weight,
     kac_table,
 )
-from .poly import (
-    ZERO,
-    Poly,
-    RatZ,
-    degree,
-    normalize_system,
-    ord0,
-    pcompose_affine,
-    poly,
-    pscale,
-    pshift,
-    rational_roots,
-    root_multiplicity,
-)
+from .poly import Poly, degree, normalize_system, ord0, pmul, poly, rational_roots
 from .verma import PBWVector
 
 # Operator term key: exponents of z1, z2, (z1 - z2), then d/dz1, d/dz2 orders.
@@ -104,23 +100,6 @@ class TwoVarOperator:
     def scaled(self, k: Fraction) -> "TwoVarOperator":
         return TwoVarOperator.from_dict({key: v * k for key, v in self.terms})
 
-    def derivative_order(self) -> int:
-        return max((r + s for (_, _, _, r, s), _ in self.terms), default=0)
-
-    def singular_loci(self) -> set[str]:
-        """Variety components where some coefficient has a pole."""
-        loci = set()
-        for (a, b, e, _, _), _ in self.terms:
-            if a < 0:
-                loci.add("z1")
-            if b < 0:
-                loci.add("z2")
-            if e < 0:
-                loci.add("z1-z2")
-        return loci
-
-    def touches_diagonal(self) -> bool:
-        return any(e != 0 for (_, _, e, _, _), _ in self.terms)
 
 
 def compose(d: TwoVarOperator, x: TwoVarOperator) -> TwoVarOperator:
@@ -316,45 +295,80 @@ class ODESpec:
         out.setflags(write=False)
         return out
 
+    @cached_property
+    def shifted_to_one(self) -> "ODESpec":
+        """The same ODE in the local variable u = 1 - z, built once.
+
+        Its coefficients are (-1)^i c_i(1 - u): each c_i is scaled to
+        integers, Taylor-shifted to c_i(1 + v) by repeated additions and
+        read at v = -u.
+        """
+        out = []
+        for i, c in enumerate(self.coefficients):
+            den = lcm(*(v.denominator for v in c))
+            ints = [v.numerator * (den // v.denominator) for v in c]
+            for k in range(len(ints) - 1):
+                for m in range(len(ints) - 2, k - 1, -1):
+                    ints[m] += ints[m + 1]
+            out.append(
+                tuple(Fraction(-x if (i + k) % 2 else x, den) for k, x in enumerate(ints))
+            )
+        return ODESpec(tuple(out))
+
+    @cached_property
+    def frobenius_shifts(self) -> tuple[Poly, ...]:
+        """Shift polynomials A_j(x) of the Frobenius recursion at z = 0,
+        built once.
+
+        With nu = min_i (ord c_i - i), substituting z^rho sum a_n z^n
+        gives sum_j A_j(rho + n - j) a_{n-j} = 0 per order n, where
+        A_j(x) = sum_i c_{i, nu+i+j} (x)_i and (x)_i = x(x-1)...(x-i+1).
+        A_0 is the indicial polynomial.  The shifts at z = 1 are those
+        of `shifted_to_one`.
+        """
+        den = lcm(*(v.denominator for c in self.coefficients for v in c))
+        nz = [
+            (i, [v.numerator * (den // v.denominator) for v in c])
+            for i, c in enumerate(self.coefficients)
+            if c
+        ]
+        nu = min(ord0(c) - i for i, c in nz)
+        jmax = max(len(c) - 1 - i for i, c in nz) - nu
+        falling = {i: _falling(i) for i, _ in nz}
+        shifts = []
+        for j in range(jmax + 1):
+            acc = [0] * (self.order + 1)
+            for i, c in nz:
+                idx = nu + i + j
+                if 0 <= idx < len(c) and c[idx]:
+                    for k, f in enumerate(falling[i]):
+                        acc[k] += c[idx] * f
+            shifts.append(poly(Fraction(x, den) for x in acc))
+        return tuple(shifts)
+
     def validate_minimal_form(self) -> None:
         """Assert singular points within {0, 1} and regular singularity
         everywhere including infinity (Fuchs criterion)."""
-        from .poly import divide_by_root
-
         ck = self.coefficients[-1]
         k = self.order
-        stripped = poly(ck[ord0(ck):])
-        while True:
-            q, rem = divide_by_root(stripped, Fraction(1))
-            if rem != 0 or not q:
-                break
-            stripped = q
-        if degree(stripped) > 0:
+        # the multiplicity of the root 1 of c_i is the valuation of its shift
+        at_one = self.shifted_to_one.coefficients
+        if degree(ck) > ord0(ck) + ord0(at_one[-1]):
             raise StructureError("leading coefficient has roots outside {0, 1}")
         for i, ci in enumerate(self.coefficients[:-1]):
             if not ci:
                 continue
             if ord0(ci) < ord0(ck) - (k - i):
                 raise StructureError("irregular singular point at 0")
-            if root_multiplicity(ci, Fraction(1)) < root_multiplicity(ck, Fraction(1)) - (k - i):
+            if ord0(at_one[i]) < ord0(at_one[-1]) - (k - i):
                 raise StructureError("irregular singular point at 1")
             if degree(ci) > degree(ck) - (k - i):
                 raise StructureError("irregular singular point at infinity")
-
-    def shifted_to_one(self) -> "ODESpec":
-        """Same ODE in the local variable u = 1 - z."""
-        out = []
-        for i, ci in enumerate(self.coefficients):
-            comp = pcompose_affine(ci, Fraction(1), Fraction(-1))
-            out.append(pscale(comp, Fraction(-1) ** i))
-        return ODESpec(tuple(out))
 
     def proportional(self, other: "ODESpec") -> bool:
         """True iff the two ODEs have identical monic form."""
         if self.order != other.order:
             return False
-        from .poly import pmul
-
         ck_a = self.coefficients[-1]
         ck_b = other.coefficients[-1]
         for ca, cb in zip(self.coefficients, other.coefficients):
@@ -363,48 +377,35 @@ class ODESpec:
         return True
 
 
-def _falling(i: int) -> Poly:
-    """x (x-1) ... (x-i+1) as a polynomial in x."""
-    from .poly import pmul
-
-    out = poly([1])
+def _falling(i: int) -> tuple[int, ...]:
+    """Integer coefficients of (x)_i = x (x-1) ... (x-i+1), ascending."""
+    out = [1]
     for j in range(i):
-        out = pmul(out, poly([-j, 1]))
-    return out
-
-
-def _rising(i: int) -> Poly:
-    from .poly import pmul
-
-    out = poly([1])
-    for j in range(i):
-        out = pmul(out, poly([j, 1]))
-    return out
+        # (x)_{j+1} = x (x)_j - j (x)_j
+        out = [(out[k - 1] if k else 0) - (j * out[k] if k < len(out) else 0)
+               for k in range(len(out) + 1)]
+    return tuple(out)
 
 
 def indicial_polynomial(ode: ODESpec, point) -> Poly:
-    """Indicial polynomial at 0, 1 or 'inf' as a polynomial in rho."""
-    from .poly import padd
+    """Indicial polynomial at 0, 1 or 'inf' as a polynomial in rho.
 
-    if point == 1:
-        return indicial_polynomial(ode.shifted_to_one(), 0)
+    At 0 and 1 it is A_0 of the Frobenius shifts there."""
     if point == 0:
-        nz = [(i, c) for i, c in enumerate(ode.coefficients) if c]
-        nu = min(ord0(c) - i for i, c in nz)
-        out: Poly = ZERO
-        for i, c in nz:
-            idx = nu + i
-            if 0 <= idx < len(c) and c[idx]:
-                out = padd(out, pscale(_falling(i), c[idx]))
-        return out
+        return ode.frobenius_shifts[0]
+    if point == 1:
+        return ode.shifted_to_one.frobenius_shifts[0]
     if point == "inf":
+        # sum of (-1)^i c_i[top] (rho)^(i) over the top i; the rising
+        # factorial (rho)^(i) is (-1)^i (-rho)_i
         nz = [(i, c) for i, c in enumerate(ode.coefficients) if c]
         nu = max(degree(c) - i for i, c in nz)
-        out = ZERO
+        out: list[Fraction] = [Fraction(0)] * (ode.order + 1)
         for i, c in nz:
             if degree(c) - i == nu:
-                out = padd(out, pscale(_rising(i), c[-1] * Fraction(-1) ** i))
-        return out
+                for k, f in enumerate(_falling(i)):
+                    out[k] += -c[-1] * f if k % 2 else c[-1] * f
+        return poly(out)
     raise RangeError(f"indicial point must be 0, 1 or 'inf', got {point!r}")
 
 
@@ -441,14 +442,46 @@ def _indicial_exponents(ode: ODESpec, point) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _euler_factors(anchor: ExponentPair):
+    """P_rs = (t1 - theta)_r (t2 + theta)_s in the falling basis
+    (theta)_j, ascending in j, memoised per (r, s) for one anchor.
+
+    P_rs = P_r,s-1 (t2 - s + 1 + theta), or P_r-1,0 (t1 - r + 1 - theta)
+    when s = 0, multiplied by x (x)_j = (x)_{j+1} + j (x)_j."""
+    table: dict[tuple[int, int], list[Fraction]] = {(0, 0): [Fraction(1)]}
+
+    def factor(r: int, s: int) -> list[Fraction]:
+        if (r, s) not in table:
+            if s:
+                prev, const, sign = factor(r, s - 1), anchor.t2 - s + 1, 1
+            else:
+                prev, const, sign = factor(r - 1, 0), anchor.t1 - r + 1, -1
+            # (const + sign theta) (theta)_j = sign (theta)_{j+1} + (const + sign j) (theta)_j
+            out = [Fraction(0)] * (len(prev) + 1)
+            for j, c in enumerate(prev):
+                out[j + 1] += sign * c
+                out[j] += c * (const + sign * j)
+            table[(r, s)] = out
+        return table[(r, s)]
+
+    return factor
+
+
 def reduce_to_ode(op: TwoVarOperator, anchor: ExponentPair) -> ODESpec:
     """Substitute F = z1^t1 z2^t2 g(z2/z1) and return the ODE for g.
 
-    Each operator term is processed in the coordinates (w, z) = (z1,
-    z2/z1), where d/dz2 = w^{-1} d/dz, d/dz1 = d/dw - (z/w) d/dz, and
-    every application lowers the power of w by one; an operator that is
-    not scaling-homogeneous cannot cancel the overall w power and is
-    rejected.
+    With z = z2/z1, theta = z d/dz and (x)_n the falling factorial,
+
+        d1^r d2^s [z1^t1 z2^t2 g(z)] = z1^(t1-r) z2^(t2-s) [(t1-theta)_r (t2+theta)_s g](z),
+
+    so a term coef z1^a z2^b (z1-z2)^e d1^r d2^s of a scaling-homogeneous
+    operator contributes coef z^(b-s) (1-z)^e P_rs(theta) to the ODE,
+    after the common power of z1 and z^t2 are divided out.  P_rs is
+    expanded once per distinct (r, s) in the basis (theta)_j =
+    z^j d^j/dz^j.  The sum is cleared to polynomials by a common
+    z^A (1-z)^B and brought to canonical form by `normalize_system`.
+    An operator that is not scaling-homogeneous cannot cancel the z1
+    dependence and is rejected.
     """
     if op.is_zero():
         raise ReductionError("cannot reduce the zero operator")
@@ -458,92 +491,36 @@ def reduce_to_ode(op: TwoVarOperator, anchor: ExponentPair) -> ODESpec:
             "operator is not scaling-homogeneous: residual z1 dependence "
             f"(term degrees {sorted(degrees)})"
         )
-    t1, t2 = anchor.t1, anchor.t2
-    acc: list[RatZ] = []
-
-    def acc_add(j: int, val: RatZ):
-        while len(acc) <= j:
-            acc.append(RatZ.zero())
-        acc[j] = acc[j] + val
-
+    factor = _euler_factors(anchor)
+    # (derivative order j, power e of 1 - z) -> {power of z: coefficient}
+    acc: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (a, b, e, r, s), coef in op.terms:
-        c = [RatZ.one()]
-        mu = t1 + t2
-        for _ in range(s):
-            new = []
-            for j in range(len(c) + 1):
-                val = RatZ.zero()
-                if j < len(c):
-                    val = val + c[j].deriv() + c[j].mul_z_pow(-1).scaled(t2)
-                if 0 <= j - 1 < len(c):
-                    val = val + c[j - 1]
-                new.append(val)
-            c = new
-            mu -= 1
-        for _ in range(r):
-            new = []
-            for j in range(len(c) + 1):
-                val = RatZ.zero()
-                if j < len(c):
-                    val = val + c[j].scaled(Fraction(mu))
-                    val = val + (c[j].deriv().mul_z_pow(1) + c[j].scaled(t2)).scaled(
-                        Fraction(-1)
-                    )
-                if 0 <= j - 1 < len(c):
-                    val = val + c[j - 1].mul_z_pow(1).scaled(Fraction(-1))
-                new.append(val)
-            c = new
-            mu -= 1
-        for j, cj in enumerate(c):
-            if cj.is_zero():
-                continue
-            acc_add(j, cj.mul_z_pow(b).mul_omz_pow(e).scaled(coef))
-
-    while acc and acc[-1].is_zero():
-        acc.pop()
-    if not acc:
+        for j, pj in enumerate(factor(r, s)):
+            if pj:
+                terms = acc.setdefault((j, e), {})
+                terms[b - s + j] = terms.get(b - s + j, 0) + coef * pj
+    shift_z = -min(k for terms in acc.values() for k in terms)
+    shift_omz = -min(e for _, e in acc)
+    order = max(j for j, _ in acc)
+    polys: list[list[Fraction]] = [[] for _ in range(order + 1)]
+    for (j, e), terms in acc.items():
+        m = e + shift_omz
+        width = max(terms) + shift_z + m + 1
+        out = polys[j]
+        out.extend([Fraction(0)] * (width - len(out)))
+        for k, v in terms.items():
+            for t in range(m + 1):
+                c = comb(m, t)
+                out[k + shift_z + t] += -v * c if t % 2 else v * c
+    coeffs = [poly(c) for c in polys]
+    if not any(coeffs):
         raise ReductionError("reduction produced the zero ODE")
-    max_a = max(cj.a for cj in acc)
-    max_b = max(cj.b for cj in acc)
-    polys = [cj.as_poly_with(max_a, max_b) for cj in acc]
-    ode = ODESpec(normalize_system(polys))
+    ode = ODESpec(normalize_system(coeffs))
     ode.validate_minimal_form()
     return ode
 
 
-def conjugate_power(ode: ODESpec, k: int) -> ODESpec:
-    """ODE satisfied by g-hat where g = z^k g-hat (monomial regauging)."""
-    from math import comb
-
-    from .poly import padd, pmul
-
-    order = ode.order
-    shift = max(0, order - k)
-
-    def ff(x: int, d: int) -> Fraction:
-        out = Fraction(1)
-        for t in range(d):
-            out *= x - t
-        return out
-
-    new = [ZERO] * (order + 1)
-    for j in range(order + 1):
-        total: Poly = ZERO
-        for i in range(j, order + 1):
-            ci = ode.coefficients[i]
-            if not ci:
-                continue
-            power = k - (i - j) + shift
-            term = pscale(ci, Fraction(comb(i, j)) * ff(k, i - j))
-            if not term:
-                continue
-            assert power >= 0
-            total = padd(total, pshift(term, power))
-        new[j] = total
-    return ODESpec(normalize_system(new))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def reduced_ode(
     spec: CorrelatorSpec, anchor_channel: KacLabel | None = None, route: str = "slot3"
 ) -> tuple[ODESpec, ExponentPair, KacLabel]:

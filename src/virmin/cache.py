@@ -14,21 +14,12 @@ import hashlib
 import json
 import os
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
+from .serialize import frac_str, parse_frac
 from .verma import GramMatrix, VermaParams
 
 SCHEMA_VERSION = 1
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
 
 
 class GramCache:
@@ -40,7 +31,7 @@ class GramCache:
 
     def _path(self, params: VermaParams, level: int) -> Path:
         key = json.dumps(
-            ["gram", _frac_str(params.c), _frac_str(params.h), level],
+            ["gram", frac_str(params.c), frac_str(params.h), level],
             separators=(",", ":"),
         )
         digest = hashlib.sha256(key.encode()).hexdigest()[:32]
@@ -55,7 +46,7 @@ class GramCache:
             return None
         basis = tuple(tuple(parts) for parts in data["basis"])
         entries = tuple(
-            tuple(_parse_frac(s) for s in row) for row in data["entries"]
+            tuple(parse_frac(s) for s in row) for row in data["entries"]
         )
         return GramMatrix(params=params, level=level, basis=basis, entries=entries)
 
@@ -64,11 +55,11 @@ class GramCache:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "operation": "gram",
-            "c": _frac_str(gram.params.c),
-            "h": _frac_str(gram.params.h),
+            "c": frac_str(gram.params.c),
+            "h": frac_str(gram.params.h),
             "level": gram.level,
             "basis": [list(parts) for parts in gram.basis],
-            "entries": [[_frac_str(x) for x in row] for row in gram.entries],
+            "entries": [[frac_str(x) for x in row] for row in gram.entries],
         }
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:

@@ -1,15 +1,13 @@
 """Dense univariate polynomials over exact rationals.
 
 A polynomial is a tuple of Fractions in ascending power order with no
-trailing zeros; () is the zero polynomial.  Includes the small
-rational-function family P(z) / (z^a (1-z)^b) that the correlator
-reduction stays inside, and exact rational root extraction for
+trailing zeros; () is the zero polynomial.  Includes the canonical form
+of an ODE coefficient list and exact rational root extraction for
 indicial polynomials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 
@@ -18,7 +16,6 @@ import numpy as np
 Poly = tuple[Fraction, ...]
 
 ZERO: Poly = ()
-ONE: Poly = (Fraction(1),)
 
 
 def poly(coeffs) -> Poly:
@@ -53,31 +50,11 @@ def pmul(a: Poly, b: Poly) -> Poly:
     return poly(out)
 
 
-def pshift(a: Poly, k: int) -> Poly:
-    """Multiply by z^k (k >= 0)."""
-    if not a:
-        return ZERO
-    return (Fraction(0),) * k + a
-
-
-def pderiv(a: Poly) -> Poly:
-    return poly([a[i] * i for i in range(1, len(a))])
-
-
 def peval(a: Poly, x):
     """Horner evaluation; exact for Fraction x, numeric for complex/float."""
     acc = x * 0
     for c in reversed(a):
         acc = acc * x + c
-    return acc
-
-
-def pcompose_affine(a: Poly, c0: Fraction, c1: Fraction) -> Poly:
-    """p(c0 + c1 u) as a polynomial in u."""
-    acc: Poly = ZERO
-    lin = poly([c0, c1])
-    for c in reversed(a):
-        acc = padd(pmul(acc, lin), poly([c]))
     return acc
 
 
@@ -106,17 +83,6 @@ def divide_by_root(a: Poly, r: Fraction) -> tuple[Poly, Fraction]:
         q[i - 1] = acc
     rem = a[0] + r * acc if len(a) > 1 else a[0]
     return poly(q), rem
-
-
-def root_multiplicity(a: Poly, r: Fraction) -> int:
-    count = 0
-    while a:
-        q, rem = divide_by_root(a, r)
-        if rem != 0:
-            break
-        count += 1
-        a = q
-    return count
 
 
 def rational_roots(a: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
@@ -212,106 +178,33 @@ def normalize_system(polys: list[Poly]) -> tuple[Poly, ...]:
 
     Divides out common z^a (1-z)^b monomial factors, clears denominators,
     divides by the integer content and fixes the sign so the leading
-    coefficient of the highest-order polynomial is positive.
+    coefficient of the highest-order polynomial is positive.  Works on
+    the integer numerators over one common denominator, which the
+    canonical form does not depend on.
     """
     if all(not p for p in polys):
         raise ValueError("all coefficients vanish")
-    nz = [p for p in polys if p]
+    den = lcm(*(c.denominator for p in polys for c in p))
+    ints = [[c.numerator * (den // c.denominator) for c in p] for p in polys]
+    nz = [p for p in ints if p]
     a = min(ord0(p) for p in nz)
-    b = min(root_multiplicity(p, Fraction(1)) for p in nz)
-    out = []
-    for p in polys:
-        if not p:
-            out.append(ZERO)
-            continue
-        p = p[a:]
-        for _ in range(b):
-            q, rem = divide_by_root(p, Fraction(1))
-            assert rem == 0
-            p = pscale(q, Fraction(-1))  # (1 - z) = -(z - 1)
-        out.append(p)
-    den = lcm(*(c.denominator for p in out for c in p if c != 0))
-    num = gcd(*(int(c * den) for p in out for c in p if c != 0))
-    scale = Fraction(den, num)
-    out = [pscale(p, scale) for p in out]
-    top = next(p for p in reversed(out) if p)
-    if top[-1] < 0:
-        out = [pscale(p, Fraction(-1)) for p in out]
-    return tuple(out)
+    ints = [p[a:] for p in ints]
 
+    def divide_by_one_minus_z(p: list[int]) -> list[int] | None:
+        """p / (1 - z), or None when 1 is not a root of p."""
+        q = [0] * (len(p) - 1)
+        acc = 0
+        for i in range(len(p) - 1, 0, -1):
+            acc += p[i]
+            q[i - 1] = -acc
+        return q if acc + p[0] == 0 else None
 
-@dataclass(frozen=True)
-class RatZ:
-    """Rational function num / (z^a (1-z)^b) with nonnegative a, b."""
-
-    num: Poly
-    a: int = 0
-    b: int = 0
-
-    @staticmethod
-    def zero() -> "RatZ":
-        return RatZ(ZERO)
-
-    @staticmethod
-    def one() -> "RatZ":
-        return RatZ(ONE)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def scaled(self, k: Fraction) -> "RatZ":
-        return RatZ(pscale(self.num, k), self.a, self.b)
-
-    def __add__(self, other: "RatZ") -> "RatZ":
-        a = max(self.a, other.a)
-        b = max(self.b, other.b)
-        omz = poly([1, -1])
-        left = self.num
-        left = pshift(left, a - self.a)
-        for _ in range(b - self.b):
-            left = pmul(left, omz)
-        right = other.num
-        right = pshift(right, a - other.a)
-        for _ in range(b - other.b):
-            right = pmul(right, omz)
-        return RatZ(padd(left, right), a, b)
-
-    def mul_z_pow(self, k: int) -> "RatZ":
-        if self.is_zero():
-            return self
-        if k >= 0:
-            return RatZ(pshift(self.num, k), self.a, self.b)
-        return RatZ(self.num, self.a - k, self.b)
-
-    def mul_omz_pow(self, k: int) -> "RatZ":
-        if self.is_zero():
-            return self
-        if k >= 0:
-            num = self.num
-            omz = poly([1, -1])
-            for _ in range(k):
-                num = pmul(num, omz)
-            return RatZ(num, self.a, self.b)
-        return RatZ(self.num, self.a, self.b - k)
-
-    def deriv(self) -> "RatZ":
-        if self.is_zero():
-            return self
-        z_omz = poly([0, 1, -1])  # z(1-z)
-        omz = poly([1, -1])
-        zp = poly([0, 1])
-        num = pmul(pderiv(self.num), z_omz)
-        num = padd(num, pscale(pmul(self.num, omz), Fraction(-self.a)))
-        num = padd(num, pscale(pmul(self.num, zp), Fraction(self.b)))
-        return RatZ(num, self.a + 1, self.b + 1)
-
-    def as_poly_with(self, a: int, b: int) -> Poly:
-        """Numerator after rescaling to the common denominator z^a (1-z)^b."""
-        if self.is_zero():
-            return ZERO
-        assert a >= self.a and b >= self.b
-        num = pshift(self.num, a - self.a)
-        omz = poly([1, -1])
-        for _ in range(b - self.b):
-            num = pmul(num, omz)
-        return num
+    while True:
+        divided = [divide_by_one_minus_z(p) if p else p for p in ints]
+        if any(q is None for q in divided):
+            break
+        ints = divided
+    content = gcd(*(c for p in ints for c in p))
+    if next(p for p in reversed(ints) if p)[-1] < 0:
+        content = -content
+    return tuple(tuple(Fraction(c // content) for c in p) for p in ints)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from exact_oracles import composed_at_one, recursion_shifts
 from virmin.blocks import (
     EvaluationResult,
     block,
@@ -163,10 +164,9 @@ def test_inconsistent_resonance_raises():
 def reference_expand(ode, point, exponent, order):
     """The Frobenius recursion in Fraction arithmetic, term by term;
     returns the coefficients, or the order of an inconsistent resonance."""
-    from virmin.blocks import _recursion_data
     from virmin.poly import peval
 
-    shifts = _recursion_data(ode if point == 0 else ode.shifted_to_one())
+    shifts = recursion_shifts(ode if point == 0 else composed_at_one(ode))
     a = [F(1)]
     for n in range(1, order + 1):
         rhs = -sum(

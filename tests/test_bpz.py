@@ -1,6 +1,17 @@
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from exact_oracles import (
+    composed_at_one,
+    ratz_reduce_to_ode,
+    recursion_shifts,
+    reference_indicial_polynomial,
+)
 
 from virmin.bpz import (
     CorrelatorSpec,
@@ -9,12 +20,13 @@ from virmin.bpz import (
     allowed_channels,
     channel_exponents,
     compose,
-    conjugate_power,
     derive_pde_slot2,
     derive_pde_slot3,
     indicial_exponents,
+    indicial_polynomial,
     insertion_operator_slot2,
     insertion_operator_slot3,
+    TwoVarOperator,
     reduce_to_ode,
     reduced_ode,
 )
@@ -26,6 +38,7 @@ from virmin.errors import (
     StructureError,
 )
 from virmin.models import KacLabel, MinimalModel
+from virmin.poly import normalize_system, padd, pscale
 from virmin.verma import PBWVector, singular_vectors
 
 F = Fraction
@@ -54,6 +67,51 @@ HAND_EPS = ODESpec((
 
 def ising_null(label):
     return singular_vectors(M34, label, 2)[0][1]
+
+
+def singular_loci(op: TwoVarOperator) -> set[str]:
+    """Variety components where some coefficient of op has a pole."""
+    loci = set()
+    for (a, b, e, _, _), _ in op.terms:
+        if a < 0:
+            loci.add("z1")
+        if b < 0:
+            loci.add("z2")
+        if e < 0:
+            loci.add("z1-z2")
+    return loci
+
+
+def touches_diagonal(op: TwoVarOperator) -> bool:
+    return any(e != 0 for (_, _, e, _, _), _ in op.terms)
+
+
+def conjugate_power(ode: ODESpec, k: int) -> ODESpec:
+    """ODE satisfied by g-hat where g = z^k g-hat (monomial regauging)."""
+    order = ode.order
+    shift = max(0, order - k)
+
+    def ff(x: int, d: int) -> Fraction:
+        out = Fraction(1)
+        for t in range(d):
+            out *= x - t
+        return out
+
+    new = [()] * (order + 1)
+    for j in range(order + 1):
+        total = ()
+        for i in range(j, order + 1):
+            ci = ode.coefficients[i]
+            if not ci:
+                continue
+            power = k - (i - j) + shift
+            term = pscale(ci, Fraction(comb(i, j)) * ff(k, i - j))
+            if not term:
+                continue
+            assert power >= 0
+            total = padd(total, (F(0),) * power + term)
+        new[j] = total
+    return ODESpec(normalize_system(new))
 
 
 def test_insertion_operator_m1():
@@ -105,10 +163,10 @@ def test_singular_loci_differ_between_routes():
     p = ising_null(SIGMA)
     op3 = derive_pde_slot3(SIGMA_SPEC, p)
     op2 = derive_pde_slot2(SIGMA_SPEC, p)
-    assert "z1-z2" not in op3.singular_loci()
-    assert "z1-z2" in op2.singular_loci()
-    assert not op3.touches_diagonal()
-    assert op2.touches_diagonal()
+    assert "z1-z2" not in singular_loci(op3)
+    assert "z1-z2" in singular_loci(op2)
+    assert not touches_diagonal(op3)
+    assert touches_diagonal(op2)
 
 
 def test_channel_exponents_examples():
@@ -287,3 +345,84 @@ def test_anchor_regauge_all_level2_models():
             base = reduce_to_ode(op, anchor)
             shifted = reduce_to_ode(op, ExponentPair(anchor.t1 + 1, anchor.t2 - 1))
             assert shifted.proportional(conjugate_power(base, -1))
+
+
+@lru_cache(maxsize=1)
+def oracle_pool():
+    """Canonical diagonal <phi phi phi phi> of coprime p < q <= 7 with null
+    level <= 4, plus null level 6 for q <= 6: the reduced ODE on both
+    routes next to the RatZ reduction of the same operator and anchor."""
+    from virmin.models import kac_table, null_level
+
+    out = []
+    for q in range(3, 8):
+        for p in range(2, q):
+            if gcd(p, q) != 1:
+                continue
+            model = MinimalModel(p, q)
+            for label, _ in kac_table(model):
+                level = null_level(model, label)
+                if level > 4 and not (level == 6 and q <= 6):
+                    continue
+                spec = CorrelatorSpec(model, label, label, label, label)
+                null = [v for lev, v in singular_vectors(model, label, level) if lev == level][0]
+                for route, derive in (("slot3", derive_pde_slot3), ("slot2", derive_pde_slot2)):
+                    ode, anchor, _ = reduced_ode(spec, None, route)
+                    oracle = ratz_reduce_to_ode(derive(spec, null), anchor)
+                    out.append((spec, route, ode, oracle))
+    return out
+
+
+def test_reduced_ode_matches_ratz_oracle():
+    pool = oracle_pool()
+    assert {ode.order for _, _, ode, _ in pool} == {1, 2, 3, 4, 6}
+    for spec, route, ode, oracle in pool:
+        assert ode.coefficients == oracle.coefficients, (spec, route)
+        assert all(type(c) is Fraction for poly in ode.coefficients for c in poly)
+
+
+def test_indicial_polynomial_matches_reference():
+    for spec, route, ode, _ in oracle_pool():
+        for point in (0, 1, "inf"):
+            got = indicial_polynomial(ode, point)
+            assert got == reference_indicial_polynomial(ode, point), (spec, route, point)
+
+
+def test_ode_local_data_matches_composition():
+    for spec, route, ode, _ in oracle_pool():
+        at_one = composed_at_one(ode)
+        assert ode.shifted_to_one.coefficients == at_one.coefficients, (spec, route)
+        assert list(ode.frobenius_shifts) == recursion_shifts(ode)
+        assert list(ode.shifted_to_one.frobenius_shifts) == recursion_shifts(at_one)
+
+
+small_fraction = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+operator_terms = st.lists(
+    st.tuples(
+        st.integers(-2, 2),  # power of z2
+        st.integers(-2, 1),  # power of z1 - z2
+        st.integers(0, 3),  # order in d/dz1
+        st.integers(0, 3),  # order in d/dz2
+        small_fraction.filter(bool),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(terms=operator_terms, deg=st.integers(-3, 1), t1=small_fraction, t2=small_fraction)
+@settings(max_examples=80, deadline=None)
+def test_reduce_matches_ratz_oracle_on_random_operators(terms, deg, t1, t2):
+    # homogeneous of degree deg: the power of z1 fills each term up
+    op = TwoVarOperator.from_dict({})
+    for b, e, r, s_, coef in terms:
+        key = (deg + r + s_ - b - e, b, e, r, s_)
+        op = op + TwoVarOperator.from_dict({key: coef})
+    anchor = ExponentPair(t1, t2)
+    outcomes = []
+    for reduce in (reduce_to_ode, ratz_reduce_to_ode):
+        try:
+            outcomes.append(reduce(op, anchor).coefficients)
+        except (ReductionError, StructureError) as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]

@@ -5,21 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virmin.poly import (
+from exact_oracles import (
     RatZ,
+    fraction_normalize_system,
+    pcompose_affine,
+    pderiv,
+    root_multiplicity,
+)
+from virmin.poly import (
     _float_roots,
     divide_by_root,
     normalize_system,
     ord0,
     padd,
-    pcompose_affine,
-    pderiv,
     peval,
     pmul,
     poly,
     pscale,
     rational_roots,
-    root_multiplicity,
 )
 
 F = Fraction
@@ -185,6 +188,25 @@ def test_normalize_system():
     c1 = pscale(pmul(z_omz, poly([0, -4])), F(1))
     out = normalize_system([c0, c1])
     assert out == ((F(-1),), (F(0), F(2)))
+
+
+@given(
+    polys=st.lists(
+        st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=9), max_size=5),
+        min_size=1,
+        max_size=4,
+    ),
+    zeros=st.integers(0, 2),
+    ones=st.integers(0, 2),
+)
+@settings(max_examples=80, deadline=None)
+def test_normalize_system_matches_fraction_form(polys, zeros, ones):
+    # common z^zeros (1-z)^ones factors are planted so that both get divided out
+    factor = pmul(poly([0] * zeros + [1]), from_factors(1, [(F(1), ones)], (F(1),)))
+    system = [pmul(poly(p), factor) for p in polys]
+    if not any(system):
+        return
+    assert normalize_system(system) == fraction_normalize_system(system)
 
 
 def test_ratz_deriv():
