@@ -58,12 +58,11 @@ from .fusion import fusion_rule
 from .models import (
     KacLabel,
     MinimalModel,
-    canonicalize,
     check_label,
     conformal_weight,
     kac_table,
 )
-from .poly import Poly, degree, normalize_system, ord0, pmul, poly, rational_roots
+from .poly import Poly, degree, normalize_system, ord0, poly, rational_roots
 from .verma import PBWVector
 
 # Operator term key: exponents of z1, z2, (z1 - z2), then d/dz1, d/dz2 orders.
@@ -280,6 +279,15 @@ class ODESpec:
             raise ShapeError("ODE needs a nonzero leading coefficient")
         object.__setattr__(self, "coefficients", coeffs)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """hash(coefficients), computed once: memo lookups keyed by an
+        ODE would otherwise rehash every Fraction in it."""
+        return hash(self.coefficients)
+
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
@@ -365,17 +373,6 @@ class ODESpec:
             if degree(ci) > degree(ck) - (k - i):
                 raise StructureError("irregular singular point at infinity")
 
-    def proportional(self, other: "ODESpec") -> bool:
-        """True iff the two ODEs have identical monic form."""
-        if self.order != other.order:
-            return False
-        ck_a = self.coefficients[-1]
-        ck_b = other.coefficients[-1]
-        for ca, cb in zip(self.coefficients, other.coefficients):
-            if pmul(ca, ck_b) != pmul(cb, ck_a):
-                return False
-        return True
-
 
 def _falling(i: int) -> tuple[int, ...]:
     """Integer coefficients of (x)_i = x (x-1) ... (x-i+1), ascending."""
@@ -416,14 +413,9 @@ def indicial_exponents(ode: ODESpec, point) -> list[Fraction]:
     ModelViolationError if any root is irrational or complex; the
     minimal-model equations never trigger the latter, so an occurrence
     points at a derivation bug rather than being silently accepted.
-    The roots are extracted once per (ode, point); each call returns a
-    new list.
+    The roots are extracted on every call; `crossing.fusing_matrix`
+    memoises the bases built from them.
     """
-    return list(_indicial_exponents(ode, point))
-
-
-@lru_cache(maxsize=256)
-def _indicial_exponents(ode: ODESpec, point) -> tuple[Fraction, ...]:
     ind = indicial_polynomial(ode, point)
     if not ind or degree(ind) < ode.order:
         raise StructureError(
@@ -439,7 +431,7 @@ def _indicial_exponents(ode: ODESpec, point) -> tuple[Fraction, ...]:
     out: list[Fraction] = []
     for r, mult in roots:
         out.extend([r] * mult)
-    return tuple(out)
+    return out
 
 
 def _euler_factors(anchor: ExponentPair):

@@ -16,17 +16,9 @@ import os
 import sys
 
 from .blocks import block
-from .bpz import (
-    CorrelatorSpec,
-    channel_exponents,
-    derive_pde_slot2,
-    derive_pde_slot3,
-    indicial_exponents,
-    reduce_to_ode,
-    reduced_ode,
-)
+from .bpz import CorrelatorSpec, channel_exponents, indicial_exponents, reduced_ode
 from .cache import GramCache
-from .crossing import associativity_residual, fusing_matrix
+from .crossing import associativity_residual, correlator
 from .errors import ConditioningError, VirminError
 from .fusion import fuse, fusion_table
 from .models import KacLabel, MinimalModel, central_charge, kac_table
@@ -208,8 +200,7 @@ def cmd_block(args) -> int:
 
 def cmd_crossing(args) -> int:
     spec = _correlator_spec(args)
-    ode, anchor, channel = reduced_ode(spec)
-    fm = fusing_matrix(ode, args.order)
+    fm = correlator(spec, args.order).fusing
     grid_z1 = [float(x) for x in args.grid_z1.split(",")]
     grid_z = [float(x) for x in args.grid_z.split(",")]
     worst = 0.0

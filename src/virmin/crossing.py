@@ -28,7 +28,15 @@ from .blocks import (
     eval_local_derivatives,
     frobenius_expand,
 )
-from .bpz import CorrelatorSpec, ODESpec, allowed_channels, indicial_exponents, reduced_ode
+from .bpz import (
+    CorrelatorSpec,
+    ExponentPair,
+    ODESpec,
+    allowed_channels,
+    channel_exponents,
+    indicial_exponents,
+    reduced_ode,
+)
 from .continuation import circle_path, continue_along, lower_arc_path
 from .errors import ConditioningError, DomainError, FusionError, LogarithmicCaseError
 from .fusion import fusion_rule
@@ -60,16 +68,15 @@ def channel_basis(ode: ODESpec, point: int, order: int = 60) -> ChannelBasis:
 
 @dataclass(frozen=True)
 class FusingMatrix:
-    """Coordinates of the associativity isomorphism: row i expands the
-    point-0 solution i in the point-1 basis."""
+    """Coordinates of the associativity isomorphism: row i expands
+    solution i of basis0 in basis1, the two bases it was fitted between."""
 
     entries: tuple[tuple[complex, ...], ...]
     residual: float
     fit_points: tuple[float, ...]
     heldout_points: tuple[float, ...]
-    exponents0: tuple[Fraction, ...]
-    exponents1: tuple[Fraction, ...]
-    order: int
+    basis0: ChannelBasis
+    basis1: ChannelBasis
 
     def as_array(self) -> np.ndarray:
         return np.array(self.entries, dtype=complex)
@@ -102,14 +109,15 @@ def _heldout_residual(rows, basis0: ChannelBasis, basis1: ChannelBasis, points) 
     return resid
 
 
+@lru_cache(maxsize=64)
 def fusing_matrix(
     ode: ODESpec,
     order: int = 60,
-    samples=None,
     swap: bool = False,
     cond_limit: float = 1e8,
 ) -> FusingMatrix:
-    """Least-squares change of basis between the points 0 and 1.
+    """Least-squares change of basis between the points 0 and 1, fitted
+    once per argument tuple.
 
     With swap=True the roles of the two points are exchanged (useful
     for the roundtrip identity F' F = 1).  The residual is the largest
@@ -121,7 +129,7 @@ def fusing_matrix(
     basis1 = channel_basis(ode, 1, order)
     if swap:
         basis0, basis1 = basis1, basis0
-    fit = list(samples) if samples is not None else _chebyshev_points(max(2 * k, 8))
+    fit = _chebyshev_points(max(2 * k, 8))
     held = [x for x in _chebyshev_points(max(2 * k, 8) + 5) if x not in fit]
 
     a = np.array([[_local(s, x) for s in basis1.solutions] for x in fit], dtype=complex)
@@ -129,7 +137,7 @@ def fusing_matrix(
     if cond > cond_limit:
         raise ConditioningError(
             f"basis collocation matrix has condition number {cond:.3g}; "
-            "use different samples or a higher order"
+            "use a higher order"
         )
     rows = []
     for s0 in basis0.solutions:
@@ -141,9 +149,8 @@ def fusing_matrix(
         residual=_heldout_residual(rows, basis0, basis1, held),
         fit_points=tuple(fit),
         heldout_points=tuple(held),
-        exponents0=basis0.exponents,
-        exponents1=basis1.exponents,
-        order=order,
+        basis0=basis0,
+        basis1=basis1,
     )
 
 
@@ -169,18 +176,29 @@ def braiding_phase(
     return BraidingPhase(exponent, cmath.exp(1j * cmath.pi * float(exponent)))
 
 
-@lru_cache(maxsize=32)
-def _pipeline(spec: CorrelatorSpec, order: int):
-    """Shared ODE, anchor, bases, fusing matrix and channel indices."""
-    ode, anchor, anchor_channel = reduced_ode(spec)
-    basis0 = channel_basis(ode, 0, order)
-    basis1 = channel_basis(ode, 1, order)
+@dataclass(frozen=True)
+class Correlator:
+    """A solved correlator: its reduced ODE and anchor, the fusing
+    matrix between the bases at 0 and 1 (which carries both bases), and
+    the index in the point-0 basis of each allowed channel."""
+
+    ode: ODESpec
+    anchor: ExponentPair
+    fusing: FusingMatrix
+    channels: tuple[tuple[KacLabel, int], ...]
+
+
+@lru_cache(maxsize=64)
+def correlator(spec: CorrelatorSpec, order: int = 60) -> Correlator:
+    """The correlator solved once per (spec, order) with series of that order."""
+    ode, anchor, _ = reduced_ode(spec)
     fm = fusing_matrix(ode, order)
-    channel_index = {}
-    for c in allowed_channels(spec):
-        rho = conformal_weight(spec.model, c) - spec.h2 - spec.h3 - anchor.t2
-        channel_index[c] = basis0.exponents.index(rho)
-    return ode, anchor, basis0, basis1, fm, channel_index
+    exponents = fm.basis0.exponents
+    channels = tuple(
+        (c, exponents.index(channel_exponents(spec, c).t2 - anchor.t2))
+        for c in allowed_channels(spec)
+    )
+    return Correlator(ode, anchor, fm, channels)
 
 
 def associativity_residual(
@@ -198,17 +216,18 @@ def associativity_residual(
         raise DomainError(
             f"(z1, z2) = ({z1}, {z2}) violates |z1| > |z2| > |z1 - z2| > 0"
         )
-    ode, anchor, basis0, basis1, fm, channel_index = _pipeline(spec, order)
+    cor = correlator(spec, order)
+    anchor, fm = cor.anchor, cor.fusing
     z = z2c / z1c
     pref = cmath.exp(float(anchor.t1 + anchor.t2) * cmath.log(z1c)) * cmath.exp(
         float(anchor.t2) * cmath.log(z)
     )
     f = fm.as_array()
     worst = 0.0
-    for c, i in channel_index.items():
-        prod = pref * eval_local(basis0.solutions[i], z)
+    for _, i in cor.channels:
+        prod = pref * eval_local(fm.basis0.solutions[i], z)
         iterate = pref * sum(
-            f[i, j] * eval_local(s1, 1 - z) for j, s1 in enumerate(basis1.solutions)
+            f[i, j] * eval_local(s1, 1 - z) for j, s1 in enumerate(fm.basis1.solutions)
         )
         worst = max(worst, abs(prod - iterate) / max(abs(prod), abs(iterate), 1e-300))
     return worst
@@ -260,7 +279,9 @@ def commutativity_residual(
     intermediate channels.  flip_phases=True conjugates them, which
     must break the match (negative control).
     """
-    ode, anchor, basis0, basis1, fm, channel_index = _pipeline(spec, order)
+    cor = correlator(spec, order)
+    ode, fm = cor.ode, cor.fusing
+    basis0, basis1 = fm.basis0, fm.basis1
     k = ode.order
     start = 0.5
     f = fm.as_array()
@@ -281,7 +302,7 @@ def commutativity_residual(
 
     # All allowed channels are continued together as the columns of one
     # (k, channels) state matrix.
-    channels = list(channel_index.values())
+    channels = [i for _, i in cor.channels]
     cur = np.column_stack(
         [eval_local_derivatives(basis0.solutions[i], complex(start), k) for i in channels]
     )

@@ -23,7 +23,6 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ShapeError
 from .models import (
     KacLabel,
     MinimalModel,

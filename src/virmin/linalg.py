@@ -108,13 +108,6 @@ def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:
     return basis
 
 
-def rank(matrix: Matrix) -> int:
-    if not matrix:
-        return 0
-    _, pivots, _ = ff_echelon(_int_rows(matrix))
-    return len(pivots)
-
-
 class RowSpace:
     """Incrementally built row space with exact membership tests."""
 

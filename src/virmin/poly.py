@@ -25,31 +25,6 @@ def poly(coeffs) -> Poly:
     return tuple(out)
 
 
-def padd(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return poly(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def pscale(a: Poly, k: Fraction) -> Poly:
-    if k == 0:
-        return ZERO
-    return tuple(c * k for c in a)
-
-
-def pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return poly(out)
-
-
 def peval(a: Poly, x):
     """Horner evaluation; exact for Fraction x, numeric for complex/float."""
     acc = x * 0

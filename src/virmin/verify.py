@@ -18,7 +18,6 @@ from .crossing import (
     braiding_phase,
     channel_basis,
     commutativity_residual,
-    fusing_matrix,
     monodromy_check,
     tensor_block,
 )
@@ -28,7 +27,6 @@ from .models import (
     MinimalModel,
     TensorLabel,
     TensorModel,
-    canonicalize,
     central_charge,
     conformal_weight,
     kac_table,
@@ -195,7 +193,7 @@ def suite_bpz_indicial() -> dict:
                 continue
             roots = set(indicial_exponents(ode, 0))
             for channel in allowed_channels(spec):
-                rho = conformal_weight(model, channel) - spec.h2 - spec.h3 - anchor.t2
+                rho = channel_exponents(spec, channel).t2 - anchor.t2
                 if rho not in roots:
                     failures.append(f"{model} {label}: channel {channel} exponent missing")
     return _report(

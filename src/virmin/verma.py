@@ -64,7 +64,7 @@ class PBWVector:
         return PBWVector(self.level, {p: v * factor for p, v in self.coefficients.items()})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def pbw_basis(level: int) -> tuple[Partition, ...]:
     """All partitions of `level` in descending lexicographic order."""
     if level < 0:

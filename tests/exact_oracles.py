@@ -1,5 +1,7 @@
 """Earlier exact implementations, kept as independent test oracles.
 
+`padd`, `pscale`, `pmul`, `proportional` and `rank` are the plain
+polynomial, ODE and matrix helpers the tests compare against.
 `ratz_reduce_to_ode` reduces a two-variable operator to its ODE in the
 coordinates (w, z) = (z1, z2/z1), term by term, with coefficients in the
 rational-function family RatZ = P(z) / (z^a (1-z)^b), and normalizes
@@ -17,19 +19,61 @@ from math import gcd, lcm
 
 from virmin.bpz import ODESpec, TwoVarOperator
 from virmin.errors import ReductionError, StructureError
-from virmin.poly import (
-    ZERO,
-    Poly,
-    degree,
-    divide_by_root,
-    ord0,
-    padd,
-    pmul,
-    poly,
-    pscale,
-)
+from virmin.poly import ZERO, Poly, degree, divide_by_root, ord0, poly
 
 ONE: Poly = (Fraction(1),)
+
+
+def padd(a: Poly, b: Poly) -> Poly:
+    n = max(len(a), len(b))
+    return poly(
+        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    )
+
+
+def pscale(a: Poly, k: Fraction) -> Poly:
+    if k == 0:
+        return ZERO
+    return tuple(c * k for c in a)
+
+
+def pmul(a: Poly, b: Poly) -> Poly:
+    if not a or not b:
+        return ZERO
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return poly(out)
+
+
+def proportional(a: ODESpec, b: ODESpec) -> bool:
+    """True iff the two ODEs have identical monic form."""
+    if a.order != b.order:
+        return False
+    ck_a, ck_b = a.coefficients[-1], b.coefficients[-1]
+    return all(
+        pmul(ca, ck_b) == pmul(cb, ck_a) for ca, cb in zip(a.coefficients, b.coefficients)
+    )
+
+
+def rank(matrix) -> int:
+    """Rank by Gauss-Jordan elimination in Fractions."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col] / rows[r][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
 
 
 def pshift(a: Poly, k: int) -> Poly:

@@ -14,8 +14,9 @@ from virmin.blocks import (
     frobenius_expand,
     residual_orders,
 )
-from virmin.bpz import CorrelatorSpec, ODESpec, indicial_exponents, reduced_ode
-from virmin.errors import DomainError, LogarithmicCaseError, RangeError
+from virmin import blocks
+from virmin.bpz import CorrelatorSpec, ExponentPair, ODESpec, indicial_exponents, reduced_ode
+from virmin.errors import DomainError, LogarithmicCaseError, ModelViolationError, RangeError
 from virmin.models import KacLabel, MinimalModel
 
 F = Fraction
@@ -93,6 +94,20 @@ def test_block_normalization_at_small_z():
     b = block(SIGMA_SPEC, EPS, z, 20)
     lead = z ** float(F(3, 8))
     assert abs(b.value / lead - 1) < 1e-5
+
+
+def test_block_rejects_a_channel_exponent_off_the_indicial_roots(monkeypatch):
+    with pytest.raises(RangeError):
+        block(SIGMA_SPEC, EPS, 0.3, -1)
+    exact = blocks.channel_exponents
+
+    def shifted(spec, channel):
+        exps = exact(spec, channel)
+        return ExponentPair(exps.t1, exps.t2 + F(1, 7))
+
+    monkeypatch.setattr(blocks, "channel_exponents", shifted)
+    with pytest.raises(ModelViolationError):
+        block(SIGMA_SPEC, EPS, 0.3, 20)
 
 
 def test_evaluate_series_domain():

@@ -6,6 +6,7 @@ import pkgutil
 from fractions import Fraction
 
 import virmin
+from virmin import crossing
 from virmin.blocks import frobenius_expand
 from virmin.bpz import CorrelatorSpec, indicial_exponents, indicial_polynomial, reduced_ode
 from virmin.cache import GramCache
@@ -13,6 +14,7 @@ from virmin.models import KacLabel, MinimalModel
 from virmin.verma import VermaParams, gram_matrix
 
 SIGMA_SPEC = CorrelatorSpec(MinimalModel(3, 4), *[KacLabel(1, 2)] * 4)
+ORDER4_SPEC = CorrelatorSpec(MinimalModel(5, 6), *[KacLabel(2, 3)] * 4)
 
 
 def module_lru_caches() -> dict:
@@ -30,17 +32,43 @@ def test_exact_memos_are_bounded_module_lru_caches():
     caches = module_lru_caches()
     for name in (
         "virmin.bpz.reduced_ode",
-        "virmin.bpz._indicial_exponents",
         "virmin.blocks.frobenius_expand",
-        "virmin.crossing._pipeline",
+        "virmin.crossing.correlator",
+        "virmin.crossing.fusing_matrix",
         "virmin.verma._raise_monomial",
         "virmin.verma._normal_order",
         "virmin.fusion.fusion_table",
         "virmin.continuation._step_tables",
     ):
         assert name in caches, name
-        maxsize = caches[name].cache_info().maxsize
+    for name, cached in caches.items():
+        maxsize = cached.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, name
+
+
+def test_one_certification_builds_the_bases_once(monkeypatch):
+    """The benchmark's certification sequence: the fit, the 5x5 CLI
+    grid of associativity residuals and the commutativity check share
+    one fusing matrix and one pair of bases."""
+    crossing.correlator.cache_clear()
+    crossing.fusing_matrix.cache_clear()  # also zeroes its hit and miss counts
+    channel_basis = crossing.channel_basis
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return channel_basis(*args)
+
+    monkeypatch.setattr(crossing, "channel_basis", counted)
+    ode = reduced_ode(ORDER4_SPEC)[0]
+    fm = crossing.fusing_matrix(ode, 60)
+    for z1 in (0.9, 1.0, 1.1, 1.2, 1.3):
+        for z in (0.52, 0.54, 0.56, 0.58, 0.60):
+            crossing.associativity_residual(ORDER4_SPEC, z1, z * z1, 60)
+    crossing.commutativity_residual(ORDER4_SPEC, 60)
+    assert [point for _, point, _ in calls] == [0, 1]
+    assert crossing.fusing_matrix.cache_info().misses == 1
+    assert crossing.correlator(ORDER4_SPEC, 60).fusing is fm
 
 
 def test_indicial_exponents_returns_a_fresh_list():
@@ -76,7 +104,8 @@ def test_ode_local_data_is_built_once():
     ode = reduced_ode(CorrelatorSpec(MinimalModel(5, 6), *[KacLabel(2, 3)] * 4))[0]
     at_one = ode.shifted_to_one
     assert at_one is ode.shifted_to_one
-    assert at_one.shifted_to_one == ode  # u = 1 - z is an involution
+    again = at_one.shifted_to_one  # u = 1 - z is an involution
+    assert again is not ode and again == ode and hash(again) == hash(ode)
     for local in (ode, at_one):
         shifts = local.frobenius_shifts
         assert shifts is local.frobenius_shifts

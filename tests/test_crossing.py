@@ -45,8 +45,8 @@ def test_fusing_matrix_ising_exact_values():
     )
     assert np.max(np.abs(got - want)) < 1e-8
     assert fm.residual < 1e-8
-    assert fm.exponents0 == (F(0), F(1, 2))
-    assert fm.exponents1 == (F(-1, 8), F(3, 8))
+    assert fm.basis0.exponents == (F(0), F(1, 2))
+    assert fm.basis1.exponents == (F(-1, 8), F(3, 8))
 
 
 def test_fusing_matrix_roundtrip_all_level2_models():

@@ -9,7 +9,10 @@ from exact_oracles import (
     RatZ,
     fraction_normalize_system,
     pcompose_affine,
+    padd,
     pderiv,
+    pmul,
+    pscale,
     root_multiplicity,
 )
 from virmin.poly import (
@@ -17,11 +20,8 @@ from virmin.poly import (
     divide_by_root,
     normalize_system,
     ord0,
-    padd,
     peval,
-    pmul,
     poly,
-    pscale,
     rational_roots,
 )
 

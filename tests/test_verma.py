@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from virmin.cache import GramCache
 from virmin.errors import RangeError
-from virmin.linalg import nullspace, rank
+from exact_oracles import rank
+from virmin.linalg import nullspace
 from virmin.models import KacLabel, MinimalModel, central_charge, conformal_weight
 from virmin.verma import (
     PBWVector,
