@@ -1,11 +1,14 @@
-"""On-disk cache for Gram matrices.
+"""On-disk cache of Gram matrices and Kac determinants.
 
-One file per (c, h, level) key.  Files are content-addressed by a
-stable hash of the operation name and the exact parameters; rationals
+One file per (c, h, level) key and record kind: `gram-<digest>.json`
+holds a Gram matrix, `kacdet-<digest>.json` its determinant, which costs
+more to compute than the matrix itself.  Files are content-addressed by
+a stable hash of the operation name and the exact parameters; rationals
 are serialized as "numerator/denominator" strings so nothing ever
-passes through floating point.  Writes go to a temporary file in the
-same directory followed by an atomic rename, so concurrent writers are
-safe and a cache entry is either absent or complete.
+passes through floating point.  A record whose schema_version differs
+is a miss.  Writes go to a temporary file in the same directory
+followed by an atomic rename, so concurrent writers are safe and a
+cache entry is either absent or complete.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import hashlib
 import json
 import os
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 from .serialize import frac_str, parse_frac
@@ -23,43 +27,38 @@ SCHEMA_VERSION = 1
 
 
 class GramCache:
-    """Directory-backed store of exact Gram matrices."""
+    """Directory-backed store of exact Gram matrices and determinants."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, params: VermaParams, level: int) -> Path:
+    def _path(self, operation: str, params: VermaParams, level: int) -> Path:
         key = json.dumps(
-            ["gram", frac_str(params.c), frac_str(params.h), level],
+            [operation, frac_str(params.c), frac_str(params.h), level],
             separators=(",", ":"),
         )
         digest = hashlib.sha256(key.encode()).hexdigest()[:32]
-        return self.directory / f"gram-{digest}.json"
+        return self.directory / f"{operation}-{digest}.json"
 
-    def load(self, params: VermaParams, level: int) -> GramMatrix | None:
-        path = self._path(params, level)
+    def _read(self, operation: str, params: VermaParams, level: int) -> dict | None:
+        path = self._path(operation, params, level)
         if not path.exists():
             return None
         data = json.loads(path.read_text())
         if data.get("schema_version") != SCHEMA_VERSION:
             return None
-        basis = tuple(tuple(parts) for parts in data["basis"])
-        entries = tuple(
-            tuple(parse_frac(s) for s in row) for row in data["entries"]
-        )
-        return GramMatrix(params=params, level=level, basis=basis, entries=entries)
+        return data
 
-    def store(self, gram: GramMatrix) -> None:
-        path = self._path(gram.params, gram.level)
+    def _write(self, operation: str, params: VermaParams, level: int, record: dict) -> None:
+        path = self._path(operation, params, level)
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "operation": "gram",
-            "c": frac_str(gram.params.c),
-            "h": frac_str(gram.params.h),
-            "level": gram.level,
-            "basis": [list(parts) for parts in gram.basis],
-            "entries": [[frac_str(x) for x in row] for row in gram.entries],
+            "operation": operation,
+            "c": frac_str(params.c),
+            "h": frac_str(params.h),
+            "level": level,
+            **record,
         }
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
@@ -70,3 +69,26 @@ class GramCache:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
+
+    def load(self, params: VermaParams, level: int) -> GramMatrix | None:
+        data = self._read("gram", params, level)
+        if data is None:
+            return None
+        basis = tuple(tuple(parts) for parts in data["basis"])
+        entries = tuple(
+            tuple(parse_frac(s) for s in row) for row in data["entries"]
+        )
+        return GramMatrix(params=params, level=level, basis=basis, entries=entries)
+
+    def store(self, gram: GramMatrix) -> None:
+        self._write("gram", gram.params, gram.level, {
+            "basis": [list(parts) for parts in gram.basis],
+            "entries": [[frac_str(x) for x in row] for row in gram.entries],
+        })
+
+    def load_determinant(self, params: VermaParams, level: int) -> Fraction | None:
+        data = self._read("kacdet", params, level)
+        return None if data is None else parse_frac(data["determinant"])
+
+    def store_determinant(self, params: VermaParams, level: int, value: Fraction) -> None:
+        self._write("kacdet", params, level, {"determinant": frac_str(value)})

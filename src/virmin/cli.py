@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-dir",
         default=os.environ.get("VIRMIN_CACHE_DIR"),
-        help="directory for the Gram-matrix cache (env VIRMIN_CACHE_DIR)",
+        help="directory for the Gram and Kac-determinant cache (env VIRMIN_CACHE_DIR)",
     )
     p.set_defaults(fn=cmd_verify)
 

@@ -15,9 +15,10 @@ e^{2 pi i rho}.
 from __future__ import annotations
 
 import cmath
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -41,6 +42,32 @@ from .continuation import circle_path, continue_along, lower_arc_path
 from .errors import ConditioningError, DomainError, FusionError, LogarithmicCaseError
 from .fusion import fusion_rule
 from .models import KacLabel, MinimalModel, TensorModel, conformal_weight
+
+
+def _memo(maxsize: int):
+    """An lru_cache keyed by every argument in declaration order with the
+    defaults filled in, so that f(x), f(x, 60) and f(x, order=60) share
+    one entry."""
+
+    def decorate(fn):
+        cached = lru_cache(maxsize)(fn)
+        signature = inspect.signature(fn)
+        params = signature.parameters.values()
+        required = sum(p.default is p.empty for p in params)
+        defaults = tuple(p.default for p in params)
+
+        @wraps(fn)
+        def memo(*args, **kwargs):
+            if kwargs or len(args) < required:
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                args = bound.args
+            return cached(*args, *defaults[len(args):])
+
+        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+        return memo
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -109,7 +136,7 @@ def _heldout_residual(rows, basis0: ChannelBasis, basis1: ChannelBasis, points) 
     return resid
 
 
-@lru_cache(maxsize=64)
+@_memo(maxsize=64)
 def fusing_matrix(
     ode: ODESpec,
     order: int = 60,
@@ -117,7 +144,7 @@ def fusing_matrix(
     cond_limit: float = 1e8,
 ) -> FusingMatrix:
     """Least-squares change of basis between the points 0 and 1, fitted
-    once per argument tuple.
+    once per (ode, order, swap, cond_limit) however the call spells them.
 
     With swap=True the roles of the two points are exchanged (useful
     for the roundtrip identity F' F = 1).  The residual is the largest
@@ -188,7 +215,7 @@ class Correlator:
     channels: tuple[tuple[KacLabel, int], ...]
 
 
-@lru_cache(maxsize=64)
+@_memo(maxsize=64)
 def correlator(spec: CorrelatorSpec, order: int = 60) -> Correlator:
     """The correlator solved once per (spec, order) with series of that order."""
     ode, anchor, _ = reduced_ode(spec)

@@ -10,7 +10,7 @@ and complement selection, used by the singular-vector filter.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
@@ -25,15 +25,15 @@ def _int_rows(matrix: Matrix) -> list[list[int]]:
     return out
 
 
-def _row_scales(matrix: Matrix) -> list[int]:
-    return [lcm(*(f.denominator for f in row)) if row else 1 for row in matrix]
-
-
-def ff_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+def ff_echelon(
+    m: list[list[int]], stop_at_gap: bool = False
+) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free row echelon form of an integer matrix.
 
     Returns (echelon, pivot_columns, sign).  All divisions performed are
-    exact; entries stay integers of controlled size.
+    exact; entries stay integers of controlled size.  With stop_at_gap
+    the elimination ends at the first column without a pivot, which
+    already decides that a square matrix is singular.
     """
     m = [row[:] for row in m]
     if not m:
@@ -46,18 +46,23 @@ def ff_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     for col in range(n_cols):
         piv = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
         if piv is None:
+            if stop_at_gap:
+                break
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
+        top = m[r][col + 1:]
+        lead = m[r][col]
         for i in range(r + 1, n_rows):
-            if all(x == 0 for x in m[i]):
-                continue
-            head = m[i][col]
-            for c in range(col + 1, n_cols):
-                m[i][c] = (m[r][col] * m[i][c] - head * m[r][c]) // prev
-            m[i][col] = 0
-        prev = m[r][col]
+            row = m[i]
+            head = row[col]
+            if head:
+                row[col + 1:] = [(lead * a - head * b) // prev for a, b in zip(row[col + 1:], top)]
+                row[col] = 0
+            elif lead != prev:
+                row[col + 1:] = [lead * a // prev for a in row[col + 1:]]
+        prev = lead
         pivots.append(col)
         r += 1
         if r == n_rows:
@@ -65,22 +70,48 @@ def ff_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     return m, pivots, sign
 
 
+def _primitive_rows(matrix: Matrix) -> tuple[list[list[int]], Fraction]:
+    """Integer rows with coprime entries and the product of the rational
+    factors taken out of them (0 if a row is zero)."""
+    rows, content = [], Fraction(1)
+    for row in matrix:
+        den = lcm(*(f.denominator for f in row))
+        ints = [f.numerator * (den // f.denominator) for f in row]
+        g = gcd(*ints)
+        if g == 0:
+            return [], Fraction(0)
+        content *= Fraction(g, den)
+        rows.append([x // g for x in ints])
+    return rows, content
+
+
 def det(matrix: Matrix) -> Fraction:
-    """Exact determinant of a square matrix of Fractions."""
+    """Exact determinant of a square matrix of Fractions.
+
+    Each row's and then each column's content is divided out before the
+    fraction-free elimination and multiplied back into its result; the
+    elimination stops at the first column without a pivot (det 0).
+    """
     n = len(matrix)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    scales = _row_scales(matrix)
-    ints = [[int(f * s) for f in row] for row, s in zip(matrix, scales)]
-    ech, pivots, sign = ff_echelon(ints)
+    ints, content = _primitive_rows(matrix)
+    if not content:  # a zero row
+        return Fraction(0)
+    for j in range(n):
+        g = gcd(*(row[j] for row in ints))
+        if g == 0:
+            return Fraction(0)
+        if g != 1:
+            content *= g
+            for row in ints:
+                row[j] //= g
+    ech, pivots, sign = ff_echelon(ints, stop_at_gap=True)
     if len(pivots) < n:
         return Fraction(0)
-    d = Fraction(sign * ech[n - 1][n - 1])
-    for s in scales:
-        d /= s
-    return d
+    return content * (sign * ech[n - 1][n - 1])
 
 
 def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:

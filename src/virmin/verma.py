@@ -102,35 +102,48 @@ def _normal_order(word: tuple[int, ...]) -> tuple[tuple[Partition, int], ...]:
     return ((word, 1),)
 
 
+Affine = tuple[int, int, int]  # (a, b, e) stands for a + b h + e c/2
+
+
 @lru_cache(maxsize=2**15)
-def _raise_monomial(
-    c: Fraction, h: Fraction, m: int, parts: Partition
-) -> tuple[tuple[Partition, Fraction], ...]:
-    """Normal-ordered L(m) . (L(-parts)|h>) for m >= 1."""
+def _raise_monomial(m: int, parts: Partition) -> tuple[tuple[Partition, Affine], ...]:
+    """Normal-ordered L(m) . (L(-parts)|h>) for m >= 1.
+
+    Every coefficient is affine in the weight, a + b h + e c/2 with
+    integers a, b, e, so the table is built once for all (c, h).
+    """
     if not parts:
         return ()
     mu, rest = parts[0], parts[1:]
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, Affine] = {}
 
-    def accumulate(items, factor):
-        for word, cf in items:
-            val = factor * cf
-            if val:
-                out[word] = out.get(word, Fraction(0)) + val
+    def add(word, a, b, e):
+        a0, b0, e0 = out.get(word, (0, 0, 0))
+        out[word] = (a0 + a, b0 + b, e0 + e)
 
     # [L(m), L(-mu)] = (m + mu) L(m - mu) + (m^3 - m)/12 delta_{m,mu} c
-    k = m - mu
+    k, f = m - mu, m + mu
     if k > 0:
-        accumulate(_raise_monomial(c, h, k, rest), Fraction(m + mu))
+        for word, (a, b, e) in _raise_monomial(k, rest):
+            add(word, f * a, f * b, f * e)
     elif k == 0:
-        accumulate(((rest, 1),), Fraction(m + mu) * (h + sum(rest)))
-        accumulate(((rest, 1),), Fraction(m**3 - m, 12) * c)
+        add(rest, f * sum(rest), f, (m**3 - m) // 6)
     else:
-        accumulate(_normal_order((-k,) + rest), Fraction(m + mu))
+        for word, cf in _normal_order((-k,) + rest):
+            add(word, f * cf, 0, 0)
     # plus L(-mu) L(m) acting on the tail
-    for word, cf in _raise_monomial(c, h, m, rest):
-        accumulate(_normal_order((mu,) + word), cf)
-    return tuple((p, v) for p, v in out.items() if v != 0)
+    for word, (a, b, e) in _raise_monomial(m, rest):
+        for ordered, cf in _normal_order((mu,) + word):
+            add(ordered, cf * a, cf * b, cf * e)
+    return tuple((p, abe) for p, abe in out.items() if any(abe))
+
+
+def _integer_weight(params: VermaParams) -> tuple[int, int, int]:
+    """(d, d h, d c/2) with d = lcm(2 den(c), den(h)), all integers: d
+    times a raising coefficient (a, b, e) is a d + b (d h) + e (d c/2)."""
+    c, h = params.c, params.h
+    d = lcm(2 * c.denominator, h.denominator)
+    return d, h.numerator * (d // h.denominator), c.numerator * (d // (2 * c.denominator))
 
 
 def apply_raising(params: VermaParams, m: int, v: PBWVector) -> PBWVector:
@@ -138,11 +151,12 @@ def apply_raising(params: VermaParams, m: int, v: PBWVector) -> PBWVector:
     if m < 1:
         raise RangeError("apply_raising handles positive modes only")
     new_level = max(v.level - m, 0)
+    d, dh, dc = _integer_weight(params)
     out: dict[Partition, Fraction] = {}
     for parts, coef in v.coefficients.items():
-        for word, cf in _raise_monomial(params.c, params.h, m, parts):
-            out[word] = out.get(word, Fraction(0)) + coef * cf
-    return PBWVector(new_level, out)
+        for word, (a, b, e) in _raise_monomial(m, parts):
+            out[word] = out.get(word, 0) + coef * (a * d + b * dh + e * dc)
+    return PBWVector(new_level, {word: x / d for word, x in out.items()})
 
 
 def apply_lowering(m: int, v: PBWVector) -> PBWVector:
@@ -166,14 +180,22 @@ class GramMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
 
-def _raising_rows(params: VermaParams, m: int, level: int) -> list[dict[int, Fraction]]:
-    """L(m) on each monomial of pbw_basis(level), 1 <= m <= level, as
-    {position in pbw_basis(level - m): coefficient}."""
+def _raising_rows(
+    params: VermaParams, m: int, level: int
+) -> list[tuple[tuple[int, ...], list[int]]]:
+    """L(m) on each monomial of pbw_basis(level), 1 <= m <= level, as the
+    positions in pbw_basis(level - m) it reaches and d times its
+    coefficients there, integers (d as in _integer_weight)."""
+    d, dh, dc = _integer_weight(params)
     index = {parts: i for i, parts in enumerate(pbw_basis(level - m))}
-    return [
-        {index[word]: cf for word, cf in _raise_monomial(params.c, params.h, m, parts)}
-        for parts in pbw_basis(level)
-    ]
+    rows = []
+    for parts in pbw_basis(level):
+        image = _raise_monomial(m, parts)
+        rows.append((
+            tuple(index[word] for word, _ in image),
+            [a * d + b * dh + e * dc for _, (a, b, e) in image],
+        ))
+    return rows
 
 
 def _gram_entries(params: VermaParams, level: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -185,13 +207,13 @@ def _gram_entries(params: VermaParams, level: int) -> tuple[tuple[Fraction, ...]
         G_N[lam, mu] = sum_nu R_{l_1}[mu -> nu] G_{N - l_1}[lam[1:], nu].
 
     Only the rows lam[1:], lam[2:], ... that the level-N rows reach are
-    built, each once, and all are dropped on return.  Every raising
-    coefficient lies in Z + Z h + Z c/2, so with d = lcm(2 den(c), den(h))
-    a level-n row times d^n is integral: rows are kept as those integers
-    and divided by d^N once at the end.
+    built, each once, and all are dropped on return.  The raising rows
+    are d times their coefficients (see _raising_rows), so a level-n row
+    times d^n is integral: rows are kept as those integers and divided
+    by d^N once at the end.
     """
-    d = lcm(2 * params.c.denominator, params.h.denominator)
-    tables: dict[tuple[int, int], list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    d = _integer_weight(params)[0]
+    tables: dict[tuple[int, int], list[tuple[tuple[int, ...], list[int]]]] = {}
     rows: dict[Partition, list[int]] = {(): [1]}
     for lam in pbw_basis(level):
         for start in reversed(range(len(lam))):  # shortest tail first
@@ -200,13 +222,7 @@ def _gram_entries(params: VermaParams, level: int) -> tuple[tuple[Fraction, ...]
                 continue
             m, n = tail[0], sum(tail)
             if (m, n) not in tables:
-                tables[m, n] = [
-                    (
-                        tuple(image),
-                        tuple(cf.numerator * (d // cf.denominator) for cf in image.values()),
-                    )
-                    for image in _raising_rows(params, m, n)
-                ]
+                tables[m, n] = _raising_rows(params, m, n)
             below = rows[tail[1:]]
             scale = d ** (m - 1)
             rows[tail] = [
@@ -234,9 +250,21 @@ def gram_matrix(params: VermaParams, level: int, cache=None) -> GramMatrix:
 
 
 def kac_determinant(params: VermaParams, level: int, cache=None) -> Fraction:
-    """Exact determinant of the level-`level` Gram matrix."""
+    """Exact determinant of the level-`level` Gram matrix.
+
+    With a cache the determinant is read from its own record first; on
+    a miss the Gram goes through gram_matrix (and its record) and the
+    determinant is stored.
+    """
+    if cache is not None:
+        hit = cache.load_determinant(params, level)
+        if hit is not None:
+            return hit
     gram = gram_matrix(params, level, cache)
-    return det([list(row) for row in gram.entries])
+    value = det([list(row) for row in gram.entries])
+    if cache is not None:
+        cache.store_determinant(params, level, value)
+    return value
 
 
 def _singular_space(params: VermaParams, level: int) -> list[PBWVector]:
@@ -246,13 +274,15 @@ def _singular_space(params: VermaParams, level: int) -> list[PBWVector]:
     annihilation by both is annihilation by every positive mode.
     """
     basis = pbw_basis(level)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []  # d times the matrices of L(1) and L(2)
     for m in (1, 2):
         if level - m < 0:
             continue
-        images = _raising_rows(params, m, level)
-        for t in range(len(pbw_basis(level - m))):
-            rows.append([img.get(t, Fraction(0)) for img in images])
+        block = [[0] * len(basis) for _ in pbw_basis(level - m)]
+        for j, (positions, coefficients) in enumerate(_raising_rows(params, m, level)):
+            for t, cf in zip(positions, coefficients):
+                block[t][j] = cf
+        rows += block
     kernel = nullspace(rows, n_cols=len(basis))
     return [
         PBWVector(level, {parts: coef for parts, coef in zip(basis, vec)})

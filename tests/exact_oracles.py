@@ -76,6 +76,25 @@ def rank(matrix) -> int:
     return r
 
 
+def gauss_det(matrix) -> Fraction:
+    """Determinant by Gaussian elimination in Fractions."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    n, value = len(rows), Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            value = -value
+        value *= rows[col][col]
+        for i in range(col + 1, n):
+            f = rows[i][col] / rows[col][col]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return value
+
+
 def pshift(a: Poly, k: int) -> Poly:
     """Multiply by z^k (k >= 0)."""
     if not a:

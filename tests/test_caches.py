@@ -2,16 +2,17 @@
 and safe to share between callers."""
 
 import importlib
+import json
 import pkgutil
 from fractions import Fraction
 
 import virmin
-from virmin import crossing
+from virmin import crossing, linalg, verma
 from virmin.blocks import frobenius_expand
 from virmin.bpz import CorrelatorSpec, indicial_exponents, indicial_polynomial, reduced_ode
 from virmin.cache import GramCache
 from virmin.models import KacLabel, MinimalModel
-from virmin.verma import VermaParams, gram_matrix
+from virmin.verma import VermaParams, gram_matrix, kac_determinant
 
 SIGMA_SPEC = CorrelatorSpec(MinimalModel(3, 4), *[KacLabel(1, 2)] * 4)
 ORDER4_SPEC = CorrelatorSpec(MinimalModel(5, 6), *[KacLabel(2, 3)] * 4)
@@ -128,3 +129,67 @@ def test_gram_cache_file_format_is_stable(tmp_path):
     )
     loaded = GramCache(tmp_path).load(VermaParams(Fraction(-22, 5), Fraction(-1, 5)), 3)
     assert loaded.entries[2][2] == Fraction(-288, 125)
+
+
+def test_memos_are_keyed_by_value_not_by_spelling():
+    """The README sequence, fusing_matrix(ode) and then a residual at the
+    default order, fits the basis change once."""
+    crossing.correlator.cache_clear()
+    crossing.fusing_matrix.cache_clear()
+    ode = reduced_ode(SIGMA_SPEC)[0]
+    fm = crossing.fusing_matrix(ode)
+    crossing.associativity_residual(SIGMA_SPEC, 1.0, 0.8)
+    assert crossing.fusing_matrix.cache_info().misses == 1
+    assert crossing.fusing_matrix(ode, order=60, swap=False) is fm
+    assert crossing.correlator(SIGMA_SPEC) is crossing.correlator(SIGMA_SPEC, order=60)
+    assert crossing.correlator.cache_info().misses == 1
+    assert crossing.fusing_matrix(ode, 60, True) is not fm
+
+
+def test_kacdet_record_file_format_is_stable(tmp_path):
+    params = VermaParams(Fraction(-22, 5), Fraction(1, 3))
+    assert kac_determinant(params, 3, cache=GramCache(tmp_path)) == Fraction(22528, 81)
+    (path,) = tmp_path.glob("kacdet-*.json")
+    assert path.name == "kacdet-ab5ed016c90ccaaf28c0407fda6d33dd.json"
+    assert path.read_bytes() == (
+        b'{"schema_version": 1, "operation": "kacdet", "c": "-22/5", "h": "1/3", '
+        b'"level": 3, "determinant": "22528/81"}'
+    )
+    assert len(list(tmp_path.glob("gram-*.json"))) == 1
+    assert GramCache(tmp_path).load_determinant(params, 3) == Fraction(22528, 81)
+
+
+def refuse(*args):
+    raise AssertionError("recomputed what the cache holds")
+
+
+def test_warm_kac_determinant_reads_only_its_record(tmp_path, monkeypatch):
+    params = VermaParams(Fraction(7, 3), Fraction(-2, 5))
+    cold = kac_determinant(params, 6, GramCache(tmp_path))
+    assert cold != 0
+    for owner in (linalg, verma):
+        monkeypatch.setattr(owner, "det", refuse)
+    monkeypatch.setattr(verma, "_gram_entries", refuse)
+    monkeypatch.setattr(GramCache, "load", refuse)
+    assert kac_determinant(params, 6, GramCache(tmp_path)) == cold
+
+
+def test_kac_determinant_eliminates_a_cached_gram_without_rebuilding_it(tmp_path, monkeypatch):
+    # a directory that holds only the Gram, as earlier versions of the cache left it
+    params = VermaParams(Fraction(1, 2), Fraction(1, 16))
+    gram_matrix(params, 4, GramCache(tmp_path))
+    monkeypatch.setattr(verma, "_gram_entries", refuse)
+    assert kac_determinant(params, 4, GramCache(tmp_path)) == 0
+    assert len(list(tmp_path.glob("kacdet-*.json"))) == 1
+
+
+def test_a_record_of_another_schema_version_is_a_miss(tmp_path):
+    cache = GramCache(tmp_path)
+    params = VermaParams(Fraction(7, 3), Fraction(-2, 5))
+    cold = kac_determinant(params, 4, cache)
+    (path,) = tmp_path.glob("kacdet-*.json")
+    record = json.loads(path.read_text())
+    path.write_text(json.dumps({**record, "schema_version": 0, "determinant": "1/1"}))
+    assert cache.load_determinant(params, 4) is None
+    assert kac_determinant(params, 4, cache) == cold
+    assert json.loads(path.read_text()) == record

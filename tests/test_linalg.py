@@ -24,19 +24,58 @@ def test_det_row_swap_case():
     assert det(m) == -1
 
 
+def cofactor_det(m):
+    if len(m) == 1:
+        return m[0][0]
+    total = F(0)
+    for j in range(len(m)):
+        minor = [r[:j] + r[j + 1:] for r in m[1:]]
+        total += (-1) ** j * m[0][j] * cofactor_det(minor)
+    return total
+
+
 @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3))
 @settings(max_examples=60)
 def test_det_matches_cofactor_expansion(rows):
-    def cof(m):
-        if len(m) == 1:
-            return m[0][0]
-        total = F(0)
-        for j in range(len(m)):
-            minor = [r[:j] + r[j + 1:] for r in m[1:]]
-            total += (-1) ** j * m[0][j] * cof(minor)
-        return total
+    assert det([row[:] for row in rows]) == cofactor_det(rows)
 
-    assert det([row[:] for row in rows]) == cof(rows)
+
+@st.composite
+def structured_matrices(draw):
+    """Square matrices with zero rows, rows with a common factor and rows
+    combined from earlier ones (rank deficits), or their transposes."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+    for i in range(n):
+        kind = draw(st.sampled_from(("keep", "factor", "zero", "combination")))
+        if kind == "factor":
+            k = draw(st.sampled_from((2, 6, -12, F(10, 3), F(-7, 4))))
+            rows[i] = [k * x for x in rows[i]]
+        elif kind == "zero":
+            rows[i] = [F(0)] * n
+        elif kind == "combination" and i > 0:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a, b = draw(rationals), draw(rationals)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    if draw(st.booleans()):
+        rows = [list(col) for col in zip(*rows)]
+    return rows
+
+
+@given(structured_matrices())
+@settings(max_examples=100)
+def test_det_matches_cofactor_expansion_on_structured_matrices(rows):
+    before = [row[:] for row in rows]
+    assert det(rows) == cofactor_det(rows)
+    assert rows == before  # the argument is left as it was
+
+
+def test_det_of_degenerate_matrices():
+    assert det([[F(0), F(0)], [F(1), F(2)]]) == 0
+    assert det([[F(1), F(0)], [F(2), F(0)]]) == 0
+    assert det([[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(5)]]) == 0
+    assert det([[F(6), F(4)], [F(9, 2), F(3, 5)]]) == F(6 * 3, 5) - 18
+    assert det([[F(0), F(0), F(1)], [F(0), F(2), F(0)], [F(3), F(0), F(0)]]) == -6
 
 
 def test_nullspace_canonical():
@@ -68,6 +107,13 @@ def test_ff_echelon_stays_integer():
     ech, pivots, sign = ff_echelon(m)
     assert all(isinstance(x, int) for row in ech for x in row)
     assert len(pivots) == 3
+
+
+def test_ff_echelon_can_stop_at_the_first_column_without_pivot():
+    m = [[0, 1, 2], [0, 2, 5], [0, 3, 1]]
+    assert ff_echelon(m)[1] == [1, 2]
+    ech, pivots, sign = ff_echelon(m, stop_at_gap=True)
+    assert pivots == [] and ech == m and sign == 1
 
 
 def test_rowspace():

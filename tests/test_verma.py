@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import strategies as st
 
 from virmin.cache import GramCache
 from virmin.errors import RangeError
-from exact_oracles import rank
+from exact_oracles import gauss_det, rank
 from virmin.linalg import nullspace
 from virmin.models import KacLabel, MinimalModel, central_charge, conformal_weight
+from virmin.serialize import frac_str
 from virmin.verma import (
     PBWVector,
     VermaParams,
@@ -192,6 +194,28 @@ def test_kac_determinant_vanishes_at_null_levels():
                         continue
                     params = VermaParams(c, conformal_weight(model, KacLabel(m, n)))
                     assert kac_determinant(params, m * n) == 0
+
+
+# sha256 prefixes of "n/d" of the level-11 determinants at
+# h = h_(2,2) + 1/(4 p q 101) in M(p, p+1), as the unoptimised
+# elimination (row-scaled Bareiss over every column) computed them
+LEVEL11_OFF_TABLE = {
+    4: "782cc1ae937303dcbe73856c05fcff85",
+    5: "8aada87692dae5b59eb25061ca7145ee",
+    6: "dd630c0c2a72bd73a0a9736a971f7f4c",
+}
+
+
+@pytest.mark.parametrize("p", sorted(LEVEL11_OFF_TABLE))
+def test_level11_kac_determinants_are_pinned(p):
+    model = MinimalModel(p, p + 1)
+    c, h = central_charge(model), conformal_weight(model, KacLabel(2, 2))
+    assert kac_determinant(VermaParams(c, h), 11) == 0
+    off = VermaParams(c, h + F(1, 4 * p * (p + 1) * 101))
+    value = kac_determinant(off, 11)
+    assert hashlib.sha256(frac_str(value).encode()).hexdigest()[:32] == LEVEL11_OFF_TABLE[p]
+    if p == 4:  # one independent check by Gaussian elimination in Fractions
+        assert value == gauss_det(gram_matrix(off, 11).entries)
 
 
 def test_singular_vectors_ising_eps():
