@@ -44,6 +44,11 @@ class FrobeniusSeries:
         """complex(a_k) for every coefficient, converted once."""
         return tuple(complex(c) for c in self.coefficients)
 
+    @cached_property
+    def float_exponent(self) -> float:
+        """float(exponent), converted once."""
+        return float(self.exponent)
+
 
 @dataclass(frozen=True)
 class EvaluationResult:
@@ -146,19 +151,23 @@ def residual_orders(series: FrobeniusSeries) -> list[int]:
     return bad
 
 
+def _horner(series: FrobeniusSeries, u: complex) -> complex:
+    """sum_k a_k u^k by Horner's rule."""
+    acc = 0j
+    for c in reversed(series.complex_coefficients):
+        acc = acc * u + c
+    return acc
+
+
 def eval_local(series: FrobeniusSeries, u: complex) -> complex:
     """Value at local coordinate u, principal branch of u^exponent."""
-    rho = float(series.exponent)
     if u == 0:
         if series.exponent > 0:
             return 0j
         if series.exponent == 0:
             return complex(series.coefficients[0])
         raise DomainError("series with negative exponent diverges at its base point")
-    acc = 0j
-    for c in reversed(series.complex_coefficients):
-        acc = acc * u + c
-    return acc * cmath.exp(rho * cmath.log(u))
+    return _horner(series, u) * cmath.exp(series.float_exponent * cmath.log(u))
 
 
 def eval_local_derivatives(series: FrobeniusSeries, u: complex, count: int) -> list[complex]:
@@ -168,41 +177,47 @@ def eval_local_derivatives(series: FrobeniusSeries, u: complex, count: int) -> l
     evaluated in complex floats on the principal branch.
     """
     coeffs = series.complex_coefficients
-    rho = float(series.exponent)
+    rho = series.float_exponent
     shifted = rho + np.arange(len(coeffs))
     powers = complex(u) ** np.arange(len(coeffs))
     log_u = cmath.log(u)
     weights = np.array(coeffs)
     out = []
     for t in range(count):
-        out.append(complex(weights @ powers) * cmath.exp(float(series.exponent - t) * log_u))
+        out.append(complex(weights @ powers) * cmath.exp((rho - t) * log_u))
         weights = weights * (shifted - t)
     return out
 
 
 def _tail_bound(series: FrobeniusSeries, u: complex) -> float:
-    """Last-term ratio heuristic for the truncation error."""
-    mags = [abs(c) * abs(u) ** k for k, c in enumerate(series.complex_coefficients)]
-    last = next((k for k in range(len(mags) - 1, -1, -1) if mags[k] > 0), 0)
+    """Last-term ratio heuristic for the truncation error: the last
+    nonzero term times q / (1 - q), q the largest of |u| and the ratios
+    of consecutive terms among the last five."""
+    coeffs = series.complex_coefficients
+    r = abs(u)
+    last = next((k for k in range(len(coeffs) - 1, 0, -1) if abs(coeffs[k]) * r**k > 0), 0)
     if last == 0:
         return 0.0
-    window = [k for k in range(max(1, last - 4), last + 1) if mags[k - 1] > 0]
-    ratios = [mags[k] / mags[k - 1] for k in window if mags[k] > 0]
-    q = max([abs(u)] + ratios)
+    lo = max(0, last - 5)
+    mags = [abs(c) * r**k for k, c in enumerate(coeffs[lo : last + 1], lo)]
+    ratios = [b / a for a, b in zip(mags, mags[1:]) if a > 0 and b > 0]
+    q = max([r] + ratios)
     q = min(q, 0.999)
-    return mags[last] * q / (1.0 - q)
+    return mags[-1] * q / (1.0 - q)
 
 
 def evaluate_series(series: FrobeniusSeries, z: complex) -> EvaluationResult:
     """Horner evaluation of the truncated series at z (principal branch)."""
     u = complex(z) if series.base_point == 0 else 1 - complex(z)
+    order = len(series.coefficients) - 1
     if abs(u) >= 1:
         raise DomainError(
             f"{z} lies outside the convergence disk of the expansion at {series.base_point}"
         )
-    value = eval_local(series, u)
-    scale = abs(cmath.exp(float(series.exponent) * cmath.log(u))) if u != 0 else 1.0
-    return EvaluationResult(value, _tail_bound(series, u) * scale, len(series.coefficients) - 1)
+    if u == 0:
+        return EvaluationResult(eval_local(series, u), 0.0, order)
+    power = cmath.exp(series.float_exponent * cmath.log(u))
+    return EvaluationResult(_horner(series, u) * power, _tail_bound(series, u) * abs(power), order)
 
 
 def block(spec, channel: KacLabel, z: complex, order: int = 50) -> EvaluationResult:
@@ -224,7 +239,7 @@ def block(spec, channel: KacLabel, z: complex, order: int = 50) -> EvaluationRes
         raise ModelViolationError(f"channel exponent {exps.t2}: {exc}") from exc
     inner = evaluate_series(series, z)
     zc = complex(z)
-    pref = cmath.exp(float(anchor.t2) * cmath.log(zc))
+    pref = cmath.exp(anchor.floats[1] * cmath.log(zc))
     return EvaluationResult(
         inner.value * pref, inner.tail_bound * abs(pref), inner.order_used
     )

@@ -235,6 +235,11 @@ class ExponentPair:
     t1: Fraction
     t2: Fraction
 
+    @cached_property
+    def floats(self) -> tuple[float, float]:
+        """(float(t1), float(t2)), converted once."""
+        return float(self.t1), float(self.t2)
+
 
 def channel_exponents(spec: CorrelatorSpec, channel: KacLabel) -> ExponentPair:
     """Anchor exponents for an intermediate channel: t2 = h5 - h2 - h3,

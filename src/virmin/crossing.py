@@ -18,14 +18,13 @@ import cmath
 import inspect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
 from .blocks import (
     EvaluationResult,
     FrobeniusSeries,
-    eval_local,
     eval_local_derivatives,
     frobenius_expand,
 )
@@ -82,6 +81,33 @@ class ChannelBasis:
     def exponents(self) -> tuple[Fraction, ...]:
         return tuple(s.exponent for s in self.solutions)
 
+    @cached_property
+    def coefficient_matrix(self) -> np.ndarray:
+        """Read-only (k, order + 1) array: row i holds the complex
+        coefficients of solution i (every solution has the same order)."""
+        out = np.array([s.complex_coefficients for s in self.solutions], dtype=complex)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def float_exponents(self) -> np.ndarray:
+        """Read-only (k,) array of float(exponent) per solution."""
+        out = np.array([s.float_exponent for s in self.solutions])
+        out.flags.writeable = False
+        return out
+
+    def values(self, u) -> np.ndarray:
+        """Every solution at the nonzero local coordinate u, principal
+        branch of u^exponent: shape (k,) for a scalar u, (k, m) for a
+        1-D array of m points."""
+        u = np.asarray(u, dtype=complex)
+        coeffs = self.coefficient_matrix
+        powers = u[..., None] ** np.arange(coeffs.shape[1])
+        # one matrix-vector product per point, so that every column of an
+        # array call is summed exactly as the scalar call at that point
+        sums = (coeffs @ powers[..., None])[..., 0].T
+        return sums * np.exp(np.multiply.outer(self.float_exponents, np.log(u)))
+
 
 def channel_basis(ode: ODESpec, point: int, order: int = 60) -> ChannelBasis:
     roots = indicial_exponents(ode, point)
@@ -114,8 +140,10 @@ def _chebyshev_points(n: int, lo: float = 0.35, hi: float = 0.65) -> list[float]
     return [mid + half * float(np.cos(np.pi * (2 * i + 1) / (2 * n))) for i in range(n)]
 
 
-def _local(s: FrobeniusSeries, x: float) -> complex:
-    return eval_local(s, complex(x if s.base_point == 0 else 1 - x))
+def _values_at(basis: ChannelBasis, points) -> np.ndarray:
+    """(k, m) array of every basis solution at the m points z."""
+    z = np.asarray(points, dtype=float)
+    return basis.values(z if basis.point == 0 else 1 - z)
 
 
 def _heldout_residual(rows, basis0: ChannelBasis, basis1: ChannelBasis, points) -> float:
@@ -127,13 +155,10 @@ def _heldout_residual(rows, basis0: ChannelBasis, basis1: ChannelBasis, points) 
     meaningful where a solution passes through zero at one of the
     points (a pointwise ratio would read 0/0 there).
     """
-    resid = 0.0
-    for row, s0 in zip(rows, basis0.solutions):
-        lhs = [_local(s0, x) for x in points]
-        rhs = [sum(f * _local(s1, x) for f, s1 in zip(row, basis1.solutions)) for x in points]
-        scale = max(max(abs(v) for v in lhs), 1e-300)
-        resid = max(resid, max(abs(l - r) for l, r in zip(lhs, rhs)) / scale)
-    return resid
+    lhs = _values_at(basis0, points)
+    rhs = np.asarray(rows, dtype=complex) @ _values_at(basis1, points)
+    scale = np.maximum(np.abs(lhs).max(axis=1), 1e-300)
+    return float((np.abs(lhs - rhs).max(axis=1) / scale).max())
 
 
 @_memo(maxsize=64)
@@ -159,20 +184,17 @@ def fusing_matrix(
     fit = _chebyshev_points(max(2 * k, 8))
     held = [x for x in _chebyshev_points(max(2 * k, 8) + 5) if x not in fit]
 
-    a = np.array([[_local(s, x) for s in basis1.solutions] for x in fit], dtype=complex)
+    a = _values_at(basis1, fit).T
     cond = np.linalg.cond(a)
     if cond > cond_limit:
         raise ConditioningError(
             f"basis collocation matrix has condition number {cond:.3g}; "
             "use a higher order"
         )
-    rows = []
-    for s0 in basis0.solutions:
-        b = np.array([_local(s0, x) for x in fit], dtype=complex)
-        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-        rows.append(tuple(complex(v) for v in sol))
+    sol, *_ = np.linalg.lstsq(a, _values_at(basis0, fit).T, rcond=None)
+    rows = tuple(tuple(complex(v) for v in col) for col in sol.T)
     return FusingMatrix(
-        entries=tuple(rows),
+        entries=rows,
         residual=_heldout_residual(rows, basis0, basis1, held),
         fit_points=tuple(fit),
         heldout_points=tuple(held),
@@ -214,6 +236,20 @@ class Correlator:
     fusing: FusingMatrix
     channels: tuple[tuple[KacLabel, int], ...]
 
+    @cached_property
+    def channel_indices(self) -> np.ndarray:
+        """Read-only point-0 basis index of each allowed channel."""
+        out = np.array([i for _, i in self.channels])
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def channel_rows(self) -> np.ndarray:
+        """Read-only rows of the fusing matrix for the allowed channels."""
+        out = self.fusing.as_array()[self.channel_indices]
+        out.flags.writeable = False
+        return out
+
 
 @_memo(maxsize=64)
 def correlator(spec: CorrelatorSpec, order: int = 60) -> Correlator:
@@ -236,7 +272,9 @@ def associativity_residual(
     The product side is evaluated through the point-0 basis in
     z = z2/z1 and the iterate side through the point-1 basis (local in
     z1 - z2), transported with the fusing matrix; the worst relative
-    discrepancy across the allowed channels is returned.
+    discrepancy across the allowed channels is returned.  Both sides
+    carry the same prefactor z1^(t1 + t2) z^t2, which cancels in the
+    relative discrepancy and is left out.
     """
     z1c, z2c = complex(z1), complex(z2)
     if not (abs(z1c) > abs(z2c) > abs(z1c - z2c) > 0):
@@ -244,20 +282,12 @@ def associativity_residual(
             f"(z1, z2) = ({z1}, {z2}) violates |z1| > |z2| > |z1 - z2| > 0"
         )
     cor = correlator(spec, order)
-    anchor, fm = cor.anchor, cor.fusing
+    fm = cor.fusing
     z = z2c / z1c
-    pref = cmath.exp(float(anchor.t1 + anchor.t2) * cmath.log(z1c)) * cmath.exp(
-        float(anchor.t2) * cmath.log(z)
-    )
-    f = fm.as_array()
-    worst = 0.0
-    for _, i in cor.channels:
-        prod = pref * eval_local(fm.basis0.solutions[i], z)
-        iterate = pref * sum(
-            f[i, j] * eval_local(s1, 1 - z) for j, s1 in enumerate(fm.basis1.solutions)
-        )
-        worst = max(worst, abs(prod - iterate) / max(abs(prod), abs(iterate), 1e-300))
-    return worst
+    prod = fm.basis0.values(z)[cor.channel_indices]
+    iterate = cor.channel_rows @ fm.basis1.values(1 - z)
+    scale = np.maximum(np.maximum(np.abs(prod), np.abs(iterate)), 1e-300)
+    return float((np.abs(prod - iterate) / scale).max())
 
 
 def monodromy_check(
@@ -282,8 +312,7 @@ def monodromy_check(
     )
     path = circle_path(radius, steps)
     final = continue_along(ode, complex(radius), states0, path, taylor_order)
-    rho = np.array([float(s.exponent) for s in basis.solutions])
-    phases = np.exp(2j * np.pi * (rho + exponent_offset))
+    phases = np.exp(2j * np.pi * (basis.float_exponents + exponent_offset))
     scales = np.maximum(np.abs(states0).max(axis=0), 1e-300)
     return float((np.abs(final - phases * states0) / scales).max())
 
@@ -311,36 +340,30 @@ def commutativity_residual(
     basis0, basis1 = fm.basis0, fm.basis1
     k = ode.order
     start = 0.5
-    f = fm.as_array()
+    waypoints = sorted(targets)
 
-    sgn = -1.0 if flip_phases else 1.0
-
-    def swapped_side_blocks(x: float) -> np.ndarray:
-        """e^{i pi s_j} R_j(x) for every point-1 solution j."""
-        out = []
-        for s1 in basis1.solutions:
-            phase = cmath.exp(sgn * 1j * cmath.pi * float(s1.exponent))
-            mag = (x - 1) ** float(s1.exponent)  # real branch, x > 1
-            series_sum = 0j
-            for c in reversed(s1.complex_coefficients):
-                series_sum = series_sum * (1 - x) + c
-            out.append(phase * mag * series_sum)
-        return np.array(out)
+    # e^{i pi s_j} R_j(x), for every point-1 solution j and waypoint x > 1,
+    # is solution j's principal-branch value at u = 1 - x: arg(u) = +pi.
+    swapped = basis1.values(1 - np.array(waypoints))
+    if flip_phases:
+        swapped = swapped * np.exp(-2j * np.pi * basis1.float_exponents)[:, None]
+    preds = (cor.channel_rows @ swapped).T  # one row per waypoint
 
     # All allowed channels are continued together as the columns of one
     # (k, channels) state matrix.
-    channels = [i for _, i in cor.channels]
     cur = np.column_stack(
-        [eval_local_derivatives(basis0.solutions[i], complex(start), k) for i in channels]
+        [
+            eval_local_derivatives(basis0.solutions[i], complex(start), k)
+            for i in cor.channel_indices
+        ]
     )
     pos = complex(start)
-    waypoints = sorted(targets)
     path = lower_arc_path(0.5, 16) + [complex(waypoints[0])]
     worst = 0.0
-    for target, leg in zip(waypoints, [path] + [[complex(x)] for x in waypoints[1:]]):
+    legs = [path] + [[complex(x)] for x in waypoints[1:]]
+    for target, leg, pred in zip(waypoints, legs, preds):
         cur = continue_along(ode, pos, cur, leg, 40)
         pos = complex(target)
-        pred = f[channels] @ swapped_side_blocks(target)
         resid = np.abs(cur[0] - pred) / np.maximum(np.abs(pred), 1e-300)
         worst = max(worst, float(resid.max()))
     return worst

@@ -9,14 +9,24 @@ and validates it in Fraction arithmetic.  The remaining helpers rebuild
 the ODE at z = 1, the Frobenius shift polynomials and the indicial
 polynomials by direct polynomial composition.  None of them shares code
 with virmin.bpz beyond the ODESpec container and the poly primitives.
+
+The float-evaluation oracles are the earlier scalar paths: `tail_bound`
+over every term, `partial_sum` in Fractions, and the fusing fit and
+associativity residual evaluated one series and one point at a time
+through `eval_local` (`scalar_fusing_fit`, `scalar_heldout_residual`,
+`scalar_associativity_residual`).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
+from virmin.blocks import eval_local
 from virmin.bpz import ODESpec, TwoVarOperator
 from virmin.errors import ReductionError, StructureError
 from virmin.poly import ZERO, Poly, degree, divide_by_root, ord0, poly
@@ -384,3 +394,74 @@ def reference_indicial_polynomial(ode: ODESpec, point) -> Poly:
         if degree(c) - i == nu:
             out = padd(out, pscale(_rising(i), c[-1] * Fraction(-1) ** i))
     return out
+
+
+def tail_bound(series, u: complex) -> float:
+    """Last-term ratio heuristic for the truncation error, with the
+    magnitude of every term computed."""
+    mags = [abs(c) * abs(u) ** k for k, c in enumerate(series.complex_coefficients)]
+    last = next((k for k in range(len(mags) - 1, -1, -1) if mags[k] > 0), 0)
+    if last == 0:
+        return 0.0
+    window = [k for k in range(max(1, last - 4), last + 1) if mags[k - 1] > 0]
+    ratios = [mags[k] / mags[k - 1] for k in window if mags[k] > 0]
+    q = max([abs(u)] + ratios)
+    q = min(q, 0.999)
+    return mags[last] * q / (1.0 - q)
+
+
+def partial_sum(series, u: Fraction) -> Fraction:
+    """sum_k a_k u^k over the truncated series, exactly."""
+    acc = Fraction(0)
+    for c in reversed(series.coefficients):
+        acc = acc * u + c
+    return acc
+
+
+def _scalar_local(s, x: float) -> complex:
+    return eval_local(s, complex(x if s.base_point == 0 else 1 - x))
+
+
+def scalar_fusing_fit(basis0, basis1, fit_points) -> list[tuple[complex, ...]]:
+    """Rows of the fusing matrix: one least-squares solve per point-0
+    solution, on a collocation matrix built one value at a time."""
+    a = np.array(
+        [[_scalar_local(s, x) for s in basis1.solutions] for x in fit_points], dtype=complex
+    )
+    rows = []
+    for s0 in basis0.solutions:
+        b = np.array([_scalar_local(s0, x) for x in fit_points], dtype=complex)
+        sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+        rows.append(tuple(complex(v) for v in sol))
+    return rows
+
+
+def scalar_heldout_residual(rows, basis0, basis1, points) -> float:
+    """Largest |lhs - rhs| over the points relative to each point-0
+    solution's largest |lhs| there, one value at a time."""
+    resid = 0.0
+    for row, s0 in zip(rows, basis0.solutions):
+        lhs = [_scalar_local(s0, x) for x in points]
+        rhs = [sum(f * _scalar_local(s1, x) for f, s1 in zip(row, basis1.solutions))
+               for x in points]
+        scale = max(max(abs(v) for v in lhs), 1e-300)
+        resid = max(resid, max(abs(l - r) for l, r in zip(lhs, rhs)) / scale)
+    return resid
+
+
+def scalar_associativity_residual(cor, rows, z1: float, z2: float) -> float:
+    """Worst relative product-vs-iterate mismatch over the correlator's
+    channels, with the prefactor z1^(t1 + t2) z^t2 on both sides and the
+    fusing rows `rows`, one channel and one series at a time."""
+    z1c, z2c = complex(z1), complex(z2)
+    z = z2c / z1c
+    basis0, basis1 = cor.fusing.basis0, cor.fusing.basis1
+    pref = cmath.exp(float(cor.anchor.t1 + cor.anchor.t2) * cmath.log(z1c)) * cmath.exp(
+        float(cor.anchor.t2) * cmath.log(z)
+    )
+    worst = 0.0
+    for _, i in cor.channels:
+        prod = pref * eval_local(basis0.solutions[i], z)
+        iterate = pref * sum(f * eval_local(s1, 1 - z) for f, s1 in zip(rows[i], basis1.solutions))
+        worst = max(worst, abs(prod - iterate) / max(abs(prod), abs(iterate), 1e-300))
+    return worst

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from exact_oracles import composed_at_one, recursion_shifts
+from exact_oracles import composed_at_one, recursion_shifts, tail_bound
 from virmin.blocks import (
     EvaluationResult,
     block,
@@ -14,8 +14,16 @@ from virmin.blocks import (
     frobenius_expand,
     residual_orders,
 )
-from virmin import blocks
-from virmin.bpz import CorrelatorSpec, ExponentPair, ODESpec, indicial_exponents, reduced_ode
+from virmin import blocks, crossing
+from virmin.bpz import (
+    CorrelatorSpec,
+    ExponentPair,
+    ODESpec,
+    allowed_channels,
+    channel_exponents,
+    indicial_exponents,
+    reduced_ode,
+)
 from virmin.errors import DomainError, LogarithmicCaseError, ModelViolationError, RangeError
 from virmin.models import KacLabel, MinimalModel
 
@@ -266,3 +274,45 @@ def test_float_local_derivatives_match_exact_form():
                 want = exact_local_derivatives(series, u, ode.order)
                 for g, w in zip(got, want):
                     assert abs(g - w) <= 1e-13 * abs(w)
+
+
+def evaluate_warm_series():
+    """Every series the evaluate-warm benchmark evaluates: the order-50
+    block series of (4,5)<(2,2)^4> and Ising <ssss> in each channel, and
+    the order-60 bases at 0 and 1 of (5,6)<(2,3)^4>."""
+    out = []
+    for model, label in ((MinimalModel(4, 5), KacLabel(2, 2)), (M34, SIGMA)):
+        spec = CorrelatorSpec(model, label, label, label, label)
+        ode, anchor, _ = reduced_ode(spec)
+        for channel in allowed_channels(spec):
+            exps = channel_exponents(spec, channel)
+            out.append(frobenius_expand(ode, 0, exps.t2 - anchor.t2, 50))
+    fm = crossing.correlator(CorrelatorSpec(MinimalModel(5, 6), *[KacLabel(2, 3)] * 4)).fusing
+    return out + list(fm.basis0.solutions) + list(fm.basis1.solutions)
+
+
+def test_tail_bound_and_values_match_the_full_term_scan():
+    """_tail_bound, which scans only the last nonzero term and the five
+    before it, equals the scan over every term; evaluate_series equals
+    eval_local bit for bit, with the tail scaled by |u^rho|."""
+    series_list = evaluate_warm_series()
+    assert len(series_list) == 4 + 2 + 6 + 6
+    for series in series_list:
+        for z in (0, 0.05, 0.3, 0.55, 0.9):
+            u = complex(z) if series.base_point == 0 else 1 - complex(z)
+            assert blocks._tail_bound(series, u) == tail_bound(series, u)
+            if abs(u) >= 1 or (u == 0 and series.exponent < 0):
+                continue  # outside evaluate_series' domain
+            got = evaluate_series(series, z)
+            assert got.value == eval_local(series, u)
+            scale = abs(cmath.exp(float(series.exponent) * cmath.log(u))) if u != 0 else 1.0
+            assert got.tail_bound == tail_bound(series, u) * scale
+            assert series.float_exponent is series.float_exponent
+            assert series.float_exponent == float(series.exponent)
+    # the largest ratio at the start of the window, zeros inside it, and
+    # top terms that underflow at tiny |u|
+    ode = ODESpec(((), (F(0), F(1))))
+    for coeffs in ((1, 1, 1, 100, 1, 1, 1, 1), (1, 2, 0, 3, 0, 0, 5, 1), (1, 0, 0, 0, 0, 0, 0, 7)):
+        series = blocks.FrobeniusSeries(0, F(0), tuple(F(c) for c in coeffs), ode)
+        for u in (1e-200, 1e-3, 0.3, 0.9):
+            assert blocks._tail_bound(series, u) == tail_bound(series, u)

@@ -4,10 +4,11 @@ and safe to share between callers."""
 import importlib
 import json
 import pkgutil
+import sys
 from fractions import Fraction
 
 import virmin
-from virmin import crossing, linalg, verma
+from virmin import blocks, crossing, linalg, verma
 from virmin.blocks import frobenius_expand
 from virmin.bpz import CorrelatorSpec, indicial_exponents, indicial_polynomial, reduced_ode
 from virmin.cache import GramCache
@@ -70,6 +71,37 @@ def test_one_certification_builds_the_bases_once(monkeypatch):
     assert [point for _, point, _ in calls] == [0, 1]
     assert crossing.fusing_matrix.cache_info().misses == 1
     assert crossing.correlator(ORDER4_SPEC, 60).fusing is fm
+
+
+def test_warm_evaluation_converts_nothing_again(monkeypatch):
+    """A warm associativity residual reads its bases' float data and calls
+    neither eval_local nor Rational.__float__; a warm block converts no
+    exponent again."""
+    counts = {"eval_local": 0, "__float__": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    original = blocks.eval_local
+    for name, module in list(sys.modules.items()):
+        if name.startswith("virmin") and getattr(module, "eval_local", None) is original:
+            monkeypatch.setattr(module, "eval_local", counted("eval_local", original))
+    block_spec = CorrelatorSpec(MinimalModel(4, 5), *[KacLabel(2, 2)] * 4)
+    crossing.associativity_residual(ORDER4_SPEC, 1.0, 0.55)
+    blocks.block(block_spec, KacLabel(1, 1), 0.3)
+    # numbers.Rational.__float__, unless the Fraction class overrides it
+    owner = next(c for c in Fraction.__mro__ if "__float__" in vars(c))
+    monkeypatch.setattr(owner, "__float__", counted("__float__", owner.__float__))
+    assert float(Fraction(1, 2)) == 0.5 and counts["__float__"] == 1
+    counts.update(eval_local=0, __float__=0)
+    crossing.associativity_residual(ORDER4_SPEC, 1.1, 0.6)
+    assert counts == {"eval_local": 0, "__float__": 0}
+    blocks.block(block_spec, KacLabel(1, 1), 0.35)
+    assert counts["__float__"] == 0
 
 
 def test_indicial_exponents_returns_a_fresh_list():

@@ -1,10 +1,17 @@
 import cmath
 import math
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
+from exact_oracles import (
+    partial_sum,
+    scalar_associativity_residual,
+    scalar_fusing_fit,
+    scalar_heldout_residual,
+)
 from virmin.blocks import block, eval_local_derivatives, frobenius_expand
 from virmin.bpz import CorrelatorSpec, ODESpec, reduced_ode
 from virmin.continuation import continue_along, lower_arc_path
@@ -14,12 +21,13 @@ from virmin.crossing import (
     braiding_phase,
     channel_basis,
     commutativity_residual,
+    correlator,
     fusing_matrix,
     monodromy_check,
     tensor_block,
 )
-from virmin.errors import ConditioningError, DomainError, FusionError
-from virmin.models import KacLabel, MinimalModel, TensorModel
+from virmin.errors import ConditioningError, DomainError, FusionError, LogarithmicCaseError
+from virmin.models import KacLabel, MinimalModel, TensorModel, kac_table, null_level
 
 F = Fraction
 
@@ -204,3 +212,108 @@ def test_tensor_block_factor_reordering():
     ab = tensor_block(tm, [SIGMA_SPEC, spec25], [KacLabel(1, 1), KacLabel(1, 2)], z, 50)
     ba = tensor_block(tm_swapped, [spec25, SIGMA_SPEC], [KacLabel(1, 2), KacLabel(1, 1)], z, 50)
     assert abs(ab.value - ba.value) / abs(ab.value) < 1e-12
+
+
+# The `virmin crossing` defaults and the grid tolerance of the
+# `ising-crossing` suite.
+GRID_Z1 = (0.9, 1.0, 1.1, 1.2, 1.3)
+GRID_Z = (0.52, 0.54, 0.56, 0.58, 0.60)
+GRID_TOL = 1e-8
+HELDOUT_LIMIT = 1e-8
+# Rational points spanning the fit and held-out range [0.35, 0.65] and
+# the grid range of z = z2/z1.
+RATIONAL_Z = tuple(Fraction(n, d) for n, d in ((7, 20), (2, 5), (1, 2), (13, 25), (14, 25),
+                                                (3, 5), (13, 20)))
+
+
+@pytest.fixture(scope="module")
+def certifying_correlators():
+    """Order-60 correlators of every diagonal <phi phi phi phi>, phi a
+    canonical Kac label of coprime p < q <= 7 with null level 2, 3 or 4,
+    or 6 when q <= 6, whose bases have no logarithmic solution."""
+    found, logarithmic = [], 0
+    for q in range(3, 8):
+        for p in range(2, q):
+            if gcd(p, q) != 1:
+                continue
+            model = MinimalModel(p, q)
+            for label, _ in kac_table(model):
+                level = null_level(model, label)
+                if level in (2, 3, 4) or (level == 6 and q <= 6):
+                    spec = CorrelatorSpec(model, label, label, label, label)
+                    try:
+                        found.append((spec, correlator(spec, 60)))
+                    except LogarithmicCaseError:
+                        logarithmic += 1
+    assert (len(found), logarithmic) == (41, 6)
+    return found
+
+
+def bases(correlators):
+    for _, cor in correlators:
+        yield cor.fusing.basis0
+        yield cor.fusing.basis1
+
+
+def test_basis_values_match_exact_partial_sums(certifying_correlators):
+    """values(u) against the exact partial sum at rational u, times u^rho
+    in floats.  The error is relative to |exact|, floored at 1/100 of the
+    terms' magnitude sum where a solution passes through zero."""
+    for basis in bases(certifying_correlators):
+        for z in RATIONAL_Z:
+            u = z if basis.point == 0 else 1 - z
+            got = basis.values(float(u))
+            assert got.shape == (len(basis.solutions),)
+            for value, series in zip(got, basis.solutions):
+                power = cmath.exp(series.float_exponent * cmath.log(float(u)))
+                want = float(partial_sum(series, u)) * power
+                terms = sum(abs(c) * float(u) ** k
+                            for k, c in enumerate(series.complex_coefficients))
+                floor = 1e-2 * terms * abs(power)
+                assert abs(value - want) <= 1e-13 * max(abs(want), floor)
+
+
+def test_basis_values_array_columns_match_scalar_calls(certifying_correlators):
+    points = np.array([float(z) for z in RATIONAL_Z] + [0.44, 0.56])
+    for basis in bases(certifying_correlators):
+        u = points if basis.point == 0 else 1 - points
+        grid = basis.values(u)
+        assert grid.shape == (len(basis.solutions), len(points))
+        for col, x in enumerate(u):
+            one = basis.values(x)
+            scale = np.maximum(np.abs(one), 1e-300)
+            assert np.all(np.abs(grid[:, col] - one) <= 1e-15 * scale)
+
+
+def test_basis_float_data_is_read_only_and_built_once(certifying_correlators):
+    for basis in bases(certifying_correlators):
+        coeffs, rho = basis.coefficient_matrix, basis.float_exponents
+        assert coeffs is basis.coefficient_matrix and rho is basis.float_exponents
+        assert not coeffs.flags.writeable and not rho.flags.writeable
+        assert coeffs.shape == (len(basis.solutions), basis.solutions[0].order + 1)
+        assert list(rho) == [float(e) for e in basis.exponents]
+    for _, cor in certifying_correlators:
+        rows, idx = cor.channel_rows, cor.channel_indices
+        assert rows is cor.channel_rows and idx is cor.channel_indices
+        assert not rows.flags.writeable and not idx.flags.writeable
+        assert list(idx) == [i for _, i in cor.channels]
+        assert np.array_equal(rows, cor.fusing.as_array()[idx])
+
+
+def test_fusing_fit_matches_the_scalar_fit(certifying_correlators):
+    """The one-lstsq fit on kernel values against the per-point fit on
+    eval_local values: the entries agree to 1e-9 of the largest entry,
+    and the held-out and grid residuals stay below their limits."""
+    for spec, cor in certifying_correlators:
+        fm = cor.fusing
+        rows = scalar_fusing_fit(fm.basis0, fm.basis1, fm.fit_points)
+        got = fm.as_array()
+        assert np.abs(got - np.array(rows)).max() <= 1e-9 * np.abs(got).max()
+        assert fm.residual < HELDOUT_LIMIT
+        scalar = scalar_heldout_residual(rows, fm.basis0, fm.basis1, fm.heldout_points)
+        assert scalar < HELDOUT_LIMIT
+        for z1 in GRID_Z1:
+            for z in GRID_Z:
+                resid = associativity_residual(spec, z1, z * z1, 60)
+                assert resid < GRID_TOL
+                assert abs(resid - scalar_associativity_residual(cor, rows, z1, z * z1)) <= 1e-11
