@@ -61,6 +61,7 @@ from .models import (
     check_label,
     conformal_weight,
     kac_table,
+    reflect,
 )
 from .poly import Poly, degree, normalize_system, ord0, poly, rational_roots
 from .verma import PBWVector
@@ -180,21 +181,39 @@ class CorrelatorSpec:
         for lab in (self.w4, self.w1, self.w2, self.w3):
             check_label(self.model, lab)
 
-    @property
+    @cached_property
     def h4(self) -> Fraction:
         return conformal_weight(self.model, self.w4)
 
-    @property
+    @cached_property
     def h1(self) -> Fraction:
         return conformal_weight(self.model, self.w1)
 
-    @property
+    @cached_property
     def h2(self) -> Fraction:
         return conformal_weight(self.model, self.w2)
 
-    @property
+    @cached_property
     def h3(self) -> Fraction:
         return conformal_weight(self.model, self.w3)
+
+    @cached_property
+    def channels(self) -> dict[KacLabel, ExponentPair]:
+        """Every intermediate channel allowed in both pairings, under both
+        Kac representatives, mapped to its anchor exponents; built once.
+
+        The canonical labels come first, in `kac_table` order, then their
+        reflections (no label is its own reflection: p and q are coprime).
+        """
+        allowed = [
+            (label, ExponentPair(t1=self.h4 - self.h1 - h5, t2=h5 - self.h2 - self.h3))
+            for label, h5 in kac_table(self.model)
+            if fusion_rule(self.model, self.w2, self.w3, label)
+            and fusion_rule(self.model, self.w1, label, self.w4)
+        ]
+        table = dict(allowed)
+        table.update((reflect(self.model, label), exps) for label, exps in allowed)
+        return table
 
 
 def _compose_chain(factors: list[TwoVarOperator]) -> TwoVarOperator:
@@ -243,25 +262,21 @@ class ExponentPair:
 
 def channel_exponents(spec: CorrelatorSpec, channel: KacLabel) -> ExponentPair:
     """Anchor exponents for an intermediate channel: t2 = h5 - h2 - h3,
-    t1 = h4 - h1 - h5.  The channel must be allowed in both pairings."""
+    t1 = h4 - h1 - h5.  The channel must be allowed in both pairings:
+    a label missing from the channel table is checked again to say why."""
+    exps = spec.channels.get(channel)
+    if exps is not None:
+        return exps
     check_label(spec.model, channel)
     if not fusion_rule(spec.model, spec.w2, spec.w3, channel):
         raise FusionError(f"channel {channel} not in {spec.w2} x {spec.w3}")
-    if not fusion_rule(spec.model, spec.w1, channel, spec.w4):
-        raise FusionError(f"channel {channel} not allowed with {spec.w1} into {spec.w4}")
-    h5 = conformal_weight(spec.model, channel)
-    return ExponentPair(t1=spec.h4 - spec.h1 - h5, t2=h5 - spec.h2 - spec.h3)
+    raise FusionError(f"channel {channel} not allowed with {spec.w1} into {spec.w4}")
 
 
 def allowed_channels(spec: CorrelatorSpec) -> list[KacLabel]:
-    """Canonical intermediate labels allowed in both pairings, sorted."""
-    out = []
-    for label, _ in kac_table(spec.model):
-        if fusion_rule(spec.model, spec.w2, spec.w3, label) and fusion_rule(
-            spec.model, spec.w1, label, spec.w4
-        ):
-            out.append(label)
-    return out
+    """Canonical intermediate labels allowed in both pairings, sorted:
+    the first half of the channel table."""
+    return list(spec.channels)[: len(spec.channels) // 2]
 
 
 @dataclass(frozen=True)

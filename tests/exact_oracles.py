@@ -15,6 +15,11 @@ over every term, `partial_sum` in Fractions, and the fusing fit and
 associativity residual evaluated one series and one point at a time
 through `eval_local` (`scalar_fusing_fit`, `scalar_heldout_residual`,
 `scalar_associativity_residual`).
+
+The channel oracles `reference_channel_exponents` and
+`reference_allowed_channels` are the earlier validating paths: every call
+re-checks both fusion pairings and computes the Kac weights in
+Fractions, with no table.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ from math import gcd, lcm
 import numpy as np
 
 from virmin.blocks import eval_local
-from virmin.bpz import ODESpec, TwoVarOperator
-from virmin.errors import ReductionError, StructureError
+from virmin.bpz import CorrelatorSpec, ExponentPair, ODESpec, TwoVarOperator
+from virmin.errors import FusionError, ReductionError, StructureError
+from virmin.fusion import fusion_rule
+from virmin.models import KacLabel, check_label, conformal_weight, kac_table
 from virmin.poly import ZERO, Poly, degree, divide_by_root, ord0, poly
 
 ONE: Poly = (Fraction(1),)
@@ -465,3 +472,26 @@ def scalar_associativity_residual(cor, rows, z1: float, z2: float) -> float:
         iterate = pref * sum(f * eval_local(s1, 1 - z) for f, s1 in zip(rows[i], basis1.solutions))
         worst = max(worst, abs(prod - iterate) / max(abs(prod), abs(iterate), 1e-300))
     return worst
+
+
+def reference_channel_exponents(spec: CorrelatorSpec, channel: KacLabel) -> ExponentPair:
+    """Anchor exponents for an intermediate channel: t2 = h5 - h2 - h3,
+    t1 = h4 - h1 - h5.  The channel must be allowed in both pairings."""
+    check_label(spec.model, channel)
+    if not fusion_rule(spec.model, spec.w2, spec.w3, channel):
+        raise FusionError(f"channel {channel} not in {spec.w2} x {spec.w3}")
+    if not fusion_rule(spec.model, spec.w1, channel, spec.w4):
+        raise FusionError(f"channel {channel} not allowed with {spec.w1} into {spec.w4}")
+    h5 = conformal_weight(spec.model, channel)
+    return ExponentPair(t1=spec.h4 - spec.h1 - h5, t2=h5 - spec.h2 - spec.h3)
+
+
+def reference_allowed_channels(spec: CorrelatorSpec) -> list[KacLabel]:
+    """Canonical intermediate labels allowed in both pairings, sorted."""
+    out = []
+    for label, _ in kac_table(spec.model):
+        if fusion_rule(spec.model, spec.w2, spec.w3, label) and fusion_rule(
+            spec.model, spec.w1, label, spec.w4
+        ):
+            out.append(label)
+    return out

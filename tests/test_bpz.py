@@ -13,6 +13,8 @@ from exact_oracles import (
     pscale,
     ratz_reduce_to_ode,
     recursion_shifts,
+    reference_allowed_channels,
+    reference_channel_exponents,
     reference_indicial_polynomial,
 )
 
@@ -36,11 +38,12 @@ from virmin.bpz import (
 from virmin.errors import (
     FusionError,
     ModelViolationError,
+    RangeError,
     ReductionError,
     ShapeError,
     StructureError,
 )
-from virmin.models import KacLabel, MinimalModel
+from virmin.models import KacLabel, MinimalModel, kac_table
 from virmin.poly import normalize_system
 from virmin.verma import PBWVector, singular_vectors
 
@@ -188,6 +191,54 @@ def test_anchor_sum_is_weight_balance():
         for channel in allowed_channels(spec):
             e = channel_exponents(spec, channel)
             assert e.t1 + e.t2 == spec.h4 - spec.h1 - spec.h2 - spec.h3
+
+
+def _outcome(fn, spec, channel):
+    try:
+        return fn(spec, channel)
+    except (RangeError, FusionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_channel_table_matches_the_validating_oracle():
+    """The cached channel table answers every label as the earlier
+    per-call validation did: the same exponents, or the same exception
+    type and message on every call; the same canonical channel list."""
+    models = [MinimalModel(p, q) for q in range(3, 8) for p in range(2, q) if gcd(p, q) == 1]
+    specs = [
+        CorrelatorSpec(model, *[label] * 4) for model in models for label, _ in kac_table(model)
+    ]
+    m56 = MinimalModel(5, 6)
+    specs += [
+        CorrelatorSpec(m56, KacLabel(1, 2), KacLabel(1, 2), KacLabel(1, 3), KacLabel(1, 3)),
+        CorrelatorSpec(m56, KacLabel(2, 1), KacLabel(1, 2), KacLabel(2, 2), KacLabel(1, 3)),
+        CorrelatorSpec(MinimalModel(4, 5), *[KacLabel(1, 2), KacLabel(2, 1)] * 2),
+        CorrelatorSpec(M34, SIGMA, SIGMA, EPS, EPS),
+        CorrelatorSpec(M34, SIGMA, SIGMA, SIGMA, EPS),  # no allowed channel
+    ]
+    kinds = set()
+    for spec in specs:
+        model = spec.model
+        assert allowed_channels(spec) == reference_allowed_channels(spec), spec
+        labels = [KacLabel(m, n) for m in range(model.p + 1) for n in range(model.q + 1)]
+        for channel in labels:
+            want = _outcome(reference_channel_exponents, spec, channel)
+            assert _outcome(channel_exponents, spec, channel) == want, (spec, channel)
+            assert _outcome(channel_exponents, spec, channel) == want, (spec, channel)
+            if isinstance(want, ExponentPair):
+                kinds.add("allowed")
+            elif want[0] is RangeError:
+                kinds.add("off-table")
+            else:
+                kinds.add("second pairing" if "into" in want[1] else "first pairing")
+    assert kinds == {"allowed", "off-table", "first pairing", "second pairing"}
+    assert not allowed_channels(specs[-1])
+
+
+def test_allowed_channels_returns_a_fresh_list():
+    first = allowed_channels(SIGMA_SPEC)
+    first.append(SIGMA)
+    assert allowed_channels(SIGMA_SPEC) == [KacLabel(1, 1), EPS]
 
 
 def test_sigma_reduction_matches_hand_derivation():

@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import virmin
-from virmin import blocks, crossing, linalg, verma
+from virmin import blocks, bpz, crossing, linalg, verma
 from virmin.blocks import frobenius_expand
 from virmin.bpz import CorrelatorSpec, indicial_exponents, indicial_polynomial, reduced_ode
 from virmin.cache import GramCache
@@ -102,6 +102,38 @@ def test_warm_evaluation_converts_nothing_again(monkeypatch):
     assert counts == {"eval_local": 0, "__float__": 0}
     blocks.block(block_spec, KacLabel(1, 1), 0.35)
     assert counts["__float__"] == 0
+
+
+def test_warm_channel_reads_do_no_fusion_or_weight_arithmetic(monkeypatch):
+    """A warm block and a warm channel_exponents read the spec's channel
+    table: no fusion_rule and no conformal_weight call.  An equal spec
+    built afresh builds its own table and still hits the reduced_ode memo."""
+    counts = {"fusion_rule": 0, "conformal_weight": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    labels = [KacLabel(2, 2)] * 4
+    spec = CorrelatorSpec(MinimalModel(4, 5), *labels)
+    blocks.block(spec, KacLabel(1, 1), 0.3)
+    channels = bpz.allowed_channels(spec)
+    for name in counts:
+        monkeypatch.setattr(bpz, name, counted(name, getattr(bpz, name)))
+    blocks.block(spec, KacLabel(1, 1), 0.35)
+    for channel in channels:
+        bpz.channel_exponents(spec, channel)
+    assert len(channels) > 1 and counts == {"fusion_rule": 0, "conformal_weight": 0}
+    fresh = CorrelatorSpec(MinimalModel(4, 5), *labels)
+    assert fresh == spec and fresh is not spec and hash(fresh) == hash(spec)
+    assert bpz.allowed_channels(fresh) == channels
+    assert counts["fusion_rule"] > 0 and counts["conformal_weight"] > 0
+    hits = reduced_ode.cache_info().hits
+    assert reduced_ode(fresh) is reduced_ode(spec)
+    assert reduced_ode.cache_info().hits == hits + 2
 
 
 def test_indicial_exponents_returns_a_fresh_list():

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,53 @@ def test_kac_determinant_vanishes_at_null_levels():
                         continue
                     params = VermaParams(c, conformal_weight(model, KacLabel(m, n)))
                     assert kac_determinant(params, m * n) == 0
+
+
+def _partition_counts(n: int) -> list[int]:
+    """P(0), ..., P(n) by the coin-change recursion over part sizes."""
+    counts = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            counts[k] += counts[k - part]
+    return counts
+
+
+def _kac_product(t: Fraction, h: Fraction, level: int, shifted=None) -> Fraction:
+    """The Kac product formula at c = 13 - 6(t + 1/t):
+    K_N prod_{rs <= N} (h - h_{r,s})^P(N - rs), with
+    K_N = prod_{rs <= N} ((2r)^s s!)^(P(N - rs) - P(N - r(s+1))).
+    `shifted` = (r, s) moves that one h_{r,s} up by 1."""
+    P = _partition_counts(level)
+
+    def p(n):
+        return P[n] if n >= 0 else 0
+
+    out = F(1)
+    for r in range(1, level + 1):
+        for s in range(1, level // r + 1):
+            h_rs = ((r * r - 1) * t + (s * s - 1) / t) / 4 - F(r * s - 1, 2)
+            if (r, s) == shifted:
+                h_rs += 1
+            out *= F((2 * r) ** s * factorial(s)) ** (p(level - r * s) - p(level - r * (s + 1)))
+            out *= (h - h_rs) ** p(level - r * s)
+    return out
+
+
+@pytest.mark.parametrize("t", [F(7, 3), F(-2, 5), F(11, 4)])
+def test_kac_determinant_matches_the_product_formula(t):
+    """kac_determinant against the Kac product formula, exactly, at three
+    weights per central charge (one of them h_{1,2}, where both sides
+    vanish from level 2 on) and levels 1-8; the formula with one h_{r,s}
+    moved fails at the generic weights."""
+    c = 13 - 6 * (t + 1 / t)
+    h12 = (3 / t) / 4 - F(1, 2)
+    for h in (F(1, 3), F(-5, 7), h12):
+        for level in range(1, 9):
+            det = kac_determinant(VermaParams(c, h), level)
+            assert det == _kac_product(t, h, level), (h, level)
+            assert (det == 0) == (h == h12 and level >= 2)
+            if h != h12 and level >= 2:
+                assert det != _kac_product(t, h, level, shifted=(1, 2))
 
 
 # sha256 prefixes of "n/d" of the level-11 determinants at
