@@ -324,6 +324,18 @@ class ODESpec:
         return out
 
     @cached_property
+    def leading_roots(self) -> np.ndarray:
+        """The distinct roots of the leading coefficient c_k, the finite
+        singular points, as a read-only complex array computed once:
+        rational roots exactly, then rounded, and any others by
+        numpy.roots.  Empty when c_k is constant."""
+        rational, rest = rational_roots(self.coefficients[-1])
+        others = np.roots([complex(c) for c in reversed(rest)]) if rest else []
+        out = np.array([complex(r) for r, _ in rational] + list(others), dtype=complex)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def shifted_to_one(self) -> "ODESpec":
         """The same ODE in the local variable u = 1 - z, built once.
 

@@ -8,9 +8,15 @@ without any reference to the local exponents, which is what makes the
 monodromy and commutativity checks independent of the Frobenius
 construction they certify.
 
-A step is linear in the state, so a (k, m) matrix whose columns are m
-solution states is transported at once: the recursion runs once per
-Taylor order as a matrix-vector product over all columns.
+A step is linear in the state, so it is a (k, k) transfer matrix.  The
+matrices of all S steps of a path are computed together: the shifted
+coefficients, the band of Toeplitz weights and the Taylor recursion
+carry a leading step axis, so the recursion runs once over the Taylor
+orders for the whole path, one batched matrix product per order.  The
+state, a (k,) vector or a (k, m) matrix of m solution states, is then
+multiplied through the chain of matrices.  A step that reaches as far
+as the nearest singular point, where its series diverges, raises
+DomainError.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bpz import ODESpec
 from .errors import DomainError
@@ -39,10 +44,10 @@ def _falling_table(rows: int, cols: int) -> np.ndarray:
 class _StepTables(NamedTuple):
     binom: np.ndarray  # comb(b, d), zero for d > b
     shift_power: np.ndarray  # max(b - d, 0), the power of p in the shift
-    band: tuple  # where gamma[i, d] goes in the padded rows, see taylor_step
-    falling: np.ndarray  # ff(j, i)
-    lead_div: np.ndarray  # ff(n + k, k) for n = 0 .. order - k
-    inv_fact: np.ndarray  # 1 / t! for t < k, as a column
+    band_rows: np.ndarray  # i, as a column
+    band_power: np.ndarray  # d = i + width - 1 - r clipped, see _transfer_matrices
+    band_weight: np.ndarray  # [r, i, n]: ff(j, i) / ff(n + k, k), zero off the band
+    identity: np.ndarray  # diag(1 / t!): the Taylor coefficients of the unit states
     eval_power: np.ndarray  # max(n - t, 0), the power of dz at target
     evaluation: np.ndarray  # ff(n, t), zero for n < t
 
@@ -55,73 +60,117 @@ def _step_tables(k: int, width: int, order: int) -> _StepTables:
     ff = _falling_table(k + 1, order + 1)
     rows, cols = np.arange(width)[:, None], np.arange(width)[None, :]
     power = np.arange(order + 1)[None, :] - np.arange(k)[:, None]
-    i = np.arange(k + 1)[:, None]
+    band = width + k - 1
+    i = np.arange(k + 1)[:, None, None]
+    n = np.arange(order - k + 1)[None, :, None]
+    r = np.arange(band)[None, None, :]
+    d = i + width - 1 - r
+    j = n + k - band + r
+    on_band = (d >= 0) & (d < width) & (j >= 0)
+    weight = np.where(on_band, ff[i, np.maximum(j, 0)], 0.0) / ff[k, k:][None, :, None]
     return _StepTables(
         binom=np.array([[comb(r, c) for c in range(width)] for r in range(width)], float),
         shift_power=np.maximum(rows - cols, 0),
-        band=(i, order + i - np.arange(width)[None, :]),
-        falling=ff[:, None, :],
-        lead_div=ff[k, k:],
-        inv_fact=np.array([[1.0 / factorial(t)] for t in range(k)]),
+        band_rows=i[:, 0],
+        band_power=np.clip(d[:, 0, :], 0, width - 1),
+        band_weight=weight.transpose(2, 0, 1).astype(complex),
+        identity=np.diag([1.0 / factorial(t) for t in range(k)]),
         eval_power=np.maximum(power, 0),
         evaluation=np.where(power >= 0, ff[:k], 0.0),
     )
 
 
-def taylor_step(
-    ode: ODESpec, p: complex, state, target: complex, order: int = 40
-) -> np.ndarray:
-    """Advance the solution state from the ordinary point p to target.
+def _check_steps(ode: ODESpec, starts: np.ndarray, targets: np.ndarray, lead) -> None:
+    """Raise DomainError for the first step that starts at a singular
+    point, else for the first whose length reaches the distance from its
+    start to the nearest root of the leading coefficient, where its
+    Taylor series stops converging."""
+    singular = np.flatnonzero(np.abs(lead) < 1e-300)
+    if singular.size:
+        p = complex(starts[singular[0]])
+        raise DomainError(f"{p} is too close to a singular point for a Taylor step")
+    length = np.abs(targets - starts)
+    roots = ode.leading_roots
+    reach = np.abs(starts[:, None] - roots[None, :]).min(axis=1, initial=np.inf)
+    far = np.flatnonzero(length >= reach)
+    if far.size:
+        s = far[0]
+        raise DomainError(
+            f"a Taylor step from {complex(starts[s])} to {complex(targets[s])} has length "
+            f"{length[s]:.3g}, not below {reach[s]:.3g}, the distance to the nearest "
+            "singular point, so its series diverges"
+        )
 
-    state holds [y, y', ..., y^(k-1)] at p, either as a vector of shape
-    (k,) or as the columns of a (k, m) matrix; the result has its shape.
-    """
+
+def _transfer_matrices(
+    ode: ODESpec, starts: np.ndarray, targets: np.ndarray, order: int
+) -> np.ndarray:
+    """The (S, k, k) matrices that map the state [y, ..., y^(k-1)] at
+    starts[s] to the state at targets[s], for all S steps at once."""
     k = ode.order
     coeffs = ode.complex_coefficients
     width = coeffs.shape[1]
     tab = _step_tables(k, width, order)
-    # gamma[i, d]: coefficient of t^d in c_i(p + t)
-    gamma = coeffs @ (tab.binom * (complex(p) ** np.arange(width))[tab.shift_power])
-    lead = gamma[k, 0]
-    if abs(lead) < 1e-300:
-        raise DomainError(f"{p} is too close to a singular point for a Taylor step")
+    # gamma[s, i, d]: coefficient of t^d in c_i(starts[s] + t)
+    powers = starts[:, None] ** np.arange(width)
+    gamma = coeffs @ (tab.binom * powers[:, tab.shift_power])
+    lead = gamma[:, k, 0]
+    _check_steps(ode, starts, targets, lead)
     # The coefficient of t^n in sum_i c_i(p + t) y^(i)(p + t) is
-    # sum_j W[n, j] b[j] with W[n, j] = sum_i ff(j, i) gamma[i, n + i - j].
-    # Row i of `padded` holds gamma[i, d] at position order + i - d and
-    # zeros elsewhere, so gamma[i, n + i - j] = padded[i, order - n + j]:
-    # window order - n of row i is row n of that Toeplitz matrix.
-    # Solving for b[n + k], whose term is the leading gamma[k, 0] ff(n + k, k),
-    # gives b[n + k] = sum_{j < n + k} w[n, j] b[j].
-    padded = np.zeros((k + 1, 2 * order + 1), dtype=complex)
-    padded[tab.band] = gamma
-    windows = sliding_window_view(padded, order + 1, axis=1)[:, k:][:, ::-1]
-    w = (tab.falling * windows).sum(axis=0)
-    w /= -lead * tab.lead_div[:, None]
+    # sum_i sum_d gamma[i, d] ff(j, i) b[j] with j = n + i - d.  Solving for
+    # b[n + k], whose term is the leading gamma[k, 0] ff(n + k, k), gives
+    # b[n + k] = sum_j w[n, j] b[j]; w is a Toeplitz band, nonzero only for
+    # the B = width + k - 1 indices j = n + k - B + r, r < B, and on that
+    # band the power d = i + width - 1 - r does not depend on n, so the
+    # band is a product over i of gamma and a table of falling factorials;
+    # the (S, k + 1, order - k + 1, B) array of its terms is never formed.
+    band = width + k - 1
+    g = gamma[:, tab.band_rows, tab.band_power] / -lead[:, None, None]
+    # w[r, s, n] = sum_i g[s, i, r] weight[r, i, n], one product per band
+    # position r, laid out as w[n, s, 0, r] for the recursion.
+    w = np.matmul(g.transpose(2, 0, 1), tab.band_weight).transpose(2, 1, 0)
+    w = np.ascontiguousarray(w)[:, :, None, :]
 
-    # einsum sums each column in the same order whatever the number of
-    # columns, so a column of a batch equals the same state stepped alone.
-    state = np.asarray(state, dtype=complex)
-    b = np.empty((order + 1, state.size // k), dtype=complex)
-    b[:k] = state.reshape(k, -1) * tab.inv_fact
+    # Column c of b[s] holds the Taylor coefficients of the solution with
+    # unit state e_c at starts[s]; b[j] is row j + band - k of padded, whose
+    # first band - k rows are the zeros below j = 0.
+    padded = np.zeros((len(starts), order + 1 + band - k, k), dtype=complex)
+    padded[:, band - k : band] = tab.identity
     for n in range(order - k + 1):
-        np.einsum("j,jm->m", w[n, : n + k], b[: n + k], out=b[n + k])
+        np.matmul(w[n], padded[:, n : n + band], out=padded[:, n + band : n + band + 1])
 
-    dz = complex(target) - complex(p)
-    at_target = tab.evaluation * (dz ** np.arange(order + 1))[tab.eval_power]
-    return np.einsum("tn,nm->tm", at_target, b).reshape(state.shape)
+    dz = targets - starts
+    at_target = tab.evaluation * (dz[:, None] ** np.arange(order + 1))[:, tab.eval_power]
+    return at_target @ padded[:, band - k :]
 
 
 def continue_along(
     ode: ODESpec, start: complex, state, path, order: int = 40
 ) -> np.ndarray:
-    """Chain Taylor steps through the given waypoints; state is a (k,)
-    vector or a (k, m) matrix of states, as for taylor_step."""
-    p = complex(start)
-    cur = np.asarray(state, dtype=complex)
-    for target in path:
-        cur = taylor_step(ode, p, cur, complex(target), order)
-        p = complex(target)
-    return cur
+    """Continue the state from start through the waypoints of path by
+    Taylor steps; state is a (k,) vector or a (k, m) matrix whose columns
+    are states, and the result has its shape.
+
+    Raises DomainError if a step starts at a singular point or reaches
+    as far as the nearest one.
+    """
+    targets = np.fromiter(path, dtype=complex)
+    starts = np.concatenate(([complex(start)], targets))[:-1]
+    state = np.asarray(state, dtype=complex)
+    cur = state.reshape(ode.order, -1)
+    # einsum sums each column in the same order whatever the number of
+    # columns, so a column of a batch equals the same state continued alone.
+    for step in _transfer_matrices(ode, starts, targets, order):
+        cur = np.einsum("tj,jm->tm", step, cur)
+    return cur.reshape(state.shape)
+
+
+def taylor_step(
+    ode: ODESpec, p: complex, state, target: complex, order: int = 40
+) -> np.ndarray:
+    """Advance the state from the ordinary point p to target: the
+    one-step case of continue_along."""
+    return continue_along(ode, p, state, [target], order)
 
 
 def circle_path(radius: float, steps: int) -> list[complex]:

@@ -18,7 +18,7 @@ Tensor-product models fuse factorwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -32,7 +32,6 @@ from .models import (
     check_label,
     check_tensor_label,
     kac_table,
-    reflect,
 )
 
 
@@ -58,13 +57,14 @@ def fusion_rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacLabel) -> i
     Invariant under canonicalization and under permutations of the three
     slots (the minimal models are self-dual).
     """
+    p, q = model.p, model.q
+    reps = []
     for lab in (a, b, c):
         check_label(model, lab)
-    for ra in (a, reflect(model, a)):
-        for rb in (b, reflect(model, b)):
-            for rc in (c, reflect(model, c)):
-                if _triple_ok(model.p, model.q, ra.as_tuple(), rb.as_tuple(), rc.as_tuple()):
-                    return 1
+        reps.append(((lab.m, lab.n), (p - lab.m, q - lab.n)))
+    for ra, rb, rc in product(*reps):
+        if _triple_ok(p, q, ra, rb, rc):
+            return 1
     return 0
 
 
@@ -98,8 +98,22 @@ class FusionTable:
     labels: tuple[KacLabel, ...]
     table: np.ndarray  # shape (k, k, k), dtype int8; symmetric in all slots
 
+    @cached_property
+    def _positions(self) -> dict[tuple[int, int], int]:
+        """Both Kac representatives (m, n) of every label, mapped to its
+        index; built once."""
+        p, q = self.model.p, self.model.q
+        out = {}
+        for i, lab in enumerate(self.labels):
+            out[lab.m, lab.n] = out[p - lab.m, q - lab.n] = i
+        return out
+
     def index(self, label: KacLabel) -> int:
-        return self.labels.index(canonicalize(self.model, label))
+        try:
+            return self._positions[label.m, label.n]
+        except KeyError:
+            check_label(self.model, label)  # raises: every valid label is a key
+            raise
 
     def multiplicity(self, a: KacLabel, b: KacLabel, c: KacLabel) -> int:
         return int(self.table[self.index(a), self.index(b), self.index(c)])

@@ -19,7 +19,14 @@ through `eval_local` (`scalar_fusing_fit`, `scalar_heldout_residual`,
 The channel oracles `reference_channel_exponents` and
 `reference_allowed_channels` are the earlier validating paths: every call
 re-checks both fusion pairings and computes the Kac weights in
-Fractions, with no table.
+Fractions, with no table.  `reference_fusion_rule` is the earlier rule
+that builds each reflected representative as a KacLabel and tries the
+eight choices in turn.
+
+`reference_taylor_step` is the earlier continuation kernel: one Taylor
+step, with its own shift, Toeplitz weights and recursion, applied to the
+state directly; chaining it along a path is the reference for the
+batched transfer matrices of `virmin.continuation`.
 """
 
 from __future__ import annotations
@@ -27,15 +34,25 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import lru_cache
+from math import comb, factorial, gcd, lcm
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from virmin.blocks import eval_local
 from virmin.bpz import CorrelatorSpec, ExponentPair, ODESpec, TwoVarOperator
-from virmin.errors import FusionError, ReductionError, StructureError
-from virmin.fusion import fusion_rule
-from virmin.models import KacLabel, check_label, conformal_weight, kac_table
+from virmin.errors import DomainError, FusionError, ReductionError, StructureError
+from virmin.fusion import _triple_ok
+from virmin.models import (
+    KacLabel,
+    MinimalModel,
+    check_label,
+    conformal_weight,
+    kac_table,
+    reflect,
+)
 from virmin.poly import ZERO, Poly, degree, divide_by_root, ord0, poly
 
 ONE: Poly = (Fraction(1),)
@@ -478,9 +495,9 @@ def reference_channel_exponents(spec: CorrelatorSpec, channel: KacLabel) -> Expo
     """Anchor exponents for an intermediate channel: t2 = h5 - h2 - h3,
     t1 = h4 - h1 - h5.  The channel must be allowed in both pairings."""
     check_label(spec.model, channel)
-    if not fusion_rule(spec.model, spec.w2, spec.w3, channel):
+    if not reference_fusion_rule(spec.model, spec.w2, spec.w3, channel):
         raise FusionError(f"channel {channel} not in {spec.w2} x {spec.w3}")
-    if not fusion_rule(spec.model, spec.w1, channel, spec.w4):
+    if not reference_fusion_rule(spec.model, spec.w1, channel, spec.w4):
         raise FusionError(f"channel {channel} not allowed with {spec.w1} into {spec.w4}")
     h5 = conformal_weight(spec.model, channel)
     return ExponentPair(t1=spec.h4 - spec.h1 - h5, t2=h5 - spec.h2 - spec.h3)
@@ -490,8 +507,105 @@ def reference_allowed_channels(spec: CorrelatorSpec) -> list[KacLabel]:
     """Canonical intermediate labels allowed in both pairings, sorted."""
     out = []
     for label, _ in kac_table(spec.model):
-        if fusion_rule(spec.model, spec.w2, spec.w3, label) and fusion_rule(
-            spec.model, spec.w1, label, spec.w4
-        ):
+        if reference_fusion_rule(
+            spec.model, spec.w2, spec.w3, label
+        ) and reference_fusion_rule(spec.model, spec.w1, label, spec.w4):
             out.append(label)
     return out
+
+
+def reference_fusion_rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacLabel) -> int:
+    """Multiplicity N_{ab}^c, either 0 or 1, trying every choice of
+    reflection representatives."""
+    for lab in (a, b, c):
+        check_label(model, lab)
+    for ra in (a, reflect(model, a)):
+        for rb in (b, reflect(model, b)):
+            for rc in (c, reflect(model, c)):
+                if _triple_ok(model.p, model.q, ra.as_tuple(), rb.as_tuple(), rc.as_tuple()):
+                    return 1
+    return 0
+
+
+def _falling_table(rows: int, cols: int) -> np.ndarray:
+    """ff[i, j] = j (j-1) ... (j-i+1) for i < rows, j < cols."""
+    j = np.arange(cols, dtype=float)
+    ff = np.ones((rows, cols))
+    for i in range(1, rows):
+        ff[i] = ff[i - 1] * (j - (i - 1))
+    return ff
+
+
+class _StepTables(NamedTuple):
+    binom: np.ndarray  # comb(b, d), zero for d > b
+    shift_power: np.ndarray  # max(b - d, 0), the power of p in the shift
+    band: tuple  # where gamma[i, d] goes in the padded rows, see reference_taylor_step
+    falling: np.ndarray  # ff(j, i)
+    lead_div: np.ndarray  # ff(n + k, k) for n = 0 .. order - k
+    inv_fact: np.ndarray  # 1 / t! for t < k, as a column
+    eval_power: np.ndarray  # max(n - t, 0), the power of dz at target
+    evaluation: np.ndarray  # ff(n, t), zero for n < t
+
+
+@lru_cache(maxsize=32)
+def _step_tables(k: int, width: int, order: int) -> _StepTables:
+    """Index and weight tables of a Taylor step; they depend only on the
+    ODE order k, the coefficient width (largest degree + 1) and the
+    Taylor order."""
+    ff = _falling_table(k + 1, order + 1)
+    rows, cols = np.arange(width)[:, None], np.arange(width)[None, :]
+    power = np.arange(order + 1)[None, :] - np.arange(k)[:, None]
+    i = np.arange(k + 1)[:, None]
+    return _StepTables(
+        binom=np.array([[comb(r, c) for c in range(width)] for r in range(width)], float),
+        shift_power=np.maximum(rows - cols, 0),
+        band=(i, order + i - np.arange(width)[None, :]),
+        falling=ff[:, None, :],
+        lead_div=ff[k, k:],
+        inv_fact=np.array([[1.0 / factorial(t)] for t in range(k)]),
+        eval_power=np.maximum(power, 0),
+        evaluation=np.where(power >= 0, ff[:k], 0.0),
+    )
+
+
+def reference_taylor_step(
+    ode: ODESpec, p: complex, state, target: complex, order: int = 40
+) -> np.ndarray:
+    """Advance the solution state from the ordinary point p to target.
+
+    state holds [y, y', ..., y^(k-1)] at p, either as a vector of shape
+    (k,) or as the columns of a (k, m) matrix; the result has its shape.
+    """
+    k = ode.order
+    coeffs = ode.complex_coefficients
+    width = coeffs.shape[1]
+    tab = _step_tables(k, width, order)
+    # gamma[i, d]: coefficient of t^d in c_i(p + t)
+    gamma = coeffs @ (tab.binom * (complex(p) ** np.arange(width))[tab.shift_power])
+    lead = gamma[k, 0]
+    if abs(lead) < 1e-300:
+        raise DomainError(f"{p} is too close to a singular point for a Taylor step")
+    # The coefficient of t^n in sum_i c_i(p + t) y^(i)(p + t) is
+    # sum_j W[n, j] b[j] with W[n, j] = sum_i ff(j, i) gamma[i, n + i - j].
+    # Row i of `padded` holds gamma[i, d] at position order + i - d and
+    # zeros elsewhere, so gamma[i, n + i - j] = padded[i, order - n + j]:
+    # window order - n of row i is row n of that Toeplitz matrix.
+    # Solving for b[n + k], whose term is the leading gamma[k, 0] ff(n + k, k),
+    # gives b[n + k] = sum_{j < n + k} w[n, j] b[j].
+    padded = np.zeros((k + 1, 2 * order + 1), dtype=complex)
+    padded[tab.band] = gamma
+    windows = sliding_window_view(padded, order + 1, axis=1)[:, k:][:, ::-1]
+    w = (tab.falling * windows).sum(axis=0)
+    w /= -lead * tab.lead_div[:, None]
+
+    # einsum sums each column in the same order whatever the number of
+    # columns, so a column of a batch equals the same state stepped alone.
+    state = np.asarray(state, dtype=complex)
+    b = np.empty((order + 1, state.size // k), dtype=complex)
+    b[:k] = state.reshape(k, -1) * tab.inv_fact
+    for n in range(order - k + 1):
+        np.einsum("j,jm->m", w[n, : n + k], b[: n + k], out=b[n + k])
+
+    dz = complex(target) - complex(p)
+    at_target = tab.evaluation * (dz ** np.arange(order + 1))[tab.eval_power]
+    return np.einsum("tn,nm->tm", at_target, b).reshape(state.shape)

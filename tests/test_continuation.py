@@ -6,6 +6,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from exact_oracles import reference_taylor_step
 from virmin.blocks import eval_local_derivatives
 from virmin.bpz import CorrelatorSpec, ODESpec, reduced_ode
 from virmin.continuation import circle_path, continue_along, lower_arc_path, taylor_step
@@ -90,10 +91,10 @@ COMMUTATIVITY_SPECS = [
 COMMUTATIVITY_PATH = lower_arc_path(0.5, 16) + [1.35, 1.5, 1.65]
 
 
-def _start_states(spec: CorrelatorSpec):
+def _start_states(spec: CorrelatorSpec, start: float = 0.5):
     ode = reduced_ode(spec)[0]
     basis = channel_basis(ode, 0, 60)
-    states = [eval_local_derivatives(s, 0.5 + 0j, ode.order) for s in basis.solutions]
+    states = [eval_local_derivatives(s, complex(start), ode.order) for s in basis.solutions]
     return ode, np.column_stack(states)
 
 
@@ -169,3 +170,75 @@ def test_vector_state_returns_vector():
     assert out.shape == (ode.order,)
     assert continue_along(ode, 0.5, states[:, 0], [0.6, 0.7]).shape == (ode.order,)
     assert np.array_equal(out, taylor_step(ode, 0.5, states[:, :1], 0.6)[:, 0])
+
+
+def _chained_reference(ode, start, states, path):
+    p = complex(start)
+    for target in path:
+        states = reference_taylor_step(ode, p, states, complex(target))
+        p = complex(target)
+    return states
+
+
+PATHS = {
+    "commutativity": (0.5, COMMUTATIVITY_PATH),
+    "circle": (0.35, circle_path(0.35, 24)),
+}
+
+
+@pytest.mark.parametrize("path_name", sorted(PATHS))
+@pytest.mark.parametrize("spec", COMMUTATIVITY_SPECS, ids=str)
+def test_transfer_matrices_match_chained_reference_steps(spec, path_name):
+    start, path = PATHS[path_name]
+    ode, states = _start_states(spec, start)
+    got = continue_along(ode, start, states, path)
+    want = _chained_reference(ode, start, states, path)
+    for j in range(states.shape[1]):
+        assert np.abs(got[:, j] - want[:, j]).max() <= 1e-12 * np.abs(want[:, j]).max()
+
+
+def test_empty_path_returns_the_state():
+    ode, states = _start_states(COMMUTATIVITY_SPECS[1])
+    for state in (states, states[:, 0], states[:, :1]):
+        out = continue_along(ode, 0.5, state, [])
+        assert out.shape == state.shape
+        assert np.array_equal(out, state)
+
+
+def test_one_step_path_is_taylor_step():
+    ode, states = _start_states(COMMUTATIVITY_SPECS[2])
+    for state in (states, states[:, 1]):
+        out = continue_along(ode, 0.5, state, [0.6 - 0.1j])
+        assert np.array_equal(out, taylor_step(ode, 0.5, state, 0.6 - 0.1j))
+        want = reference_taylor_step(ode, 0.5, state, 0.6 - 0.1j)
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_singular_point_at_a_later_step_start_rejected():
+    ode = ODESpec(((F(-1, 3),), (F(0), F(1))))  # leading coefficient z
+    path = [0.25, 0.0, 0.1]
+    with pytest.raises(DomainError) as want:
+        _chained_reference(ode, 0.5, [1.0 + 0j], path)
+    with pytest.raises(DomainError) as got:
+        continue_along(ode, 0.5, [1.0 + 0j], path)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "0j is too close to a singular point for a Taylor step"
+
+
+@pytest.mark.parametrize("target", [-0.6, 1.2, 1.0, 0.5 + 0.5j])
+def test_step_beyond_disc_of_convergence_rejected(target):
+    # z y' = y / 3 from 0.5: the series converges for |dz| < 0.5 only
+    ode = ODESpec(((F(-1, 3),), (F(0), F(1))))
+    state = [0.5 ** (1 / 3) + 0j]
+    with pytest.raises(DomainError, match="series diverges"):
+        taylor_step(ode, 0.5, state, target)
+    with pytest.raises(DomainError, match=r"from \(0\.6\+0j\)"):
+        continue_along(ode, 0.5, state, [0.6, 0.6 + (target - 0.5) * 1.3])
+
+
+def test_leading_roots():
+    assert ODESpec(((F(1),), (F(1),))).leading_roots.size == 0
+    roots = reduced_ode(COMMUTATIVITY_SPECS[2])[0].leading_roots  # z^5 (1 - z)^6
+    assert sorted(roots.tolist(), key=abs) == [0, 1]
+    roots = ODESpec(((F(1),), (F(1), F(0), F(1)))).leading_roots  # 1 + z^2
+    assert np.allclose(sorted(roots.tolist(), key=lambda r: r.imag), [-1j, 1j])

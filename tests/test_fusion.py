@@ -4,6 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from exact_oracles import reference_fusion_rule
 from virmin import fusion
 from virmin.errors import RangeError, ShapeError
 from virmin.fusion import (
@@ -143,6 +144,45 @@ def test_fusion_table_matches_rule_for_all_models_up_to_9():
             ).reshape(k, k, k)
             assert ft.table.dtype == np.int8
             assert np.array_equal(ft.table, want), model
+
+
+def _coprime_models(q_max: int):
+    return [MinimalModel(p, q) for q in range(3, q_max + 1) for p in range(2, q) if gcd(p, q) == 1]
+
+
+def _invalid_labels(model):
+    p, q = model.p, model.q
+    return [KacLabel(0, 1), KacLabel(1, 0), KacLabel(p, 1), KacLabel(1, q), KacLabel(-1, 2)]
+
+
+def _range_error_message(fn, *args) -> str:
+    with pytest.raises(RangeError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+def test_table_index_reads_both_representatives():
+    for model in _coprime_models(9):
+        ft = fusion_table(model)
+        for lab in ft.labels:
+            for rep in (lab, reflect(model, lab)):
+                assert ft.index(rep) == ft.labels.index(canonicalize(model, rep))
+        for bad in _invalid_labels(model):
+            assert _range_error_message(ft.index, bad) == _range_error_message(
+                canonicalize, model, bad
+            )
+
+
+@pytest.mark.parametrize("model", [M34, MinimalModel(4, 5), MinimalModel(5, 6)], ids=repr)
+def test_fusion_rule_matches_reflect_loop_oracle(model):
+    labels = [KacLabel(m, n) for m in range(1, model.p) for n in range(1, model.q)]
+    for a, b, c in product(labels, repeat=3):
+        assert fusion_rule(model, a, b, c) == reference_fusion_rule(model, a, b, c)
+    for bad in _invalid_labels(model):
+        for args in ((bad, SIGMA, SIGMA), (SIGMA, SIGMA, bad)):
+            assert _range_error_message(fusion_rule, model, *args) == _range_error_message(
+                reference_fusion_rule, model, *args
+            )
 
 
 def pairwise_ring_failures(ft):
