@@ -290,6 +290,28 @@ def associativity_residual(
     return float((np.abs(prod - iterate) / scale).max())
 
 
+def monodromy_residuals(
+    ode: ODESpec,
+    basis: ChannelBasis,
+    exponent_offsets: tuple[float, ...],
+    radius: float = 0.35,
+    steps: int = 24,
+    taylor_order: int = 40,
+) -> tuple[float, ...]:
+    """monodromy_check for each exponent offset, from one continuation."""
+    if basis.point != 0:
+        raise DomainError("monodromy_check expects the basis at the point 0")
+    k = ode.order
+    states0 = np.column_stack(
+        [eval_local_derivatives(s, complex(radius), k) for s in basis.solutions]
+    )
+    path = circle_path(radius, steps)
+    final = continue_along(ode, complex(radius), states0, path, taylor_order)
+    scales = np.maximum(np.abs(states0).max(axis=0), 1e-300)
+    phases = [np.exp(2j * np.pi * (basis.float_exponents + off)) for off in exponent_offsets]
+    return tuple(float((np.abs(final - ph * states0) / scales).max()) for ph in phases)
+
+
 def monodromy_check(
     ode: ODESpec,
     basis: ChannelBasis,
@@ -304,17 +326,49 @@ def monodromy_check(
     exponent_offset shifts the predicted exponents; a nonzero offset is
     the injected-fault negative control.
     """
-    if basis.point != 0:
-        raise DomainError("monodromy_check expects the basis at the point 0")
+    return monodromy_residuals(ode, basis, (exponent_offset,), radius, steps, taylor_order)[0]
+
+
+def commutativity_residuals(
+    spec: CorrelatorSpec,
+    order: int = 60,
+    targets: tuple[float, ...] = (1.35, 1.5, 1.65),
+    flips: tuple[bool, ...] = (False,),
+) -> tuple[float, ...]:
+    """commutativity_residual for each flip_phases value, from one transport."""
+    cor = correlator(spec, order)
+    ode, fm = cor.ode, cor.fusing
+    basis0, basis1 = fm.basis0, fm.basis1
     k = ode.order
-    states0 = np.column_stack(
-        [eval_local_derivatives(s, complex(radius), k) for s in basis.solutions]
+    start = 0.5
+    waypoints = sorted(targets)
+
+    # e^{i pi s_j} R_j(x), for every point-1 solution j and waypoint x > 1,
+    # is solution j's principal-branch value at u = 1 - x: arg(u) = +pi.
+    swapped = basis1.values(1 - np.array(waypoints))
+    conjugate = np.exp(-2j * np.pi * basis1.float_exponents)[:, None]
+    # for each flip, one row per waypoint
+    preds = [(cor.channel_rows @ (swapped * conjugate if f else swapped)).T for f in flips]
+
+    # All allowed channels are continued together as the columns of one
+    # (k, channels) state matrix.
+    cur = np.column_stack(
+        [
+            eval_local_derivatives(basis0.solutions[i], complex(start), k)
+            for i in cor.channel_indices
+        ]
     )
-    path = circle_path(radius, steps)
-    final = continue_along(ode, complex(radius), states0, path, taylor_order)
-    phases = np.exp(2j * np.pi * (basis.float_exponents + exponent_offset))
-    scales = np.maximum(np.abs(states0).max(axis=0), 1e-300)
-    return float((np.abs(final - phases * states0) / scales).max())
+    pos = complex(start)
+    path = lower_arc_path(0.5, 16) + [complex(waypoints[0])]
+    worst = [0.0] * len(flips)
+    legs = [path] + [[complex(x)] for x in waypoints[1:]]
+    for w, (target, leg) in enumerate(zip(waypoints, legs)):
+        cur = continue_along(ode, pos, cur, leg, 40)
+        pos = complex(target)
+        for f, pred in enumerate(preds):
+            resid = np.abs(cur[0] - pred[w]) / np.maximum(np.abs(pred[w]), 1e-300)
+            worst[f] = max(worst[f], float(resid.max()))
+    return tuple(worst)
 
 
 def commutativity_residual(
@@ -335,38 +389,7 @@ def commutativity_residual(
     intermediate channels.  flip_phases=True conjugates them, which
     must break the match (negative control).
     """
-    cor = correlator(spec, order)
-    ode, fm = cor.ode, cor.fusing
-    basis0, basis1 = fm.basis0, fm.basis1
-    k = ode.order
-    start = 0.5
-    waypoints = sorted(targets)
-
-    # e^{i pi s_j} R_j(x), for every point-1 solution j and waypoint x > 1,
-    # is solution j's principal-branch value at u = 1 - x: arg(u) = +pi.
-    swapped = basis1.values(1 - np.array(waypoints))
-    if flip_phases:
-        swapped = swapped * np.exp(-2j * np.pi * basis1.float_exponents)[:, None]
-    preds = (cor.channel_rows @ swapped).T  # one row per waypoint
-
-    # All allowed channels are continued together as the columns of one
-    # (k, channels) state matrix.
-    cur = np.column_stack(
-        [
-            eval_local_derivatives(basis0.solutions[i], complex(start), k)
-            for i in cor.channel_indices
-        ]
-    )
-    pos = complex(start)
-    path = lower_arc_path(0.5, 16) + [complex(waypoints[0])]
-    worst = 0.0
-    legs = [path] + [[complex(x)] for x in waypoints[1:]]
-    for target, leg, pred in zip(waypoints, legs, preds):
-        cur = continue_along(ode, pos, cur, leg, 40)
-        pos = complex(target)
-        resid = np.abs(cur[0] - pred) / np.maximum(np.abs(pred), 1e-300)
-        worst = max(worst, float(resid.max()))
-    return worst
+    return commutativity_residuals(spec, order, targets, (flip_phases,))[0]
 
 
 def tensor_block(

@@ -51,21 +51,25 @@ def _triple_ok(p: int, q: int, a, b, c):
     )
 
 
+def _rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacLabel) -> int:
+    """fusion_rule on labels already checked against the model."""
+    p, q = model.p, model.q
+    reps = [((lab.m, lab.n), (p - lab.m, q - lab.n)) for lab in (a, b, c)]
+    for ra, rb, rc in product(*reps):
+        if _triple_ok(p, q, ra, rb, rc):
+            return 1
+    return 0
+
+
 def fusion_rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacLabel) -> int:
     """Multiplicity N_{ab}^c, either 0 or 1.
 
     Invariant under canonicalization and under permutations of the three
     slots (the minimal models are self-dual).
     """
-    p, q = model.p, model.q
-    reps = []
     for lab in (a, b, c):
         check_label(model, lab)
-        reps.append(((lab.m, lab.n), (p - lab.m, q - lab.n)))
-    for ra, rb, rc in product(*reps):
-        if _triple_ok(p, q, ra, rb, rc):
-            return 1
-    return 0
+    return _rule(model, a, b, c)
 
 
 def fuse(model: MinimalModel, a: KacLabel, b: KacLabel) -> set[KacLabel]:
@@ -84,7 +88,7 @@ def tensor_fusion_rule(
         check_tensor_label(tmodel, tlab)
     result = 1
     for factor, la, lb, lc in zip(tmodel.factors, a.labels, b.labels, c.labels):
-        result *= fusion_rule(factor, la, lb, lc)
+        result *= _rule(factor, la, lb, lc)
         if result == 0:
             break
     return result

@@ -153,9 +153,6 @@ class RowSpace:
                 v = [a - coef * b for a, b in zip(v, row)]
         return v
 
-    def contains(self, vec: Vector) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
-
     def add(self, vec: Vector) -> bool:
         """Insert vec's residual; True if it enlarged the space."""
         v = self.reduce(vec)
@@ -166,7 +163,3 @@ class RowSpace:
         self._rows.append((p, [x / piv for x in v]))
         self._rows.sort(key=lambda t: t[0])
         return True
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)

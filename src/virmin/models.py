@@ -131,18 +131,17 @@ def null_level(model: MinimalModel, label: KacLabel) -> int:
 def kac_table(model: MinimalModel) -> list[tuple[KacLabel, Fraction]]:
     """Canonical labels with their weights, one entry per reflection orbit.
 
-    The list has (p-1)(q-1)/2 entries, sorted by label.
+    The list has (p-1)(q-1)/2 entries, sorted by label.  A label is kept
+    when it is its orbit's canonical member (the choice canonicalize
+    makes), so one pass over (m, n) in order yields each orbit once.
     """
-    seen = set()
+    p, q = model.p, model.q
     rows = []
-    for m in range(1, model.p):
-        for n in range(1, model.q):
-            label = canonicalize(model, KacLabel(m, n))
-            if label in seen:
-                continue
-            seen.add(label)
-            rows.append((label, conformal_weight(model, label)))
-    rows.sort(key=lambda row: row[0].as_tuple())
+    for m in range(1, p):
+        for n in range(1, q):
+            if m * n <= (p - m) * (q - n):
+                label = KacLabel(m, n)
+                rows.append((label, conformal_weight(model, label)))
     return rows
 
 

@@ -49,24 +49,11 @@ def pbw_to_jsonable(v: PBWVector) -> dict:
     return {"level": v.level, "terms": terms}
 
 
-def pbw_from_jsonable(data: dict) -> PBWVector:
-    coeffs = {
-        tuple(t["partition"]): parse_frac(t["coefficient"]) for t in data["terms"]
-    }
-    return PBWVector(data["level"], coeffs)
-
-
 def ode_to_jsonable(ode: ODESpec) -> dict:
     return {
         "order": ode.order,
         "coefficients": [[frac_str(c) for c in poly] for poly in ode.coefficients],
     }
-
-
-def ode_from_jsonable(data: dict) -> ODESpec:
-    return ODESpec(
-        tuple(tuple(parse_frac(c) for c in poly) for poly in data["coefficients"])
-    )
 
 
 def pbw_str(v: PBWVector) -> str:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from itertools import product
 from math import gcd
+
+import numpy as np
 
 from .blocks import block, frobenius_expand, residual_orders
 from .bpz import CorrelatorSpec, allowed_channels, channel_exponents, indicial_exponents, reduced_ode
@@ -17,15 +20,14 @@ from .crossing import (
     associativity_residual,
     braiding_phase,
     channel_basis,
-    commutativity_residual,
-    monodromy_check,
+    commutativity_residuals,
+    monodromy_residuals,
     tensor_block,
 )
-from .fusion import fusion_table, tensor_fusion_rule, verify_ring_axioms
+from .fusion import fusion_rule, fusion_table, verify_ring_axioms
 from .models import (
     KacLabel,
     MinimalModel,
-    TensorLabel,
     TensorModel,
     central_charge,
     conformal_weight,
@@ -208,16 +210,10 @@ def suite_bpz_indicial() -> dict:
     )
 
 
-def _ising_sigma_spec() -> CorrelatorSpec:
-    m = MinimalModel(3, 4)
-    sig = KacLabel(1, 2)
-    return CorrelatorSpec(m, sig, sig, sig, sig)
-
-
-def _ising_eps_spec() -> CorrelatorSpec:
-    m = MinimalModel(3, 4)
-    eps = KacLabel(2, 1)
-    return CorrelatorSpec(m, eps, eps, eps, eps)
+def _ising_spec(m: int, n: int) -> CorrelatorSpec:
+    """Ising <ssss> for (m, n) = (1, 2), <eeee> for (2, 1)."""
+    label = KacLabel(m, n)
+    return CorrelatorSpec(MinimalModel(3, 4), label, label, label, label)
 
 
 def suite_blocks(order: int = 50) -> dict:
@@ -225,7 +221,7 @@ def suite_blocks(order: int = 50) -> dict:
 
     t0 = time.perf_counter()
     tol = 1e-10
-    spec = _ising_sigma_spec()
+    spec = _ising_spec(1, 2)
     worst = 0.0
     failures = []
 
@@ -267,7 +263,7 @@ def suite_ising_crossing(order: int = 60) -> dict:
     grid_z1 = (0.9, 1.0, 1.1, 1.2, 1.3)
     grid_z = (0.52, 0.54, 0.56, 0.58, 0.60)
     worst = 0.0
-    for spec in (_ising_sigma_spec(), _ising_eps_spec()):
+    for spec in (_ising_spec(1, 2), _ising_spec(2, 1)):
         for z1 in grid_z1:
             for z in grid_z:
                 worst = max(worst, associativity_residual(spec, z1, z * z1, order))
@@ -286,9 +282,8 @@ def suite_ising_crossing(order: int = 60) -> dict:
 def suite_commutativity(order: int = 60) -> dict:
     t0 = time.perf_counter()
     tol = 1e-6
-    spec = _ising_sigma_spec()
-    resid = commutativity_residual(spec, order)
-    control = commutativity_residual(spec, order, flip_phases=True)
+    spec = _ising_spec(1, 2)
+    resid, control = commutativity_residuals(spec, order, flips=(False, True))
     model = spec.model
     sig = KacLabel(1, 2)
     phase_ok = True
@@ -320,8 +315,9 @@ def suite_monodromy(order: int = 60) -> dict:
             spec = CorrelatorSpec(model, label, label, label, label)
             ode, _, _ = reduced_ode(spec)
             basis = channel_basis(ode, 0, order)
-            worst = max(worst, monodromy_check(ode, basis))
-            control_min = min(control_min, monodromy_check(ode, basis, exponent_offset=0.01))
+            resid, control = monodromy_residuals(ode, basis, (0.0, 0.01))
+            worst = max(worst, resid)
+            control_min = min(control_min, control)
             cases += 1
     passed = worst < tol and control_min > 1e-3
     return _report(
@@ -340,7 +336,7 @@ def suite_tensor(order: int = 50) -> dict:
     t0 = time.perf_counter()
     tol = 1e-12
     failures = []
-    spec = _ising_sigma_spec()
+    spec = _ising_spec(1, 2)
     tmodel = TensorModel((spec.model, spec.model))
     for z in (0.2, 0.3, 0.45):
         pair = tensor_block(
@@ -357,32 +353,25 @@ def suite_tensor(order: int = 50) -> dict:
         if abs(pair.value - swapped.value) > tol * abs(pair.value):
             failures.append("factor reordering changed the tensor block")
 
-    pairs = [
-        (MinimalModel(3, 4), MinimalModel(2, 5)),
-        (MinimalModel(4, 5), MinimalModel(3, 5)),
-    ]
-    triples = 0
-    for fa, fb in pairs:
-        tm = TensorModel((fa, fb))
-        labels_a = [lab for lab, _ in kac_table(fa)]
-        labels_b = [lab for lab, _ in kac_table(fb)]
-        ta, tb = fusion_table(fa), fusion_table(fb)
-        for a1 in labels_a:
-            for b1 in labels_a:
-                for c1 in labels_a:
-                    for a2 in labels_b:
-                        for b2 in labels_b:
-                            for c2 in labels_b:
-                                got = tensor_fusion_rule(
-                                    tm,
-                                    TensorLabel((a1, a2)),
-                                    TensorLabel((b1, b2)),
-                                    TensorLabel((c1, c2)),
-                                )
-                                want = ta.multiplicity(a1, b1, c1) * tb.multiplicity(a2, b2, c2)
-                                triples += 1
-                                if got != want:
-                                    failures.append(f"tensor fusion mismatch at {(a1,a2,b1,b2,c1,c2)}")
+    triples = mismatches = 0
+    pairs = ((MinimalModel(3, 4), MinimalModel(2, 5)), (MinimalModel(4, 5), MinimalModel(3, 5)))
+    for pair in pairs:
+        tables = [fusion_table(f) for f in pair]
+        # The scalar rule on each factor's canonical labels is the independent
+        # path; both sides are int8 outer products, axes (a1, b1, c1, a2, b2, c2).
+        scalar = [
+            np.array([fusion_rule(f, *abc) for abc in product(t.labels, repeat=3)], np.int8)
+            .reshape(t.table.shape)
+            for f, t in zip(pair, tables)
+        ]
+        got = np.multiply.outer(tables[0].table, tables[1].table)
+        bad = np.argwhere(got != np.multiply.outer(*scalar))
+        triples += got.size
+        mismatches += len(bad)
+        la, lb = tables[0].labels, tables[1].labels
+        for a1, b1, c1, a2, b2, c2 in bad[:5]:
+            at = (la[a1], lb[a2], la[b1], lb[b2], la[c1], lb[c2])
+            failures.append(f"tensor fusion mismatch at {at}")
     return _report(
         "tensor",
         "tensor blocks factor into products of single-model blocks and tensor "
@@ -390,7 +379,8 @@ def suite_tensor(order: int = 50) -> dict:
         not failures,
         None,
         tol,
-        {"block_points": 3, "fusion_triples": triples, "failures": failures[:5]},
+        {"block_points": 3, "fusion_triples": triples, "fusion_mismatches": mismatches,
+         "failures": failures[:5]},
         t0,
     )
 

@@ -23,6 +23,13 @@ Fractions, with no table.  `reference_fusion_rule` is the earlier rule
 that builds each reflected representative as a KacLabel and tries the
 eight choices in turn.
 
+`reference_kac_table` is the earlier Kac-table construction: every
+(m, n) canonicalized, duplicates dropped through a set, the rows sorted.
+
+`pbw_from_jsonable`, `ode_from_jsonable`, `rowspace_contains` and
+`rowspace_dim` are the inverse serializers and RowSpace queries that
+only the tests use.
+
 `reference_taylor_step` is the earlier continuation kernel: one Taylor
 step, with its own shift, Toeplitz weights and recursion, applied to the
 state directly; chaining it along a path is the reference for the
@@ -45,15 +52,19 @@ from virmin.blocks import eval_local
 from virmin.bpz import CorrelatorSpec, ExponentPair, ODESpec, TwoVarOperator
 from virmin.errors import DomainError, FusionError, ReductionError, StructureError
 from virmin.fusion import _triple_ok
+from virmin.linalg import RowSpace
 from virmin.models import (
     KacLabel,
     MinimalModel,
+    canonicalize,
     check_label,
     conformal_weight,
     kac_table,
     reflect,
 )
 from virmin.poly import ZERO, Poly, degree, divide_by_root, ord0, poly
+from virmin.serialize import parse_frac
+from virmin.verma import PBWVector
 
 ONE: Poly = (Fraction(1),)
 
@@ -525,6 +536,43 @@ def reference_fusion_rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacL
                 if _triple_ok(model.p, model.q, ra.as_tuple(), rb.as_tuple(), rc.as_tuple()):
                     return 1
     return 0
+
+
+def reference_kac_table(model: MinimalModel) -> list[tuple[KacLabel, Fraction]]:
+    """Canonical labels with their weights, one entry per reflection
+    orbit, sorted by label."""
+    seen = set()
+    rows = []
+    for m in range(1, model.p):
+        for n in range(1, model.q):
+            label = canonicalize(model, KacLabel(m, n))
+            if label in seen:
+                continue
+            seen.add(label)
+            rows.append((label, conformal_weight(model, label)))
+    rows.sort(key=lambda row: row[0].as_tuple())
+    return rows
+
+
+def pbw_from_jsonable(data: dict) -> PBWVector:
+    coeffs = {
+        tuple(t["partition"]): parse_frac(t["coefficient"]) for t in data["terms"]
+    }
+    return PBWVector(data["level"], coeffs)
+
+
+def ode_from_jsonable(data: dict) -> ODESpec:
+    return ODESpec(
+        tuple(tuple(parse_frac(c) for c in poly) for poly in data["coefficients"])
+    )
+
+
+def rowspace_contains(space: RowSpace, vec) -> bool:
+    return all(x == 0 for x in space.reduce(vec))
+
+
+def rowspace_dim(space: RowSpace) -> int:
+    return len(space._rows)
 
 
 def _falling_table(rows: int, cols: int) -> np.ndarray:

@@ -3,17 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from exact_oracles import ode_from_jsonable, pbw_from_jsonable
 from virmin.bpz import ODESpec
 from virmin.cli import main
 from virmin.models import KacLabel
 from virmin.serialize import (
     frac_str,
     label_str,
-    ode_from_jsonable,
     ode_to_jsonable,
     parse_frac,
     parse_label,
-    pbw_from_jsonable,
     pbw_str,
     pbw_to_jsonable,
 )

@@ -96,6 +96,40 @@ def test_tensor_vacuum_is_delta():
             assert tensor_fusion_rule(tm, vac, b, c) == want
 
 
+def test_tensor_fusion_rule_is_the_product_of_table_multiplicities():
+    # every triple of the two pairs the tensor suite checks as arrays
+    triples = 0
+    for fa, fb in ((M34, M25), (MinimalModel(4, 5), MinimalModel(3, 5))):
+        tm = TensorModel((fa, fb))
+        ta, tb = fusion_table(fa), fusion_table(fb)
+        for (a1, b1, c1), (a2, b2, c2) in product(
+            product(ta.labels, repeat=3), product(tb.labels, repeat=3)
+        ):
+            got = tensor_fusion_rule(
+                tm, TensorLabel((a1, a2)), TensorLabel((b1, b2)), TensorLabel((c1, c2))
+            )
+            assert got == ta.multiplicity(a1, b1, c1) * tb.multiplicity(a2, b2, c2)
+            triples += 1
+    assert triples == 14040
+
+
+@pytest.mark.parametrize("slot", range(3))
+def test_tensor_fusion_rule_rejects_out_of_table_factor_labels(slot):
+    tm = TensorModel((M34, M25))
+    # EPS x EPS does not contain EPS, so the first factor's multiplicity
+    # is 0 before the second factor is reached
+    good = TensorLabel((EPS, KacLabel(1, 1)))
+    for bad in (
+        TensorLabel((KacLabel(3, 1), KacLabel(1, 1))),
+        TensorLabel((EPS, KacLabel(1, 5))),
+        TensorLabel((EPS, KacLabel(0, 2))),
+    ):
+        labels = [good, good, good]
+        labels[slot] = bad
+        with pytest.raises(RangeError):
+            tensor_fusion_rule(tm, *labels)
+
+
 def test_tensor_shape_error():
     tm = TensorModel((M34, M25))
     short = TensorLabel((KacLabel(1, 1),))

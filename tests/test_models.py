@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exact_oracles import reference_kac_table
 from virmin.errors import RangeError, ShapeError
 from virmin.models import (
     KacLabel,
@@ -103,6 +104,11 @@ def test_kac_table_examples():
 def test_kac_table_count_formula():
     for model in coprime_models(13):
         assert len(kac_table(model)) == (model.p - 1) * (model.q - 1) // 2
+
+
+def test_kac_table_matches_canonicalize_construction():
+    for model in coprime_models(13):
+        assert kac_table(model) == reference_kac_table(model), model
 
 
 @given(

@@ -1,0 +1,86 @@
+"""The verify suites against the scalar calls they replace: the tensor
+suite's array comparison with an injected fault, and one transport per
+state in the monodromy and commutativity suites."""
+
+from itertools import product
+
+import pytest
+
+from virmin import crossing, verify
+from virmin.bpz import CorrelatorSpec, reduced_ode
+from virmin.crossing import channel_basis, commutativity_residual, monodromy_check
+from virmin.fusion import fusion_table
+from virmin.models import KacLabel, MinimalModel
+
+M45 = MinimalModel(4, 5)
+M35 = MinimalModel(3, 5)
+
+
+@pytest.mark.parametrize("flipped", [0, 1], ids=["first-factor", "second-factor"])
+def test_tensor_suite_names_a_flipped_factor_triple(flipped, monkeypatch):
+    pair = (M45, M35)
+    target = (pair[flipped], KacLabel(1, 2), KacLabel(1, 2), KacLabel(1, 1))
+    real = verify.fusion_rule
+
+    def faulty(model, a, b, c):
+        n = real(model, a, b, c)
+        return 1 - n if (model, a, b, c) == target else n
+
+    monkeypatch.setattr(verify, "fusion_rule", faulty)
+    report = verify.suite_tensor()
+    assert not report["passed"]
+    assert report["details"]["fusion_triples"] == 14040
+
+    # A tensor multiplicity is a product, so the flip shows exactly where
+    # the other factor's multiplicity is 1: that many of its k_other^3
+    # triples, the first of them in (a1, b1, c1, a2, b2, c2) loop order.
+    other = fusion_table(pair[1 - flipped])
+    allowed = [t for t in product(other.labels, repeat=3) if other.multiplicity(*t)]
+    assert 0 < len(allowed) < len(other.labels) ** 3
+    assert report["details"]["fusion_mismatches"] == len(allowed)
+    x, y = (target[1:], allowed[0]) if flipped == 0 else (allowed[0], target[1:])
+    at = (x[0], y[0], x[1], y[1], x[2], y[2])
+    assert report["details"]["failures"][0] == f"tensor fusion mismatch at {at}"
+
+
+def _count_transports(monkeypatch) -> list:
+    calls = []
+    real = crossing.continue_along
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(crossing, "continue_along", counting)
+    return calls
+
+
+def test_monodromy_suite_transports_each_basis_once(monkeypatch):
+    calls = _count_transports(monkeypatch)
+    report = verify.suite_monodromy()
+    assert report["details"]["odes"] == 7
+    assert len(calls) == 7
+    monkeypatch.undo()
+
+    worst, control = 0.0, float("inf")
+    for model in verify.models_up_to(5):
+        for label in verify.level2_labels(model):
+            ode, _, _ = reduced_ode(CorrelatorSpec(model, label, label, label, label))
+            basis = channel_basis(ode, 0, 60)
+            worst = max(worst, monodromy_check(ode, basis))
+            control = min(control, monodromy_check(ode, basis, exponent_offset=0.01))
+    assert report["max_residual"] == worst
+    assert report["details"]["negative_control_min"] == control
+
+
+def test_commutativity_suite_transports_each_leg_once(monkeypatch):
+    calls = _count_transports(monkeypatch)
+    report = verify.suite_commutativity()
+    assert len(calls) == 3
+    monkeypatch.undo()
+
+    spec = verify._ising_spec(1, 2)
+    assert report["max_residual"] == commutativity_residual(spec, 60)
+    assert report["details"]["negative_control"] == commutativity_residual(
+        spec, 60, flip_phases=True
+    )
