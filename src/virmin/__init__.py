@@ -63,7 +63,7 @@ from .crossing import (
     channel_basis,
     commutativity_residual,
     fusing_matrix,
-    monodromy_check,
+    monodromy_residuals,
     tensor_block,
 )
 from .cache import GramCache
@@ -119,7 +119,7 @@ __all__ = [
     "channel_basis",
     "commutativity_residual",
     "fusing_matrix",
-    "monodromy_check",
+    "monodromy_residuals",
     "tensor_block",
     "GramCache",
 ]

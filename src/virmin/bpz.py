@@ -223,28 +223,34 @@ def _compose_chain(factors: list[TwoVarOperator]) -> TwoVarOperator:
     return op
 
 
-def derive_pde_slot3(spec: CorrelatorSpec, P: PBWVector) -> TwoVarOperator:
-    """Annihilating operator from a slot-3 singular vector P."""
+def _derive_pde(P: PBWVector, insertion) -> TwoVarOperator:
+    """Annihilating operator sum_parts coef D_m1 ... D_mr from the
+    singular vector P, with D_m = insertion(m)."""
     if P.is_zero():
         raise ShapeError("singular vector must be nonzero")
-    h1, h2 = spec.h1, spec.h2
     op = TwoVarOperator.from_dict({})
     for parts, coef in P.coefficients.items():
-        chain = _compose_chain([insertion_operator_slot3(m, h1, h2) for m in parts])
-        op = op + chain.scaled(coef)
+        op = op + _compose_chain([insertion(m) for m in parts]).scaled(coef)
     return op
+
+
+def derive_pde_slot3(spec: CorrelatorSpec, P: PBWVector) -> TwoVarOperator:
+    """Annihilating operator from a slot-3 singular vector P."""
+    return _derive_pde(P, lambda m: insertion_operator_slot3(m, spec.h1, spec.h2))
 
 
 def derive_pde_slot2(spec: CorrelatorSpec, Q: PBWVector) -> TwoVarOperator:
     """Annihilating operator from a slot-2 singular vector Q."""
-    if Q.is_zero():
-        raise ShapeError("singular vector must be nonzero")
-    h1, h3 = spec.h1, spec.h3
-    op = TwoVarOperator.from_dict({})
-    for parts, coef in Q.coefficients.items():
-        chain = _compose_chain([insertion_operator_slot2(m, h1, h3) for m in parts])
-        op = op + chain.scaled(coef)
-    return op
+    return _derive_pde(Q, lambda m: insertion_operator_slot2(m, spec.h1, spec.h3))
+
+
+# route -> (the field whose null vector is used, the PDE derivation).  The
+# derivations are looked up by module name at call time, so that a wrapper
+# bound over derive_pde_slot3 or derive_pde_slot2 is the one called.
+_ROUTES = {
+    "slot3": ("w3", lambda spec, vec: derive_pde_slot3(spec, vec)),
+    "slot2": ("w2", lambda spec, vec: derive_pde_slot2(spec, vec)),
+}
 
 
 @dataclass(frozen=True)
@@ -562,12 +568,10 @@ def reduced_ode(
         raise FusionError("correlator admits no intermediate channel")
     channel = anchor_channel if anchor_channel is not None else channels[0]
     anchor = channel_exponents(spec, channel)
-    if route == "slot3":
-        slot_label = spec.w3
-    elif route == "slot2":
-        slot_label = spec.w2
-    else:
+    if route not in _ROUTES:
         raise RangeError(f"route must be 'slot3' or 'slot2', got {route!r}")
+    slot, derive = _ROUTES[route]
+    slot_label = getattr(spec, slot)
     level = null_level(spec.model, slot_label)
     prims = [
         (lev, vec)
@@ -576,9 +580,5 @@ def reduced_ode(
     ]
     if not prims:
         raise ModelViolationError(f"no null vector at level {level} for {slot_label}")
-    vec = prims[0][1]
-    if route == "slot3":
-        op = derive_pde_slot3(spec, vec)
-    else:
-        op = derive_pde_slot2(spec, vec)
+    op = derive(spec, prims[0][1])
     return reduce_to_ode(op, anchor), anchor, channel

@@ -51,6 +51,11 @@ def _model(args) -> MinimalModel:
     return MinimalModel(args.p, args.q)
 
 
+def float_list(s: str) -> list[float]:
+    """A comma-separated list of floats, as in --grid-z 0.52,0.54."""
+    return [float(x) for x in s.split(",")]
+
+
 def cmd_kac_table(args) -> int:
     model = _model(args)
     rows = kac_table(model)
@@ -70,7 +75,7 @@ def cmd_kac_table(args) -> int:
 
 def cmd_fuse(args) -> int:
     model = _model(args)
-    a, b = parse_label(args.a), parse_label(args.b)
+    a, b = args.a, args.b
     out = sorted(fuse(model, a, b), key=lambda l: l.as_tuple())
     payload = {
         "command": "fuse",
@@ -136,14 +141,12 @@ def cmd_singular(args) -> int:
 
 
 def _correlator_spec(args) -> CorrelatorSpec:
-    w4, w1, w2, w3 = (parse_label(s) for s in args.labels)
-    return CorrelatorSpec(_model(args), w4, w1, w2, w3)
+    return CorrelatorSpec(_model(args), *args.labels)
 
 
 def cmd_bpz(args) -> int:
     spec = _correlator_spec(args)
-    anchor_channel = parse_label(args.anchor) if args.anchor else None
-    ode, anchor, channel = reduced_ode(spec, anchor_channel, args.route)
+    ode, anchor, channel = reduced_ode(spec, args.anchor, args.route)
     exps = {
         str(point): [frac_str(r) for r in indicial_exponents(ode, point)]
         for point in (0, 1, "inf")
@@ -174,7 +177,7 @@ def cmd_bpz(args) -> int:
 
 def cmd_block(args) -> int:
     spec = _correlator_spec(args)
-    channel = parse_label(args.channel)
+    channel = args.channel
     result = block(spec, channel, args.z, args.order)
     exps = channel_exponents(spec, channel)
     payload = {
@@ -201,8 +204,7 @@ def cmd_block(args) -> int:
 def cmd_crossing(args) -> int:
     spec = _correlator_spec(args)
     fm = correlator(spec, args.order).fusing
-    grid_z1 = [float(x) for x in args.grid_z1.split(",")]
-    grid_z = [float(x) for x in args.grid_z.split(",")]
+    grid_z1, grid_z = args.grid_z1, args.grid_z
     worst = 0.0
     for z1 in grid_z1:
         for z in grid_z:
@@ -253,11 +255,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pq=True):
+    def common(p):
         p.add_argument("--format", choices=("table", "json"), default="table")
-        if pq:
-            p.add_argument("p", type=int)
-            p.add_argument("q", type=int)
+        p.add_argument("p", type=int)
+        p.add_argument("q", type=int)
+
+    def correlator_labels(p):
+        p.add_argument(
+            "--labels", nargs=4, type=parse_label, required=True, metavar=("W4", "W1", "W2", "W3")
+        )
 
     p = sub.add_parser("kac-table", help="canonical labels and exact weights")
     common(p)
@@ -265,8 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuse", help="fusion product of two labels")
     common(p)
-    p.add_argument("a", help="label m,n")
-    p.add_argument("b", help="label m,n")
+    p.add_argument("a", type=parse_label, help="label m,n")
+    p.add_argument("b", type=parse_label, help="label m,n")
     p.set_defaults(fn=cmd_fuse)
 
     p = sub.add_parser("fusion-table", help="all fusion products of a model")
@@ -282,25 +288,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bpz", help="reduced correlator ODE from a null vector")
     common(p)
-    p.add_argument("--labels", nargs=4, required=True, metavar=("W4", "W1", "W2", "W3"))
+    correlator_labels(p)
     p.add_argument("--route", choices=("slot3", "slot2"), default="slot3")
-    p.add_argument("--anchor", default=None, help="anchor channel m,n")
+    p.add_argument("--anchor", type=parse_label, default=None, help="anchor channel m,n")
     p.set_defaults(fn=cmd_bpz)
 
     p = sub.add_parser("block", help="evaluate a single-channel block")
     common(p)
-    p.add_argument("--labels", nargs=4, required=True, metavar=("W4", "W1", "W2", "W3"))
-    p.add_argument("--channel", required=True, help="intermediate label m,n")
+    correlator_labels(p)
+    p.add_argument("--channel", type=parse_label, required=True, help="intermediate label m,n")
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--order", type=int, default=50)
     p.set_defaults(fn=cmd_block)
 
     p = sub.add_parser("crossing", help="fusing matrix and associativity residuals")
     common(p)
-    p.add_argument("--labels", nargs=4, required=True, metavar=("W4", "W1", "W2", "W3"))
+    correlator_labels(p)
     p.add_argument("--order", type=int, default=60)
-    p.add_argument("--grid-z1", default="0.9,1.0,1.1,1.2,1.3", dest="grid_z1")
-    p.add_argument("--grid-z", default="0.52,0.54,0.56,0.58,0.60", dest="grid_z")
+    p.add_argument("--grid-z1", type=float_list, default="0.9,1.0,1.1,1.2,1.3")
+    p.add_argument("--grid-z", type=float_list, default="0.52,0.54,0.56,0.58,0.60")
     p.set_defaults(fn=cmd_crossing)
 
     p = sub.add_parser("verify", help="run a named acceptance suite")

@@ -31,6 +31,8 @@ import numpy as np
 from .bpz import ODESpec
 from .errors import DomainError
 
+TAYLOR_ORDER = 40  # degree of the Taylor polynomial of each step
+
 
 def _falling_table(rows: int, cols: int) -> np.ndarray:
     """ff[i, j] = j (j-1) ... (j-i+1) for i < rows, j < cols."""
@@ -53,16 +55,15 @@ class _StepTables(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _step_tables(k: int, width: int, order: int) -> _StepTables:
+def _step_tables(k: int, width: int) -> _StepTables:
     """Index and weight tables of a Taylor step; they depend only on the
-    ODE order k, the coefficient width (largest degree + 1) and the
-    Taylor order."""
-    ff = _falling_table(k + 1, order + 1)
+    ODE order k and the coefficient width (largest degree + 1)."""
+    ff = _falling_table(k + 1, TAYLOR_ORDER + 1)
     rows, cols = np.arange(width)[:, None], np.arange(width)[None, :]
-    power = np.arange(order + 1)[None, :] - np.arange(k)[:, None]
+    power = np.arange(TAYLOR_ORDER + 1)[None, :] - np.arange(k)[:, None]
     band = width + k - 1
     i = np.arange(k + 1)[:, None, None]
-    n = np.arange(order - k + 1)[None, :, None]
+    n = np.arange(TAYLOR_ORDER - k + 1)[None, :, None]
     r = np.arange(band)[None, None, :]
     d = i + width - 1 - r
     j = n + k - band + r
@@ -102,15 +103,13 @@ def _check_steps(ode: ODESpec, starts: np.ndarray, targets: np.ndarray, lead) ->
         )
 
 
-def _transfer_matrices(
-    ode: ODESpec, starts: np.ndarray, targets: np.ndarray, order: int
-) -> np.ndarray:
+def _transfer_matrices(ode: ODESpec, starts: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """The (S, k, k) matrices that map the state [y, ..., y^(k-1)] at
     starts[s] to the state at targets[s], for all S steps at once."""
     k = ode.order
     coeffs = ode.complex_coefficients
     width = coeffs.shape[1]
-    tab = _step_tables(k, width, order)
+    tab = _step_tables(k, width)
     # gamma[s, i, d]: coefficient of t^d in c_i(starts[s] + t)
     powers = starts[:, None] ** np.arange(width)
     gamma = coeffs @ (tab.binom * powers[:, tab.shift_power])
@@ -123,7 +122,7 @@ def _transfer_matrices(
     # the B = width + k - 1 indices j = n + k - B + r, r < B, and on that
     # band the power d = i + width - 1 - r does not depend on n, so the
     # band is a product over i of gamma and a table of falling factorials;
-    # the (S, k + 1, order - k + 1, B) array of its terms is never formed.
+    # the (S, k + 1, TAYLOR_ORDER - k + 1, B) array of its terms is never formed.
     band = width + k - 1
     g = gamma[:, tab.band_rows, tab.band_power] / -lead[:, None, None]
     # w[r, s, n] = sum_i g[s, i, r] weight[r, i, n], one product per band
@@ -134,19 +133,17 @@ def _transfer_matrices(
     # Column c of b[s] holds the Taylor coefficients of the solution with
     # unit state e_c at starts[s]; b[j] is row j + band - k of padded, whose
     # first band - k rows are the zeros below j = 0.
-    padded = np.zeros((len(starts), order + 1 + band - k, k), dtype=complex)
+    padded = np.zeros((len(starts), TAYLOR_ORDER + 1 + band - k, k), dtype=complex)
     padded[:, band - k : band] = tab.identity
-    for n in range(order - k + 1):
+    for n in range(TAYLOR_ORDER - k + 1):
         np.matmul(w[n], padded[:, n : n + band], out=padded[:, n + band : n + band + 1])
 
     dz = targets - starts
-    at_target = tab.evaluation * (dz[:, None] ** np.arange(order + 1))[:, tab.eval_power]
+    at_target = tab.evaluation * (dz[:, None] ** np.arange(TAYLOR_ORDER + 1))[:, tab.eval_power]
     return at_target @ padded[:, band - k :]
 
 
-def continue_along(
-    ode: ODESpec, start: complex, state, path, order: int = 40
-) -> np.ndarray:
+def continue_along(ode: ODESpec, start: complex, state, path) -> np.ndarray:
     """Continue the state from start through the waypoints of path by
     Taylor steps; state is a (k,) vector or a (k, m) matrix whose columns
     are states, and the result has its shape.
@@ -160,17 +157,15 @@ def continue_along(
     cur = state.reshape(ode.order, -1)
     # einsum sums each column in the same order whatever the number of
     # columns, so a column of a batch equals the same state continued alone.
-    for step in _transfer_matrices(ode, starts, targets, order):
+    for step in _transfer_matrices(ode, starts, targets):
         cur = np.einsum("tj,jm->tm", step, cur)
     return cur.reshape(state.shape)
 
 
-def taylor_step(
-    ode: ODESpec, p: complex, state, target: complex, order: int = 40
-) -> np.ndarray:
+def taylor_step(ode: ODESpec, p: complex, state, target: complex) -> np.ndarray:
     """Advance the state from the ordinary point p to target: the
     one-step case of continue_along."""
-    return continue_along(ode, p, state, [target], order)
+    return continue_along(ode, p, state, [target])
 
 
 def circle_path(radius: float, steps: int) -> list[complex]:

@@ -15,7 +15,6 @@ e^{2 pi i rho}.
 from __future__ import annotations
 
 import cmath
-import inspect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
@@ -43,30 +42,26 @@ from .fusion import fusion_rule
 from .models import KacLabel, MinimalModel, TensorModel, conformal_weight
 
 
-def _memo(maxsize: int):
-    """An lru_cache keyed by every argument in declaration order with the
-    defaults filled in, so that f(x), f(x, 60) and f(x, order=60) share
-    one entry."""
+ORDER = 60  # series order of the bases, the fit and the residual checks
+COND_LIMIT = 1e8  # largest trusted condition number of the collocation matrix
+# the circle of the monodromy check, once around 0
+MONODROMY_RADIUS = 0.35
+MONODROMY_STEPS = 24
+# the real points z > 1 where the commutativity check compares
+COMMUTATIVITY_TARGETS = (1.35, 1.5, 1.65)
 
-    def decorate(fn):
-        cached = lru_cache(maxsize)(fn)
-        signature = inspect.signature(fn)
-        params = signature.parameters.values()
-        required = sum(p.default is p.empty for p in params)
-        defaults = tuple(p.default for p in params)
 
-        @wraps(fn)
-        def memo(*args, **kwargs):
-            if kwargs or len(args) < required:
-                bound = signature.bind(*args, **kwargs)
-                bound.apply_defaults()
-                args = bound.args
-            return cached(*args, *defaults[len(args):])
+def _memo(fn):
+    """An lru_cache of fn(x, order), so that f(x), f(x, 60) and
+    f(x, order=60) share one entry."""
+    cached = lru_cache(64)(fn)
 
-        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
-        return memo
+    @wraps(fn)
+    def memo(x, order=ORDER):
+        return cached(x, order)
 
-    return decorate
+    memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+    return memo
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,7 @@ class ChannelBasis:
         return sums * np.exp(np.multiply.outer(self.float_exponents, np.log(u)))
 
 
-def channel_basis(ode: ODESpec, point: int, order: int = 60) -> ChannelBasis:
+def channel_basis(ode: ODESpec, point: int, order: int = ORDER) -> ChannelBasis:
     roots = indicial_exponents(ode, point)
     if len(set(roots)) != len(roots):
         raise LogarithmicCaseError(
@@ -161,32 +156,25 @@ def _heldout_residual(rows, basis0: ChannelBasis, basis1: ChannelBasis, points) 
     return float((np.abs(lhs - rhs).max(axis=1) / scale).max())
 
 
-@_memo(maxsize=64)
-def fusing_matrix(
-    ode: ODESpec,
-    order: int = 60,
-    swap: bool = False,
-    cond_limit: float = 1e8,
-) -> FusingMatrix:
+@_memo
+def fusing_matrix(ode: ODESpec, order: int = ORDER) -> FusingMatrix:
     """Least-squares change of basis between the points 0 and 1, fitted
-    once per (ode, order, swap, cond_limit) however the call spells them.
+    once per (ode, order) however the call spells them.
 
-    With swap=True the roles of the two points are exchanged (useful
-    for the roundtrip identity F' F = 1).  The residual is the largest
-    mismatch on held-out points distinct from the fit points, relative
-    per row (see _heldout_residual).
+    The residual is the largest mismatch on held-out points distinct
+    from the fit points, relative per row (see _heldout_residual).
+    Raises ConditioningError if the collocation matrix has a condition
+    number above COND_LIMIT.
     """
     k = ode.order
     basis0 = channel_basis(ode, 0, order)
     basis1 = channel_basis(ode, 1, order)
-    if swap:
-        basis0, basis1 = basis1, basis0
     fit = _chebyshev_points(max(2 * k, 8))
     held = [x for x in _chebyshev_points(max(2 * k, 8) + 5) if x not in fit]
 
     a = _values_at(basis1, fit).T
     cond = np.linalg.cond(a)
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise ConditioningError(
             f"basis collocation matrix has condition number {cond:.3g}; "
             "use a higher order"
@@ -251,8 +239,8 @@ class Correlator:
         return out
 
 
-@_memo(maxsize=64)
-def correlator(spec: CorrelatorSpec, order: int = 60) -> Correlator:
+@_memo
+def correlator(spec: CorrelatorSpec, order: int = ORDER) -> Correlator:
     """The correlator solved once per (spec, order) with series of that order."""
     ode, anchor, _ = reduced_ode(spec)
     fm = fusing_matrix(ode, order)
@@ -265,7 +253,7 @@ def correlator(spec: CorrelatorSpec, order: int = 60) -> Correlator:
 
 
 def associativity_residual(
-    spec: CorrelatorSpec, z1: float, z2: float, order: int = 60
+    spec: CorrelatorSpec, z1: float, z2: float, order: int = ORDER
 ) -> float:
     """Relative product-vs-iterate mismatch at one admissible point.
 
@@ -291,49 +279,28 @@ def associativity_residual(
 
 
 def monodromy_residuals(
-    ode: ODESpec,
-    basis: ChannelBasis,
-    exponent_offsets: tuple[float, ...],
-    radius: float = 0.35,
-    steps: int = 24,
-    taylor_order: int = 40,
+    ode: ODESpec, basis: ChannelBasis, exponent_offsets: tuple[float, ...] = (0.0,)
 ) -> tuple[float, ...]:
-    """monodromy_check for each exponent offset, from one continuation."""
+    """Residual between numeric continuation once around 0 and the
+    predicted diagonal action e^{2 pi i rho} on each basis solution, one
+    per exponent offset, from one continuation.
+
+    An offset shifts the predicted exponents; a nonzero offset is the
+    injected-fault negative control.
+    """
     if basis.point != 0:
-        raise DomainError("monodromy_check expects the basis at the point 0")
+        raise DomainError("monodromy_residuals expects the basis at the point 0")
     k = ode.order
-    states0 = np.column_stack(
-        [eval_local_derivatives(s, complex(radius), k) for s in basis.solutions]
-    )
-    path = circle_path(radius, steps)
-    final = continue_along(ode, complex(radius), states0, path, taylor_order)
+    start = complex(MONODROMY_RADIUS)
+    states0 = np.column_stack([eval_local_derivatives(s, start, k) for s in basis.solutions])
+    final = continue_along(ode, start, states0, circle_path(MONODROMY_RADIUS, MONODROMY_STEPS))
     scales = np.maximum(np.abs(states0).max(axis=0), 1e-300)
     phases = [np.exp(2j * np.pi * (basis.float_exponents + off)) for off in exponent_offsets]
     return tuple(float((np.abs(final - ph * states0) / scales).max()) for ph in phases)
 
 
-def monodromy_check(
-    ode: ODESpec,
-    basis: ChannelBasis,
-    radius: float = 0.35,
-    steps: int = 24,
-    taylor_order: int = 40,
-    exponent_offset: float = 0.0,
-) -> float:
-    """Residual between numeric continuation once around 0 and the
-    predicted diagonal action e^{2 pi i rho} on each basis solution.
-
-    exponent_offset shifts the predicted exponents; a nonzero offset is
-    the injected-fault negative control.
-    """
-    return monodromy_residuals(ode, basis, (exponent_offset,), radius, steps, taylor_order)[0]
-
-
 def commutativity_residuals(
-    spec: CorrelatorSpec,
-    order: int = 60,
-    targets: tuple[float, ...] = (1.35, 1.5, 1.65),
-    flips: tuple[bool, ...] = (False,),
+    spec: CorrelatorSpec, order: int = ORDER, flips: tuple[bool, ...] = (False,)
 ) -> tuple[float, ...]:
     """commutativity_residual for each flip_phases value, from one transport."""
     cor = correlator(spec, order)
@@ -341,11 +308,10 @@ def commutativity_residuals(
     basis0, basis1 = fm.basis0, fm.basis1
     k = ode.order
     start = 0.5
-    waypoints = sorted(targets)
 
     # e^{i pi s_j} R_j(x), for every point-1 solution j and waypoint x > 1,
     # is solution j's principal-branch value at u = 1 - x: arg(u) = +pi.
-    swapped = basis1.values(1 - np.array(waypoints))
+    swapped = basis1.values(1 - np.array(COMMUTATIVITY_TARGETS))
     conjugate = np.exp(-2j * np.pi * basis1.float_exponents)[:, None]
     # for each flip, one row per waypoint
     preds = [(cor.channel_rows @ (swapped * conjugate if f else swapped)).T for f in flips]
@@ -359,11 +325,11 @@ def commutativity_residuals(
         ]
     )
     pos = complex(start)
-    path = lower_arc_path(0.5, 16) + [complex(waypoints[0])]
+    path = lower_arc_path(0.5, 16) + [complex(COMMUTATIVITY_TARGETS[0])]
     worst = [0.0] * len(flips)
-    legs = [path] + [[complex(x)] for x in waypoints[1:]]
-    for w, (target, leg) in enumerate(zip(waypoints, legs)):
-        cur = continue_along(ode, pos, cur, leg, 40)
+    legs = [path] + [[complex(x)] for x in COMMUTATIVITY_TARGETS[1:]]
+    for w, (target, leg) in enumerate(zip(COMMUTATIVITY_TARGETS, legs)):
+        cur = continue_along(ode, pos, cur, leg)
         pos = complex(target)
         for f, pred in enumerate(preds):
             resid = np.abs(cur[0] - pred[w]) / np.maximum(np.abs(pred[w]), 1e-300)
@@ -372,10 +338,7 @@ def commutativity_residuals(
 
 
 def commutativity_residual(
-    spec: CorrelatorSpec,
-    order: int = 60,
-    targets: tuple[float, ...] = (1.35, 1.5, 1.65),
-    flip_phases: bool = False,
+    spec: CorrelatorSpec, order: int = ORDER, flip_phases: bool = False
 ) -> float:
     """Half-monodromy transport check for the exchange of the two
     middle insertions.
@@ -389,7 +352,7 @@ def commutativity_residual(
     intermediate channels.  flip_phases=True conjugates them, which
     must break the match (negative control).
     """
-    return commutativity_residuals(spec, order, targets, (flip_phases,))[0]
+    return commutativity_residuals(spec, order, (flip_phases,))[0]
 
 
 def tensor_block(

@@ -2,7 +2,8 @@
 
 Each suite exercises one certified claim end to end and returns a
 structured report: {suite, claim, passed, max_residual, tolerance,
-details, runtime_s}.  Tolerances are pinned here, nowhere else.
+details, runtime_s}.  Tolerances and series orders are pinned here,
+nowhere else.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from .models import (
     null_level,
 )
 from .verma import PBWVector, VermaParams, kac_determinant, singular_vectors, verify_singular
+
+BLOCK_ORDER = 50  # series order of the blocks and tensor suites
+CROSSING_ORDER = 60  # series order of the ising-crossing, commutativity and monodromy suites
 
 
 def models_up_to(bound: int) -> list[MinimalModel]:
@@ -216,7 +220,7 @@ def _ising_spec(m: int, n: int) -> CorrelatorSpec:
     return CorrelatorSpec(MinimalModel(3, 4), label, label, label, label)
 
 
-def suite_blocks(order: int = 50) -> dict:
+def suite_blocks() -> dict:
     import math
 
     t0 = time.perf_counter()
@@ -233,17 +237,16 @@ def suite_blocks(order: int = 50) -> dict:
 
     for z in (0.1, 0.3, 0.5):
         for channel, ref in ((KacLabel(1, 1), closed_identity(z)), (KacLabel(2, 1), closed_eps(z))):
-            got = block(spec, channel, z, order).value
+            got = block(spec, channel, z, BLOCK_ORDER).value
             worst = max(worst, abs(got - ref) / abs(ref))
     if worst > tol:
         failures.append(f"block mismatch {worst:.3e}")
 
     ode, _, _ = reduced_ode(spec)
-    n = order
     for rho in indicial_exponents(ode, 0):
-        series = frobenius_expand(ode, 0, rho, n)
+        series = frobenius_expand(ode, 0, rho, BLOCK_ORDER)
         support = residual_orders(series)
-        if support and min(support) <= n - 2:
+        if support and min(support) <= BLOCK_ORDER - 2:
             failures.append(f"residual support reaches order {min(support)} <= N-2")
     return _report(
         "blocks",
@@ -252,12 +255,12 @@ def suite_blocks(order: int = 50) -> dict:
         not failures,
         worst,
         tol,
-        {"points": [0.1, 0.3, 0.5], "order": order, "failures": failures},
+        {"points": [0.1, 0.3, 0.5], "order": BLOCK_ORDER, "failures": failures},
         t0,
     )
 
 
-def suite_ising_crossing(order: int = 60) -> dict:
+def suite_ising_crossing() -> dict:
     t0 = time.perf_counter()
     tol = 1e-8
     grid_z1 = (0.9, 1.0, 1.1, 1.2, 1.3)
@@ -266,7 +269,7 @@ def suite_ising_crossing(order: int = 60) -> dict:
     for spec in (_ising_spec(1, 2), _ising_spec(2, 1)):
         for z1 in grid_z1:
             for z in grid_z:
-                worst = max(worst, associativity_residual(spec, z1, z * z1, order))
+                worst = max(worst, associativity_residual(spec, z1, z * z1, CROSSING_ORDER))
     return _report(
         "ising-crossing",
         "product equals fused iterate on a 5x5 admissible (z1, z2) grid for the "
@@ -274,16 +277,16 @@ def suite_ising_crossing(order: int = 60) -> dict:
         worst < tol,
         worst,
         tol,
-        {"grid_z1": grid_z1, "grid_z2_over_z1": grid_z, "order": order},
+        {"grid_z1": grid_z1, "grid_z2_over_z1": grid_z, "order": CROSSING_ORDER},
         t0,
     )
 
 
-def suite_commutativity(order: int = 60) -> dict:
+def suite_commutativity() -> dict:
     t0 = time.perf_counter()
     tol = 1e-6
     spec = _ising_spec(1, 2)
-    resid, control = commutativity_residuals(spec, order, flips=(False, True))
+    resid, control = commutativity_residuals(spec, CROSSING_ORDER, flips=(False, True))
     model = spec.model
     sig = KacLabel(1, 2)
     phase_ok = True
@@ -299,12 +302,12 @@ def suite_commutativity(order: int = 60) -> dict:
         passed,
         resid,
         tol,
-        {"negative_control": control, "phases_exact": phase_ok, "order": order},
+        {"negative_control": control, "phases_exact": phase_ok, "order": CROSSING_ORDER},
         t0,
     )
 
 
-def suite_monodromy(order: int = 60) -> dict:
+def suite_monodromy() -> dict:
     t0 = time.perf_counter()
     tol = 1e-8
     worst = 0.0
@@ -314,7 +317,7 @@ def suite_monodromy(order: int = 60) -> dict:
         for label in level2_labels(model):
             spec = CorrelatorSpec(model, label, label, label, label)
             ode, _, _ = reduced_ode(spec)
-            basis = channel_basis(ode, 0, order)
+            basis = channel_basis(ode, 0, CROSSING_ORDER)
             resid, control = monodromy_residuals(ode, basis, (0.0, 0.01))
             worst = max(worst, resid)
             control_min = min(control_min, control)
@@ -327,12 +330,12 @@ def suite_monodromy(order: int = 60) -> dict:
         passed,
         worst,
         tol,
-        {"odes": cases, "negative_control_min": control_min, "order": order},
+        {"odes": cases, "negative_control_min": control_min, "order": CROSSING_ORDER},
         t0,
     )
 
 
-def suite_tensor(order: int = 50) -> dict:
+def suite_tensor() -> dict:
     t0 = time.perf_counter()
     tol = 1e-12
     failures = []
@@ -340,15 +343,15 @@ def suite_tensor(order: int = 50) -> dict:
     tmodel = TensorModel((spec.model, spec.model))
     for z in (0.2, 0.3, 0.45):
         pair = tensor_block(
-            tmodel, [spec, spec], [KacLabel(1, 1), KacLabel(2, 1)], z, order
+            tmodel, [spec, spec], [KacLabel(1, 1), KacLabel(2, 1)], z, BLOCK_ORDER
         )
-        single1 = block(spec, KacLabel(1, 1), z, order).value
-        single2 = block(spec, KacLabel(2, 1), z, order).value
+        single1 = block(spec, KacLabel(1, 1), z, BLOCK_ORDER).value
+        single2 = block(spec, KacLabel(2, 1), z, BLOCK_ORDER).value
         rel = abs(pair.value - single1 * single2) / abs(single1 * single2)
         if rel > tol:
             failures.append(f"tensor block differs from factor product by {rel:.2e}")
         swapped = tensor_block(
-            tmodel, [spec, spec], [KacLabel(2, 1), KacLabel(1, 1)], z, order
+            tmodel, [spec, spec], [KacLabel(2, 1), KacLabel(1, 1)], z, BLOCK_ORDER
         )
         if abs(pair.value - swapped.value) > tol * abs(pair.value):
             failures.append("factor reordering changed the tensor block")

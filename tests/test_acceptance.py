@@ -24,7 +24,7 @@ from virmin.verify import (
 )
 
 
-def _gate(criterion: int, report: dict, budget_s: float):
+def _gate(criterion: int, report: dict, budget_s: float, order: int | None = None):
     status = "PASS" if report["passed"] else "FAIL"
     resid = (
         ""
@@ -35,6 +35,8 @@ def _gate(criterion: int, report: dict, budget_s: float):
           f"{report['runtime_s']}s (budget {budget_s}s)")
     assert report["passed"], report
     assert report["runtime_s"] < budget_s, f"runtime {report['runtime_s']}s over budget"
+    if order is not None:  # the series order the suite pins
+        assert report["details"]["order"] == order
 
 
 def test_criterion_01_kac_data():
@@ -61,20 +63,20 @@ def test_criterion_05_bpz_structure():
 
 
 def test_criterion_06_block_correctness():
-    _gate(6, suite_blocks(order=50), 5.0)
+    _gate(6, suite_blocks(), 5.0, order=50)
 
 
 def test_criterion_07_associativity():
-    _gate(7, suite_ising_crossing(order=60), 30.0)
+    _gate(7, suite_ising_crossing(), 30.0, order=60)
 
 
 def test_criterion_08_commutativity():
-    _gate(8, suite_commutativity(order=60), 30.0)
+    _gate(8, suite_commutativity(), 30.0, order=60)
 
 
 def test_criterion_09_monodromy_no_log():
-    _gate(9, suite_monodromy(order=60), 30.0)
+    _gate(9, suite_monodromy(), 30.0, order=60)
 
 
 def test_criterion_10_tensor_factorization():
-    _gate(10, suite_tensor(order=50), 10.0)
+    _gate(10, suite_tensor(), 10.0)

@@ -204,10 +204,9 @@ def test_memos_are_keyed_by_value_not_by_spelling():
     fm = crossing.fusing_matrix(ode)
     crossing.associativity_residual(SIGMA_SPEC, 1.0, 0.8)
     assert crossing.fusing_matrix.cache_info().misses == 1
-    assert crossing.fusing_matrix(ode, order=60, swap=False) is fm
+    assert crossing.fusing_matrix(ode, order=60) is fm
     assert crossing.correlator(SIGMA_SPEC) is crossing.correlator(SIGMA_SPEC, order=60)
     assert crossing.correlator.cache_info().misses == 1
-    assert crossing.fusing_matrix(ode, 60, True) is not fm
 
 
 def test_kacdet_record_file_format_is_stable(tmp_path):

@@ -81,6 +81,23 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuse", "3", "4", "1,x", "1,2"],
+        ["crossing", "3", "4", "--labels", "1,2", "1,2", "1,2", "1,2", "--grid-z", "0.5,abc"],
+    ],
+    ids=["label", "grid"],
+)
+def test_malformed_input_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: virmin")
+    assert "internal error" not in err
+
+
 def test_bpz_json_roundtrip(capsys):
     code, out, _ = run_cli(
         capsys, "bpz", "3", "4",

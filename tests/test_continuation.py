@@ -101,7 +101,7 @@ def _start_states(spec: CorrelatorSpec, start: float = 0.5):
 def test_exponential_ode():
     # y' = y from 0 to 1 in four steps
     ode = ODESpec(((F(-1),), (F(1),)))
-    out = continue_along(ode, 0.0, [1.0 + 0j], [0.25, 0.5, 0.75, 1.0], order=30)
+    out = continue_along(ode, 0.0, [1.0 + 0j], [0.25, 0.5, 0.75, 1.0])
     assert abs(out[0] - math.e) < 1e-12
 
 
@@ -110,7 +110,7 @@ def test_fractional_power_monodromy():
     ode = ODESpec(((F(-1, 3),), (F(0), F(1))))
     r = 0.5
     state = [r ** (1 / 3) + 0j]
-    out = continue_along(ode, complex(r), state, circle_path(r, 16), order=30)
+    out = continue_along(ode, complex(r), state, circle_path(r, 16))
     want = state[0] * cmath.exp(2j * cmath.pi / 3)
     assert abs(out[0] - want) < 1e-12
 
@@ -118,9 +118,7 @@ def test_fractional_power_monodromy():
 def test_second_order_state_transport():
     # y'' + y = 0: transport (sin, cos) a quarter period
     ode = ODESpec(((F(1),), (), (F(1),)))
-    out = continue_along(
-        ode, 0.0, [0j, 1 + 0j], [0.4, 0.8, 1.2, math.pi / 2], order=40
-    )
+    out = continue_along(ode, 0.0, [0j, 1 + 0j], [0.4, 0.8, 1.2, math.pi / 2])
     assert abs(out[0] - 1) < 1e-12
     assert abs(out[1]) < 1e-12
 
