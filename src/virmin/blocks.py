@@ -13,14 +13,13 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 
 import numpy as np
 
-from .bpz import ODESpec, channel_exponents, reduced_ode
+from .bpz import ODESpec, reduced_ode, series_exponent
 from .errors import DomainError, LogarithmicCaseError, ModelViolationError, RangeError
 from .models import KacLabel
-from .poly import peval
+from .poly import integer_form, peval
 
 
 @dataclass(frozen=True)
@@ -89,19 +88,9 @@ def frobenius_expand(
     # reduced to lowest terms once instead of at every operation.
     p, q = exponent.numerator, exponent.denominator
     deg = max(len(s) for s in shifts) - 1
-    scale = lcm(*(c.denominator for s in shifts for c in s))
     int_shifts = [
-        [c.numerator * (scale // c.denominator) * q ** (deg - k) for k, c in enumerate(s)]
-        for s in shifts
+        [c * q ** (deg - k) for k, c in enumerate(s)] for s in integer_form(*shifts)[1]
     ]
-
-    def shift_value(j: int, m: int) -> int:
-        x = p + m * q
-        acc = 0
-        for c in reversed(int_shifts[j]):
-            acc = acc * x + c
-        return acc
-
     a = [Fraction(1)]
     nums = [1]  # numerators over den; only the last jmax are kept current
     den = 1
@@ -109,8 +98,8 @@ def frobenius_expand(
         rhs = 0
         for j in range(1, min(n, jmax) + 1):
             if shifts[j]:
-                rhs -= shift_value(j, n - j) * nums[n - j]
-        lead = shift_value(0, n)
+                rhs -= peval(int_shifts[j], p + (n - j) * q) * nums[n - j]
+        lead = peval(int_shifts[0], p + n * q)
         if lead != 0:
             den *= lead
             for k in range(max(0, n + 1 - jmax), n):
@@ -151,14 +140,6 @@ def residual_orders(series: FrobeniusSeries) -> list[int]:
     return bad
 
 
-def _horner(series: FrobeniusSeries, u: complex) -> complex:
-    """sum_k a_k u^k by Horner's rule."""
-    acc = 0j
-    for c in reversed(series.complex_coefficients):
-        acc = acc * u + c
-    return acc
-
-
 def eval_local(series: FrobeniusSeries, u: complex) -> complex:
     """Value at local coordinate u, principal branch of u^exponent."""
     if u == 0:
@@ -167,7 +148,7 @@ def eval_local(series: FrobeniusSeries, u: complex) -> complex:
         if series.exponent == 0:
             return complex(series.coefficients[0])
         raise DomainError("series with negative exponent diverges at its base point")
-    return _horner(series, u) * cmath.exp(series.float_exponent * cmath.log(u))
+    return peval(series.complex_coefficients, u) * cmath.exp(series.float_exponent * cmath.log(u))
 
 
 def eval_local_derivatives(series: FrobeniusSeries, u: complex, count: int) -> list[complex]:
@@ -217,7 +198,8 @@ def evaluate_series(series: FrobeniusSeries, z: complex) -> EvaluationResult:
     if u == 0:
         return EvaluationResult(eval_local(series, u), 0.0, order)
     power = cmath.exp(series.float_exponent * cmath.log(u))
-    return EvaluationResult(_horner(series, u) * power, _tail_bound(series, u) * abs(power), order)
+    value = peval(series.complex_coefficients, u) * power
+    return EvaluationResult(value, _tail_bound(series, u) * abs(power), order)
 
 
 def block(spec, channel: KacLabel, z: complex, order: int = 50) -> EvaluationResult:
@@ -230,13 +212,13 @@ def block(spec, channel: KacLabel, z: complex, order: int = 50) -> EvaluationRes
     raises ModelViolationError.
     """
     ode, anchor, _ = reduced_ode(spec)
-    exps = channel_exponents(spec, channel)  # validates the channel
+    rho = series_exponent(spec, channel, anchor)  # validates the channel
     try:
-        series = frobenius_expand(ode, 0, exps.t2 - anchor.t2, order)
+        series = frobenius_expand(ode, 0, rho, order)
     except RangeError as exc:
         if order < 0:
             raise
-        raise ModelViolationError(f"channel exponent {exps.t2}: {exc}") from exc
+        raise ModelViolationError(f"channel {channel}: {exc}") from exc
     inner = evaluate_series(series, z)
     zc = complex(z)
     pref = cmath.exp(anchor.floats[1] * cmath.log(zc))

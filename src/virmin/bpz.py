@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from .models import (
     kac_table,
     reflect,
 )
-from .poly import Poly, degree, normalize_system, ord0, poly, rational_roots
+from .poly import Poly, degree, falling, integer_form, normalize_system, ord0, poly, rational_roots
 from .verma import PBWVector
 
 # Operator term key: exponents of z1, z2, (z1 - z2), then d/dz1, d/dz2 orders.
@@ -279,6 +279,15 @@ def channel_exponents(spec: CorrelatorSpec, channel: KacLabel) -> ExponentPair:
     raise FusionError(f"channel {channel} not allowed with {spec.w1} into {spec.w4}")
 
 
+def series_exponent(
+    spec: CorrelatorSpec, channel: KacLabel, anchor: ExponentPair
+) -> Fraction:
+    """Exponent at z = 0 of the channel's solution of the ODE reduced at
+    `anchor`: the channel's t2 less the anchor's.  It must be an
+    indicial root there; the callers check that."""
+    return channel_exponents(spec, channel).t2 - anchor.t2
+
+
 def allowed_channels(spec: CorrelatorSpec) -> list[KacLabel]:
     """Canonical intermediate labels allowed in both pairings, sorted:
     the first half of the channel table."""
@@ -351,8 +360,7 @@ class ODESpec:
         """
         out = []
         for i, c in enumerate(self.coefficients):
-            den = lcm(*(v.denominator for v in c))
-            ints = [v.numerator * (den // v.denominator) for v in c]
+            den, (ints,) = integer_form(c)
             for k in range(len(ints) - 1):
                 for m in range(len(ints) - 2, k - 1, -1):
                     ints[m] += ints[m + 1]
@@ -372,22 +380,18 @@ class ODESpec:
         A_0 is the indicial polynomial.  The shifts at z = 1 are those
         of `shifted_to_one`.
         """
-        den = lcm(*(v.denominator for c in self.coefficients for v in c))
-        nz = [
-            (i, [v.numerator * (den // v.denominator) for v in c])
-            for i, c in enumerate(self.coefficients)
-            if c
-        ]
+        den, ints = integer_form(*self.coefficients)
+        nz = [(i, c) for i, c in enumerate(ints) if c]
         nu = min(ord0(c) - i for i, c in nz)
         jmax = max(len(c) - 1 - i for i, c in nz) - nu
-        falling = {i: _falling(i) for i, _ in nz}
+        factors = {i: falling(i) for i, _ in nz}
         shifts = []
         for j in range(jmax + 1):
             acc = [0] * (self.order + 1)
             for i, c in nz:
                 idx = nu + i + j
                 if 0 <= idx < len(c) and c[idx]:
-                    for k, f in enumerate(falling[i]):
+                    for k, f in enumerate(factors[i]):
                         acc[k] += c[idx] * f
             shifts.append(poly(Fraction(x, den) for x in acc))
         return tuple(shifts)
@@ -412,16 +416,6 @@ class ODESpec:
                 raise StructureError("irregular singular point at infinity")
 
 
-def _falling(i: int) -> tuple[int, ...]:
-    """Integer coefficients of (x)_i = x (x-1) ... (x-i+1), ascending."""
-    out = [1]
-    for j in range(i):
-        # (x)_{j+1} = x (x)_j - j (x)_j
-        out = [(out[k - 1] if k else 0) - (j * out[k] if k < len(out) else 0)
-               for k in range(len(out) + 1)]
-    return tuple(out)
-
-
 def indicial_polynomial(ode: ODESpec, point) -> Poly:
     """Indicial polynomial at 0, 1 or 'inf' as a polynomial in rho.
 
@@ -438,7 +432,7 @@ def indicial_polynomial(ode: ODESpec, point) -> Poly:
         out: list[Fraction] = [Fraction(0)] * (ode.order + 1)
         for i, c in nz:
             if degree(c) - i == nu:
-                for k, f in enumerate(_falling(i)):
+                for k, f in enumerate(falling(i)):
                     out[k] += -c[-1] * f if k % 2 else c[-1] * f
         return poly(out)
     raise RangeError(f"indicial point must be 0, 1 or 'inf', got {point!r}")

@@ -30,17 +30,16 @@ import numpy as np
 
 from .bpz import ODESpec
 from .errors import DomainError
+from .poly import falling, peval
 
 TAYLOR_ORDER = 40  # degree of the Taylor polynomial of each step
 
 
 def _falling_table(rows: int, cols: int) -> np.ndarray:
-    """ff[i, j] = j (j-1) ... (j-i+1) for i < rows, j < cols."""
-    j = np.arange(cols, dtype=float)
-    ff = np.ones((rows, cols))
-    for i in range(1, rows):
-        ff[i] = ff[i - 1] * (j - (i - 1))
-    return ff
+    """ff[i, j] = j (j-1) ... (j-i+1) for i < rows, j < cols, evaluated
+    exactly in Python integers and then rounded once to float."""
+    j = np.arange(cols, dtype=object)
+    return np.array([peval(falling(i), j) for i in range(rows)], float)
 
 
 class _StepTables(NamedTuple):

@@ -29,15 +29,20 @@ from .blocks import (
 )
 from .bpz import (
     CorrelatorSpec,
-    ExponentPair,
     ODESpec,
     allowed_channels,
-    channel_exponents,
     indicial_exponents,
     reduced_ode,
+    series_exponent,
 )
 from .continuation import circle_path, continue_along, lower_arc_path
-from .errors import ConditioningError, DomainError, FusionError, LogarithmicCaseError
+from .errors import (
+    ConditioningError,
+    DomainError,
+    FusionError,
+    LogarithmicCaseError,
+    ModelViolationError,
+)
 from .fusion import fusion_rule
 from .models import KacLabel, MinimalModel, TensorModel, conformal_weight
 
@@ -215,12 +220,11 @@ def braiding_phase(
 
 @dataclass(frozen=True)
 class Correlator:
-    """A solved correlator: its reduced ODE and anchor, the fusing
-    matrix between the bases at 0 and 1 (which carries both bases), and
-    the index in the point-0 basis of each allowed channel."""
+    """A solved correlator: its reduced ODE, the fusing matrix between
+    the bases at 0 and 1 (which carries both bases), and the index in
+    the point-0 basis of each allowed channel."""
 
     ode: ODESpec
-    anchor: ExponentPair
     fusing: FusingMatrix
     channels: tuple[tuple[KacLabel, int], ...]
 
@@ -244,12 +248,14 @@ def correlator(spec: CorrelatorSpec, order: int = ORDER) -> Correlator:
     """The correlator solved once per (spec, order) with series of that order."""
     ode, anchor, _ = reduced_ode(spec)
     fm = fusing_matrix(ode, order)
-    exponents = fm.basis0.exponents
-    channels = tuple(
-        (c, exponents.index(channel_exponents(spec, c).t2 - anchor.t2))
-        for c in allowed_channels(spec)
-    )
-    return Correlator(ode, anchor, fm, channels)
+    index = {rho: i for i, rho in enumerate(fm.basis0.exponents)}
+    channels = []
+    for c in allowed_channels(spec):
+        rho = series_exponent(spec, c, anchor)
+        if rho not in index:
+            raise ModelViolationError(f"channel {c}: {rho} is not an indicial root at 0")
+        channels.append((c, index[rho]))
+    return Correlator(ode, fm, tuple(channels))
 
 
 def associativity_residual(

@@ -3,26 +3,19 @@
 Determinants and kernels are computed by fraction-free (Bareiss)
 elimination on denominator-cleared integer matrices; rank decisions are
 therefore exact, which is what the degenerate Verma-module weights
-require.  A small incremental row-space class supports span membership
-and complement selection, used by the singular-vector filter.
+require.  `ff_echelon` is the one elimination: the determinant, the
+kernel and the rank all read its echelon form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .poly import integer_form
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
-
-
-def _int_rows(matrix: Matrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (kernel-preserving)."""
-    out = []
-    for row in matrix:
-        scale = lcm(*(f.denominator for f in row)) if row else 1
-        out.append([int(f * scale) for f in row])
-    return out
 
 
 def ff_echelon(
@@ -75,14 +68,18 @@ def _primitive_rows(matrix: Matrix) -> tuple[list[list[int]], Fraction]:
     factors taken out of them (0 if a row is zero)."""
     rows, content = [], Fraction(1)
     for row in matrix:
-        den = lcm(*(f.denominator for f in row))
-        ints = [f.numerator * (den // f.denominator) for f in row]
+        den, (ints,) = integer_form(row)
         g = gcd(*ints)
         if g == 0:
             return [], Fraction(0)
         content *= Fraction(g, den)
         rows.append([x // g for x in ints])
     return rows, content
+
+
+def rank(matrix: Matrix) -> int:
+    """Exact rank of a matrix of Fractions or ints."""
+    return len(ff_echelon(integer_form(*matrix)[1])[1])
 
 
 def det(matrix: Matrix) -> Fraction:
@@ -125,7 +122,7 @@ def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:
             raise ValueError("need n_cols for an empty matrix")
         return [[Fraction(i == j) for j in range(n_cols)] for i in range(n_cols)]
     n_cols = len(matrix[0])
-    ech, pivots, _ = ff_echelon(_int_rows(matrix))
+    ech, pivots, _ = ff_echelon(integer_form(*matrix)[1])
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for f in free:
@@ -137,29 +134,3 @@ def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:
             v[p] = -s / ech[i][p]
         basis.append(v)
     return basis
-
-
-class RowSpace:
-    """Incrementally built row space with exact membership tests."""
-
-    def __init__(self):
-        self._rows: list[tuple[int, Vector]] = []  # (pivot index, pivot-normalized row)
-
-    def reduce(self, vec: Vector) -> Vector:
-        v = list(vec)
-        for p, row in self._rows:
-            if v[p] != 0:
-                coef = v[p]
-                v = [a - coef * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec: Vector) -> bool:
-        """Insert vec's residual; True if it enlarged the space."""
-        v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if x != 0), None)
-        if p is None:
-            return False
-        piv = v[p]
-        self._rows.append((p, [x / piv for x in v]))
-        self._rows.sort(key=lambda t: t[0])
-        return True

@@ -4,6 +4,10 @@ A polynomial is a tuple of Fractions in ascending power order with no
 trailing zeros; () is the zero polynomial.  Includes the canonical form
 of an ODE coefficient list and exact rational root extraction for
 indicial polynomials.
+
+This module owns the exact primitives the rest of the package shares:
+`integer_form` clears denominators, `peval` is the one Horner loop and
+`falling` gives the coefficients of the falling factorial.
 """
 
 from __future__ import annotations
@@ -25,8 +29,27 @@ def poly(coeffs) -> Poly:
     return tuple(out)
 
 
-def peval(a: Poly, x):
-    """Horner evaluation; exact for Fraction x, numeric for complex/float."""
+def integer_form(*rows) -> tuple[int, list[list[int]]]:
+    """(d, rows times d) with d the least common denominator of every
+    entry of the rows (Fractions or ints), so the scaled rows are exact
+    integers."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def falling(i: int) -> tuple[int, ...]:
+    """Integer coefficients of (x)_i = x (x-1) ... (x-i+1), ascending."""
+    out = [1]
+    for j in range(i):
+        # (x)_{j+1} = x (x)_j - j (x)_j
+        out = [(out[k - 1] if k else 0) - (j * out[k] if k < len(out) else 0)
+               for k in range(len(out) + 1)]
+    return tuple(out)
+
+
+def peval(a, x):
+    """Horner evaluation of the ascending coefficients a at x; exact for
+    Fraction or int x and coefficients, numeric for complex or float."""
     acc = x * 0
     for c in reversed(a):
         acc = acc * x + c
@@ -84,8 +107,7 @@ def rational_roots(a: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     if mult0:
         roots.append((Fraction(0), mult0))
         a = a[mult0:]
-    den = lcm(*(c.denominator for c in a))
-    ints = [int(c * den) for c in a]
+    _, (ints,) = integer_form(a)
     g = gcd(*ints)
     ints = [c // g for c in ints]
     work = poly(ints)
@@ -159,8 +181,7 @@ def normalize_system(polys: list[Poly]) -> tuple[Poly, ...]:
     """
     if all(not p for p in polys):
         raise ValueError("all coefficients vanish")
-    den = lcm(*(c.denominator for p in polys for c in p))
-    ints = [[c.numerator * (den // c.denominator) for c in p] for p in polys]
+    _, ints = integer_form(*polys)
     nz = [p for p in ints if p]
     a = min(ord0(p) for p in nz)
     ints = [p[a:] for p in ints]

@@ -16,7 +16,7 @@ from math import gcd
 import numpy as np
 
 from .blocks import block, frobenius_expand, residual_orders
-from .bpz import CorrelatorSpec, allowed_channels, channel_exponents, indicial_exponents, reduced_ode
+from .bpz import CorrelatorSpec, allowed_channels, indicial_exponents, reduced_ode, series_exponent
 from .crossing import (
     associativity_residual,
     braiding_phase,
@@ -199,7 +199,7 @@ def suite_bpz_indicial() -> dict:
                 continue
             roots = set(indicial_exponents(ode, 0))
             for channel in allowed_channels(spec):
-                rho = channel_exponents(spec, channel).t2 - anchor.t2
+                rho = series_exponent(spec, channel, anchor)
                 if rho not in roots:
                     failures.append(f"{model} {label}: channel {channel} exponent missing")
     return _report(
@@ -382,8 +382,8 @@ def suite_tensor() -> dict:
         not failures,
         None,
         tol,
-        {"block_points": 3, "fusion_triples": triples, "fusion_mismatches": mismatches,
-         "failures": failures[:5]},
+        {"block_points": 3, "order": BLOCK_ORDER, "fusion_triples": triples,
+         "fusion_mismatches": mismatches, "failures": failures[:5]},
         t0,
     )
 

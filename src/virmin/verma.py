@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import lcm
 
 from .errors import RangeError
-from .linalg import RowSpace, det, nullspace
+from .linalg import det, nullspace, rank
 from .models import KacLabel, MinimalModel, central_charge, check_label, conformal_weight
 
 Partition = tuple[int, ...]
@@ -319,15 +319,18 @@ def singular_vectors(
         if not sing:
             continue
         basis = pbw_basis(level)
-        span = RowSpace()
+        span = []
         for lev, prim in found:
             for parts in pbw_basis(level - lev):
                 desc = prim
                 for k in reversed(parts):
                     desc = apply_lowering(k, desc)
-                span.add([desc.coefficients.get(p, Fraction(0)) for p in basis])
+                span.append([desc.coefficients.get(p, Fraction(0)) for p in basis])
+        dim = rank(span)
         for v in sing:
-            if span.add([v.coefficients.get(p, Fraction(0)) for p in basis]):
+            span.append([v.coefficients.get(p, Fraction(0)) for p in basis])
+            if rank(span) > dim:  # v is outside the span so far
+                dim += 1
                 found.append((level, _normalize_singular(v)))
     return found
 

@@ -26,9 +26,11 @@ eight choices in turn.
 `reference_kac_table` is the earlier Kac-table construction: every
 (m, n) canonicalized, duplicates dropped through a set, the rows sorted.
 
-`pbw_from_jsonable`, `ode_from_jsonable`, `rowspace_contains` and
-`rowspace_dim` are the inverse serializers and RowSpace queries that
-only the tests use.
+`pbw_from_jsonable` and `ode_from_jsonable` are the inverse serializers
+that only the tests use.  `RowSpace` is the earlier incremental
+Gauss-Jordan row space in Fractions, with its queries `rowspace_contains`
+and `rowspace_dim`; `reference_singular_vectors` is the earlier
+singular-vector filter built on it.
 
 `reference_taylor_step` is the earlier continuation kernel: one Taylor
 step, with its own shift, Toeplitz weights and recursion, applied to the
@@ -52,11 +54,11 @@ from virmin.blocks import eval_local
 from virmin.bpz import CorrelatorSpec, ExponentPair, ODESpec, TwoVarOperator
 from virmin.errors import DomainError, FusionError, ReductionError, StructureError
 from virmin.fusion import _triple_ok
-from virmin.linalg import RowSpace
 from virmin.models import (
     KacLabel,
     MinimalModel,
     canonicalize,
+    central_charge,
     check_label,
     conformal_weight,
     kac_table,
@@ -64,7 +66,14 @@ from virmin.models import (
 )
 from virmin.poly import ZERO, Poly, degree, divide_by_root, ord0, poly
 from virmin.serialize import parse_frac
-from virmin.verma import PBWVector
+from virmin.verma import (
+    PBWVector,
+    VermaParams,
+    _normalize_singular,
+    _singular_space,
+    apply_lowering,
+    pbw_basis,
+)
 
 ONE: Poly = (Fraction(1),)
 
@@ -484,15 +493,16 @@ def scalar_heldout_residual(rows, basis0, basis1, points) -> float:
     return resid
 
 
-def scalar_associativity_residual(cor, rows, z1: float, z2: float) -> float:
+def scalar_associativity_residual(cor, anchor, rows, z1: float, z2: float) -> float:
     """Worst relative product-vs-iterate mismatch over the correlator's
-    channels, with the prefactor z1^(t1 + t2) z^t2 on both sides and the
-    fusing rows `rows`, one channel and one series at a time."""
+    channels, with the prefactor z1^(t1 + t2) z^t2 of its anchor on both
+    sides and the fusing rows `rows`, one channel and one series at a
+    time."""
     z1c, z2c = complex(z1), complex(z2)
     z = z2c / z1c
     basis0, basis1 = cor.fusing.basis0, cor.fusing.basis1
-    pref = cmath.exp(float(cor.anchor.t1 + cor.anchor.t2) * cmath.log(z1c)) * cmath.exp(
-        float(cor.anchor.t2) * cmath.log(z)
+    pref = cmath.exp(float(anchor.t1 + anchor.t2) * cmath.log(z1c)) * cmath.exp(
+        float(anchor.t2) * cmath.log(z)
     )
     worst = 0.0
     for _, i in cor.channels:
@@ -565,6 +575,58 @@ def ode_from_jsonable(data: dict) -> ODESpec:
     return ODESpec(
         tuple(tuple(parse_frac(c) for c in poly) for poly in data["coefficients"])
     )
+
+
+class RowSpace:
+    """Incrementally built row space with exact membership tests, by
+    Gauss-Jordan reduction in Fractions: the earlier singular-vector
+    filter."""
+
+    def __init__(self):
+        self._rows: list[tuple[int, list[Fraction]]] = []  # (pivot, pivot-normalized row)
+
+    def reduce(self, vec) -> list[Fraction]:
+        v = list(vec)
+        for p, row in self._rows:
+            if v[p] != 0:
+                coef = v[p]
+                v = [a - coef * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, vec) -> bool:
+        """Insert vec's residual; True if it enlarged the space."""
+        v = self.reduce(vec)
+        p = next((i for i, x in enumerate(v) if x != 0), None)
+        if p is None:
+            return False
+        piv = v[p]
+        self._rows.append((p, [x / piv for x in v]))
+        self._rows.sort(key=lambda t: t[0])
+        return True
+
+
+def reference_singular_vectors(model: MinimalModel, label: KacLabel, max_level: int):
+    """The earlier singular-vector filter: per level, the exact singular
+    space of virmin.verma, with a vector kept when it enlarges the
+    RowSpace of the descendants of the vectors kept below it."""
+    params = VermaParams(central_charge(model), conformal_weight(model, label))
+    found = []
+    for level in range(1, max_level + 1):
+        sing = _singular_space(params, level)
+        if not sing:
+            continue
+        basis = pbw_basis(level)
+        span = RowSpace()
+        for lev, prim in found:
+            for parts in pbw_basis(level - lev):
+                desc = prim
+                for k in reversed(parts):
+                    desc = apply_lowering(k, desc)
+                span.add([desc.coefficients.get(p, Fraction(0)) for p in basis])
+        for v in sing:
+            if span.add([v.coefficients.get(p, Fraction(0)) for p in basis]):
+                found.append((level, _normalize_singular(v)))
+    return found
 
 
 def rowspace_contains(space: RowSpace, vec) -> bool:

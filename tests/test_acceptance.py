@@ -79,4 +79,4 @@ def test_criterion_09_monodromy_no_log():
 
 
 def test_criterion_10_tensor_factorization():
-    _gate(10, suite_tensor(), 10.0)
+    _gate(10, suite_tensor(), 10.0, order=50)

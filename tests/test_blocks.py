@@ -14,10 +14,9 @@ from virmin.blocks import (
     frobenius_expand,
     residual_orders,
 )
-from virmin import blocks, crossing
+from virmin import blocks, bpz, cli, crossing
 from virmin.bpz import (
     CorrelatorSpec,
-    ExponentPair,
     ODESpec,
     allowed_channels,
     channel_exponents,
@@ -104,18 +103,31 @@ def test_block_normalization_at_small_z():
     assert abs(b.value / lead - 1) < 1e-5
 
 
-def test_block_rejects_a_channel_exponent_off_the_indicial_roots(monkeypatch):
+def test_block_rejects_a_channel_exponent_off_the_indicial_roots(monkeypatch, capsys):
+    """A channel exponent moved off the indicial roots is a typed error
+    with one message from block, associativity_residual and correlator,
+    and `virmin crossing` exits with the domain-error code."""
     with pytest.raises(RangeError):
         block(SIGMA_SPEC, EPS, 0.3, -1)
-    exact = blocks.channel_exponents
+    exact = bpz.series_exponent
 
-    def shifted(spec, channel):
-        exps = exact(spec, channel)
-        return ExponentPair(exps.t1, exps.t2 + F(1, 7))
+    def shifted(spec, channel, anchor):
+        return exact(spec, channel, anchor) + F(1, 7)
 
-    monkeypatch.setattr(blocks, "channel_exponents", shifted)
+    monkeypatch.setattr(blocks, "series_exponent", shifted)
+    monkeypatch.setattr(crossing, "series_exponent", shifted)
+    crossing.correlator.cache_clear()
     with pytest.raises(ModelViolationError):
         block(SIGMA_SPEC, EPS, 0.3, 20)
+    first = allowed_channels(SIGMA_SPEC)[0]
+    with pytest.raises(ModelViolationError) as from_block:
+        block(SIGMA_SPEC, first, 0.3, 20)
+    with pytest.raises(ModelViolationError) as from_residual:
+        crossing.associativity_residual(SIGMA_SPEC, 1.0, 0.55)
+    assert str(from_residual.value) == str(from_block.value)
+    code = cli.main(["crossing", "3", "4", "--labels", "1,2", "1,2", "1,2", "1,2"])
+    assert code == cli.DOMAIN_EXIT
+    assert capsys.readouterr().err == f"error: {from_block.value}\n"
 
 
 def test_evaluate_series_domain():

@@ -6,10 +6,18 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from exact_oracles import _falling_table as running_product_table
 from exact_oracles import reference_taylor_step
 from virmin.blocks import eval_local_derivatives
 from virmin.bpz import CorrelatorSpec, ODESpec, reduced_ode
-from virmin.continuation import circle_path, continue_along, lower_arc_path, taylor_step
+from virmin.continuation import (
+    TAYLOR_ORDER,
+    _falling_table,
+    circle_path,
+    continue_along,
+    lower_arc_path,
+    taylor_step,
+)
 from virmin.crossing import channel_basis
 from virmin.errors import DomainError
 from virmin.models import KacLabel, MinimalModel
@@ -240,3 +248,19 @@ def test_leading_roots():
     assert sorted(roots.tolist(), key=abs) == [0, 1]
     roots = ODESpec(((F(1),), (F(1), F(0), F(1)))).leading_roots  # 1 + z^2
     assert np.allclose(sorted(roots.tolist(), key=lambda r: r.imag), [-1j, 1j])
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_falling_table_is_the_running_product(k):
+    """The table built from poly.falling holds the running product's
+    floats bit for bit: every entry is an integer below 2**53.  The one
+    difference is the sign of zero: for j < i the product passes through
+    a zero factor and alternates 0.0 and -0.0, the integers give 0.0."""
+    got = _falling_table(k + 1, TAYLOR_ORDER + 1)
+    want = running_product_table(k + 1, TAYLOR_ORDER + 1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    nonzero = want != 0
+    assert np.array_equal(got.view(np.int64)[nonzero], want.view(np.int64)[nonzero])
+    assert not np.signbit(got).any()
+

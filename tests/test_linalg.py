@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import rank, rowspace_contains, rowspace_dim
-from virmin.linalg import RowSpace, det, ff_echelon, nullspace
+from exact_oracles import RowSpace, rank, rowspace_contains, rowspace_dim
+from virmin.linalg import det, ff_echelon, nullspace, rank as echelon_rank
 
 F = Fraction
 
@@ -96,10 +96,12 @@ def test_nullspace_full_rank():
 
 
 def test_rank():
-    # the oracle rank and the pivot count of the fraction-free echelon form
+    # the oracle rank, the pivot count of the fraction-free echelon form
+    # and linalg.rank, which reads it
     for m, want in (([[1, 2], [2, 4]], 1), ([[1, 0], [0, 1]], 2), ([], 0)):
         assert rank(m) == want
         assert len(ff_echelon(m)[1]) == want
+        assert echelon_rank(m) == want
 
 
 def test_ff_echelon_stays_integer():
@@ -133,6 +135,7 @@ def test_rowspace():
 def test_nullspace_property(rows):
     basis = nullspace([r[:] for r in rows], n_cols=4)
     assert len(basis) == 4 - rank([r[:] for r in rows])
+    assert echelon_rank(rows) == rank(rows)
     for v in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 from math import gcd, lcm
 
 import pytest
@@ -18,6 +19,8 @@ from exact_oracles import (
 from virmin.poly import (
     _float_roots,
     divide_by_root,
+    falling,
+    integer_form,
     normalize_system,
     ord0,
     peval,
@@ -237,3 +240,43 @@ def test_ord0():
     assert ord0(poly([0, 0, 5])) == 2
     with pytest.raises(ValueError):
         ord0(())
+
+
+fraction_rows = st.lists(
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=60), max_size=5),
+    max_size=4,
+)
+
+
+@given(fraction_rows)
+@settings(max_examples=100)
+def test_integer_form_clears_the_least_common_denominator(rows):
+    d, ints = integer_form(*rows)
+    assert [len(r) for r in ints] == [len(r) for r in rows]
+    for row, int_row in zip(rows, ints):
+        assert all(type(n) is int and n == d * x for n, x in zip(int_row, row))
+    # d is the least common denominator: every entry's denominator divides
+    # it, and d / r does not clear them for any prime r dividing d (every
+    # such r is at most 60, the largest denominator drawn)
+    dens = [x.denominator for row in rows for x in row]
+    assert d >= 1 and all(d % den == 0 for den in dens)
+    for r in range(2, 61):
+        if d % r == 0:
+            assert not all((d // r) % den == 0 for den in dens)
+
+
+def test_integer_form_of_integers_and_of_nothing():
+    assert integer_form([3, -4], [0]) == (1, [[3, -4], [0]])
+    assert integer_form() == (1, [])
+    assert integer_form([Fraction(1, 6), Fraction(-3, 4)]) == (12, [[2, -9]])
+
+
+@pytest.mark.parametrize("i", range(9))
+def test_falling_is_the_product_of_its_factors(i):
+    product = (Fraction(1),)
+    for j in range(i):
+        product = pmul(product, (Fraction(-j), Fraction(1)))  # times (x - j)
+    assert falling(i) == tuple(int(c) for c in product)
+    assert all(type(c) is int for c in falling(i))
+    for x in range(-3, 12):
+        assert peval(falling(i), x) == math.prod(x - j for j in range(i))

@@ -1,6 +1,6 @@
 import hashlib
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from virmin.cache import GramCache
 from virmin.errors import RangeError
-from exact_oracles import gauss_det, rank
+from exact_oracles import gauss_det, rank, reference_singular_vectors
 from virmin.linalg import nullspace
-from virmin.models import KacLabel, MinimalModel, central_charge, conformal_weight
+from virmin.models import KacLabel, MinimalModel, central_charge, conformal_weight, kac_table
 from virmin.serialize import frac_str
 from virmin.verma import (
     PBWVector,
@@ -353,3 +353,15 @@ def test_gram_cache_stores_only_the_requested_level(tmp_path):
     gram_matrix(params, 6, cache)
     assert len(list(tmp_path.glob("gram-*.json"))) == 1
     assert cache.load(params, 5) is None
+
+
+def test_singular_vectors_match_the_rowspace_filter():
+    """The rank-based filter keeps the vectors the earlier Gauss-Jordan
+    RowSpace filter keeps, for every label of coprime p < q <= 7 through
+    level 8."""
+    models = [MinimalModel(p, q) for q in range(3, 8) for p in range(2, q) if gcd(p, q) == 1]
+    for model in models:
+        for label, _ in kac_table(model):
+            want = reference_singular_vectors(model, label, 8)
+            assert singular_vectors(model, label, 8) == want, (model, label)
+
