@@ -1,10 +1,13 @@
 """Frobenius-series solutions of the reduced equations and their evaluation.
 
-Coefficients are computed by the exact linear recursion obtained from
-substituting (local variable)^rho * sum a_k (local)^k into the ODE and
-stay rational; floating point enters only at evaluation time, through
-complex copies of the coefficients made once per series.  The local
-variable is z at the base point 0 and u = 1 - z at the base point 1.
+Coefficients come from the exact linear recursion obtained from
+substituting (local variable)^rho * sum a_k (local)^k into the ODE, run
+in integers over one running denominator, so every resonance decision
+is an exact test.  A series stores each a_k as the correctly rounded
+complex float of its exact value, one integer division per order; the
+exact Fractions are rebuilt from the same recursion only when
+`coefficients` is read.  The local variable is z at the base point 0
+and u = 1 - z at the base point 1.
 """
 
 from __future__ import annotations
@@ -28,20 +31,22 @@ class FrobeniusSeries:
 
     base_point: int  # 0 or 1
     exponent: Fraction
-    coefficients: tuple[Fraction, ...]
+    complex_coefficients: tuple[complex, ...]  # a_k, each correctly rounded
     ode: ODESpec
 
     @property
     def order(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.complex_coefficients) - 1
 
     def local_ode(self) -> ODESpec:
         return self.ode if self.base_point == 0 else self.ode.shifted_to_one
 
     @cached_property
-    def complex_coefficients(self) -> tuple[complex, ...]:
-        """complex(a_k) for every coefficient, converted once."""
-        return tuple(complex(c) for c in self.coefficients)
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """Exact a_k in lowest terms, from the recursion run again on
+        first access; evaluation never needs them."""
+        terms = _terms(self.local_ode().frobenius_shifts, self.exponent, self.order)
+        return tuple(Fraction(num, den) for num, den in terms)
 
     @cached_property
     def float_exponent(self) -> float:
@@ -62,58 +67,79 @@ class EvaluationResult:
 def frobenius_expand(
     ode: ODESpec, point: int, exponent: Fraction, order: int
 ) -> FrobeniusSeries:
-    """Exact series coefficients at a regular singular point, computed
-    once per (ode, point, exponent, order).
+    """Series coefficients at a regular singular point, computed once
+    per (ode, point, exponent, order).
 
     Resonances (the indicial polynomial vanishing at exponent + k for
     some k >= 1) are handled by setting the free coefficient to zero
     when that is consistent; an inconsistent resonance means the true
     solution carries a logarithm and raises LogarithmicCaseError
-    rather than being silently patched.
+    rather than being silently patched.  Each a_k is stored as the
+    correctly rounded quotient of its integer numerator and denominator
+    (+0.0 when it vanishes); the exact a_k are built only when
+    `coefficients` is read.
     """
     if point not in (0, 1):
         raise RangeError("expansion point must be 0 or 1")
     if order < 0:
         raise RangeError("order must be nonnegative")
     exponent = Fraction(exponent)
-    local = ode if point == 0 else ode.shifted_to_one
-    shifts = local.frobenius_shifts
+    shifts = (ode if point == 0 else ode.shifted_to_one).frobenius_shifts
     if peval(shifts[0], exponent) != 0:
         raise RangeError(f"{exponent} is not an indicial root at {point}")
+    # a vanishing term is +0.0, as complex(Fraction(0)) is; 0 / den
+    # would give -0.0 over a negative running denominator
+    floats = tuple(
+        complex(num / den if num else 0.0) for num, den in _terms(shifts, exponent, order)
+    )
+    return FrobeniusSeries(point, exponent, floats, ode)
+
+
+def _terms(shifts, exponent: Fraction, order: int):
+    """(numerator, denominator) of a_0, ..., a_order, not reduced.
+
+    The recursion in integers: with exponent = p/q and L the common
+    denominator of the shift coefficients, L q^deg A_j(exponent + m) =
+    P_j(p + m q) for integer polynomials P_j.  a_0..a_n are carried as
+    integer numerators over one running denominator; only the last jmax
+    numerators are kept current.
+    """
     jmax = len(shifts) - 1
-    # The recursion in integers: with exponent = p/q and L the common
-    # denominator of the shift coefficients, L q^deg A_j(exponent + m) =
-    # P_j(p + m q) for integer polynomials P_j.  a_0..a_n are carried as
-    # integer numerators over one running denominator, so each a_n is
-    # reduced to lowest terms once instead of at every operation.
     p, q = exponent.numerator, exponent.denominator
     deg = max(len(s) for s in shifts) - 1
-    int_shifts = [
-        [c * q ** (deg - k) for k, c in enumerate(s)] for s in integer_form(*shifts)[1]
-    ]
-    a = [Fraction(1)]
-    nums = [1]  # numerators over den; only the last jmax are kept current
+    # values[j][m] = P_j(p + m q) for m = 0..order, by Horner over the
+    # whole progression at once
+    points = range(p, p + (order + 1) * q, q)
+    values = []
+    for ints in integer_form(*shifts)[1]:
+        acc = [0] * (order + 1)
+        for k in range(len(ints) - 1, -1, -1):
+            c = ints[k] * q ** (deg - k)
+            acc = [a * x + c for a, x in zip(acc, points)]
+        values.append(acc)
+    active = [j for j in range(1, jmax + 1) if shifts[j]]
+    nums = [1]
     den = 1
+    yield 1, 1
     for n in range(1, order + 1):
         rhs = 0
-        for j in range(1, min(n, jmax) + 1):
-            if shifts[j]:
-                rhs -= peval(int_shifts[j], p + (n - j) * q) * nums[n - j]
-        lead = peval(int_shifts[0], p + n * q)
+        for j in active:
+            if j > n:
+                break
+            rhs -= values[j][n - j] * nums[n - j]
+        lead = values[0][n]
         if lead != 0:
             den *= lead
             for k in range(max(0, n + 1 - jmax), n):
                 nums[k] *= lead
             nums.append(rhs)
-            a.append(Fraction(rhs, den))
         elif rhs == 0:
             nums.append(0)
-            a.append(Fraction(0))
         else:
             raise LogarithmicCaseError(
                 f"inconsistent resonance at order {n} above exponent {exponent}"
             )
-    return FrobeniusSeries(point, exponent, tuple(a), ode)
+        yield rhs, den
 
 
 def residual_orders(series: FrobeniusSeries) -> list[int]:
@@ -146,7 +172,7 @@ def eval_local(series: FrobeniusSeries, u: complex) -> complex:
         if series.exponent > 0:
             return 0j
         if series.exponent == 0:
-            return complex(series.coefficients[0])
+            return series.complex_coefficients[0]
         raise DomainError("series with negative exponent diverges at its base point")
     return peval(series.complex_coefficients, u) * cmath.exp(series.float_exponent * cmath.log(u))
 
@@ -190,7 +216,7 @@ def _tail_bound(series: FrobeniusSeries, u: complex) -> float:
 def evaluate_series(series: FrobeniusSeries, z: complex) -> EvaluationResult:
     """Horner evaluation of the truncated series at z (principal branch)."""
     u = complex(z) if series.base_point == 0 else 1 - complex(z)
-    order = len(series.coefficients) - 1
+    order = series.order
     if abs(u) >= 1:
         raise DomainError(
             f"{z} lies outside the convergence disk of the expansion at {series.base_point}"

@@ -77,9 +77,17 @@ def _primitive_rows(matrix: Matrix) -> tuple[list[list[int]], Fraction]:
     return rows, content
 
 
+def _integer_rows(matrix: Matrix) -> list[list[int]]:
+    """The matrix itself when every entry is an int, else its rows with
+    the denominators cleared (the same kernel and rank)."""
+    if all(type(x) is int for row in matrix for x in row):
+        return matrix
+    return integer_form(*matrix)[1]
+
+
 def rank(matrix: Matrix) -> int:
     """Exact rank of a matrix of Fractions or ints."""
-    return len(ff_echelon(integer_form(*matrix)[1])[1])
+    return len(ff_echelon(_integer_rows(matrix))[1])
 
 
 def det(matrix: Matrix) -> Fraction:
@@ -112,7 +120,8 @@ def det(matrix: Matrix) -> Fraction:
 
 
 def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:
-    """Basis of {v : M v = 0}, echelon-canonical.
+    """Basis of {v : M v = 0} for a matrix of Fractions or ints,
+    echelon-canonical.
 
     Each basis vector carries a 1 in "its" free column and 0 in the other
     free columns, so the result is deterministic.
@@ -122,7 +131,7 @@ def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:
             raise ValueError("need n_cols for an empty matrix")
         return [[Fraction(i == j) for j in range(n_cols)] for i in range(n_cols)]
     n_cols = len(matrix[0])
-    ech, pivots, _ = ff_echelon(integer_form(*matrix)[1])
+    ech, pivots, _ = ff_echelon(_integer_rows(matrix))
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for f in free:

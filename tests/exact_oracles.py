@@ -32,6 +32,10 @@ Gauss-Jordan row space in Fractions, with its queries `rowspace_contains`
 and `rowspace_dim`; `reference_singular_vectors` is the earlier
 singular-vector filter built on it.
 
+`reference_frobenius_expand` is the earlier Frobenius recursion: the
+same integer recursion as `virmin.blocks`, with every coefficient
+reduced to a Fraction as it is produced.
+
 `reference_taylor_step` is the earlier continuation kernel: one Taylor
 step, with its own shift, Toeplitz weights and recursion, applied to the
 state directly; chaining it along a path is the reference for the
@@ -52,7 +56,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from virmin.blocks import eval_local
 from virmin.bpz import CorrelatorSpec, ExponentPair, ODESpec, TwoVarOperator
-from virmin.errors import DomainError, FusionError, ReductionError, StructureError
+from virmin.errors import (
+    DomainError,
+    FusionError,
+    LogarithmicCaseError,
+    RangeError,
+    ReductionError,
+    StructureError,
+)
 from virmin.fusion import _triple_ok
 from virmin.models import (
     KacLabel,
@@ -64,7 +75,7 @@ from virmin.models import (
     kac_table,
     reflect,
 )
-from virmin.poly import ZERO, Poly, degree, divide_by_root, ord0, poly
+from virmin.poly import ZERO, Poly, degree, divide_by_root, integer_form, ord0, peval, poly
 from virmin.serialize import parse_frac
 from virmin.verma import (
     PBWVector,
@@ -416,6 +427,51 @@ def recursion_shifts(ode: ODESpec) -> list[Poly]:
                 acc = padd(acc, pscale(_falling(i), c[idx]))
         shifts.append(acc)
     return shifts
+
+
+def reference_frobenius_expand(
+    ode: ODESpec, point: int, exponent: Fraction, order: int
+) -> tuple[Fraction, ...]:
+    """Exact a_0..a_order at the point, one Fraction per order, raising
+    RangeError and LogarithmicCaseError as virmin.blocks does."""
+    if point not in (0, 1):
+        raise RangeError("expansion point must be 0 or 1")
+    if order < 0:
+        raise RangeError("order must be nonnegative")
+    exponent = Fraction(exponent)
+    local = ode if point == 0 else ode.shifted_to_one
+    shifts = local.frobenius_shifts
+    if peval(shifts[0], exponent) != 0:
+        raise RangeError(f"{exponent} is not an indicial root at {point}")
+    jmax = len(shifts) - 1
+    p, q = exponent.numerator, exponent.denominator
+    deg = max(len(s) for s in shifts) - 1
+    int_shifts = [
+        [c * q ** (deg - k) for k, c in enumerate(s)] for s in integer_form(*shifts)[1]
+    ]
+    a = [Fraction(1)]
+    nums = [1]
+    den = 1
+    for n in range(1, order + 1):
+        rhs = 0
+        for j in range(1, min(n, jmax) + 1):
+            if shifts[j]:
+                rhs -= peval(int_shifts[j], p + (n - j) * q) * nums[n - j]
+        lead = peval(int_shifts[0], p + n * q)
+        if lead != 0:
+            den *= lead
+            for k in range(max(0, n + 1 - jmax), n):
+                nums[k] *= lead
+            nums.append(rhs)
+            a.append(Fraction(rhs, den))
+        elif rhs == 0:
+            nums.append(0)
+            a.append(Fraction(0))
+        else:
+            raise LogarithmicCaseError(
+                f"inconsistent resonance at order {n} above exponent {exponent}"
+            )
+    return tuple(a)
 
 
 def reference_indicial_polynomial(ode: ODESpec, point) -> Poly:

@@ -1,10 +1,16 @@
 import cmath
 import math
+import struct
 from fractions import Fraction
 
 import pytest
 
-from exact_oracles import composed_at_one, recursion_shifts, tail_bound
+from exact_oracles import (
+    composed_at_one,
+    recursion_shifts,
+    reference_frobenius_expand,
+    tail_bound,
+)
 from virmin.blocks import (
     EvaluationResult,
     block,
@@ -24,7 +30,8 @@ from virmin.bpz import (
     reduced_ode,
 )
 from virmin.errors import DomainError, LogarithmicCaseError, ModelViolationError, RangeError
-from virmin.models import KacLabel, MinimalModel
+from virmin.models import KacLabel, MinimalModel, kac_table, null_level
+from virmin.poly import peval
 
 F = Fraction
 
@@ -238,6 +245,101 @@ def test_series_match_fraction_recursion(p, q, labels):
                 assert frobenius_expand(ode, point, rho, 30).coefficients == want
 
 
+def diagonal_odes(max_level: int):
+    """Reduced ODE of every diagonal correlator <phi phi phi phi>, phi a
+    canonical label of null level <= max_level of coprime p < q <= 7."""
+    out = []
+    for q in range(3, 8):
+        for p in range(2, q):
+            if math.gcd(p, q) != 1:
+                continue
+            model = MinimalModel(p, q)
+            for label, _ in kac_table(model):
+                if null_level(model, label) <= max_level:
+                    out.append(reduced_ode(CorrelatorSpec(model, *[label] * 4))[0])
+    return out
+
+
+def float_bits(c: complex) -> bytes:
+    return struct.pack("<dd", c.real, c.imag)
+
+
+def test_series_floats_are_the_rounded_exact_coefficients():
+    """At order 60, on every root at 0 and 1 of the diagonal correlators
+    of null level <= 4: the exact coefficients equal the Fraction
+    recursion, each float is complex() of its Fraction bit for bit (a
+    vanishing term over a negative running denominator is +0.0), and
+    where the Fraction recursion raises, frobenius_expand raises the same
+    error with the same message."""
+    expanded = raised = negative_zeros = 0
+    for ode in diagonal_odes(4):
+        for point in (0, 1):
+            for rho in indicial_exponents(ode, point):
+                try:
+                    want = reference_frobenius_expand(ode, point, rho, 60)
+                except (RangeError, LogarithmicCaseError) as exc:
+                    with pytest.raises(type(exc)) as got:
+                        frobenius_expand(ode, point, rho, 60)
+                    assert str(got.value) == str(exc)
+                    raised += 1
+                    continue
+                series = frobenius_expand(ode, point, rho, 60)
+                assert [float_bits(c) for c in series.complex_coefficients] == [
+                    float_bits(complex(c)) for c in want
+                ]
+                assert series.coefficients == want
+                terms = blocks._terms(series.local_ode().frobenius_shifts, rho, 60)
+                for k, (num, den) in enumerate(terms):
+                    if num == 0 and den < 0:
+                        assert float_bits(series.complex_coefficients[k]) == float_bits(0j)
+                        negative_zeros += 1
+                expanded += 1
+    assert expanded > 200 and raised > 0 and negative_zeros > 0
+
+
+def reference_residual_support(ode, point, exponent, coeffs) -> list[int]:
+    """Orders where the Fraction shift polynomials applied to the
+    truncated coefficients leave a nonzero residual."""
+    shifts = recursion_shifts(ode if point == 0 else composed_at_one(ode))
+    top = len(coeffs) - 1
+    return [
+        n
+        for n in range(top + len(shifts))
+        if sum(
+            (peval(shifts[j], exponent + n - j) * coeffs[n - j]
+             for j in range(len(shifts)) if 0 <= n - j <= top),
+            F(0),
+        ) != 0
+    ]
+
+
+def test_exact_coefficients_are_built_only_when_asked_for():
+    """A cold fusing matrix and a warm block build no Fraction
+    coefficients; residual_orders builds them and gives the support of
+    the Fraction recursion."""
+    blocks.frobenius_expand.cache_clear()
+    crossing.correlator.cache_clear()
+    crossing.fusing_matrix.cache_clear()
+    ode = reduced_ode(CorrelatorSpec(MinimalModel(5, 6), *[KacLabel(2, 3)] * 4))[0]
+    fm = crossing.fusing_matrix(ode)
+    series = list(fm.basis0.solutions) + list(fm.basis1.solutions)
+    for _ in range(2):
+        block(SIGMA_SPEC, EPS, 0.3)
+    hits = blocks.frobenius_expand.cache_info().hits
+    rho = bpz.series_exponent(SIGMA_SPEC, EPS, reduced_ode(SIGMA_SPEC)[1])
+    series.append(frobenius_expand(sigma_ode(), 0, rho, 50))
+    assert blocks.frobenius_expand.cache_info().hits == hits + 1
+    assert len(series) == 13
+    for s in series:
+        assert "coefficients" not in s.__dict__
+    for s in series:
+        want = reference_frobenius_expand(s.ode, s.base_point, s.exponent, s.order)
+        assert residual_orders(s) == reference_residual_support(
+            s.ode, s.base_point, s.exponent, want
+        )
+        assert s.__dict__["coefficients"] == want
+
+
 def test_wronskian_nonvanishing():
     ode = sigma_ode()
     roots = indicial_exponents(ode, 0)
@@ -325,6 +427,6 @@ def test_tail_bound_and_values_match_the_full_term_scan():
     # top terms that underflow at tiny |u|
     ode = ODESpec(((), (F(0), F(1))))
     for coeffs in ((1, 1, 1, 100, 1, 1, 1, 1), (1, 2, 0, 3, 0, 0, 5, 1), (1, 0, 0, 0, 0, 0, 0, 7)):
-        series = blocks.FrobeniusSeries(0, F(0), tuple(F(c) for c in coeffs), ode)
+        series = blocks.FrobeniusSeries(0, F(0), tuple(complex(c) for c in coeffs), ode)
         for u in (1e-200, 1e-3, 0.3, 0.9):
             assert blocks._tail_bound(series, u) == tail_bound(series, u)

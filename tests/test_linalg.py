@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_oracles import RowSpace, rank, rowspace_contains, rowspace_dim
+from virmin import linalg
 from virmin.linalg import det, ff_echelon, nullspace, rank as echelon_rank
 
 F = Fraction
@@ -139,3 +140,31 @@ def test_nullspace_property(rows):
     for v in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=5, max_size=5),
+        min_size=1,
+        max_size=5,
+    )
+)
+@settings(max_examples=60)
+def test_nullspace_of_an_int_matrix_equals_that_of_its_fractions(rows):
+    """Integer rows go to the elimination as they are and give the
+    kernel and rank of the same matrix written in Fractions."""
+    as_fractions = [[F(x) for x in row] for row in rows]
+    got = nullspace(rows)
+    assert got == nullspace(as_fractions)
+    assert all(type(x) is F for v in got for x in v)
+    assert echelon_rank(rows) == echelon_rank(as_fractions) == rank(as_fractions)
+
+
+def test_integer_rows_skip_the_denominator_clearing(monkeypatch):
+    def no_clearing(*rows):
+        raise AssertionError("integer rows were cleared of denominators")
+
+    monkeypatch.setattr(linalg, "integer_form", no_clearing)
+    m = [[1, 2, 3], [2, 4, 6]]
+    assert nullspace(m) == [[F(-2), F(1), F(0)], [F(-3), F(0), F(1)]]
+    assert echelon_rank(m) == 1
