@@ -36,7 +36,6 @@ from .bpz import (
     CorrelatorSpec,
     ExponentPair,
     ODESpec,
-    TwoVarOperator,
     allowed_channels,
     channel_exponents,
     derive_pde_slot2,
@@ -96,7 +95,6 @@ __all__ = [
     "CorrelatorSpec",
     "ExponentPair",
     "ODESpec",
-    "TwoVarOperator",
     "allowed_channels",
     "channel_exponents",
     "derive_pde_slot2",

@@ -217,7 +217,7 @@ def evaluate_series(series: FrobeniusSeries, z: complex) -> EvaluationResult:
     """Horner evaluation of the truncated series at z (principal branch)."""
     u = complex(z) if series.base_point == 0 else 1 - complex(z)
     order = series.order
-    if abs(u) >= 1:
+    if not abs(u) < 1:  # a NaN z fails every comparison
         raise DomainError(
             f"{z} lies outside the convergence disk of the expansion at {series.base_point}"
         )
@@ -235,8 +235,12 @@ def block(spec, channel: KacLabel, z: complex, order: int = 50) -> EvaluationRes
     anchor exponent t1 (the z1 direction) is available from
     channel_exponents.  Only this channel's series at 0 is expanded.
     A channel exponent that is not an indicial root of the reduced ODE
-    raises ModelViolationError.
+    raises ModelViolationError.  z = 0, the branch point of z^t2, raises
+    DomainError: the correlator needs |z1| > |z2| > 0.
     """
+    zc = complex(z)
+    if zc == 0:
+        raise DomainError("z = 0 is the branch point of z^t2; blocks need |z1| > |z2| > 0")
     ode, anchor, _ = reduced_ode(spec)
     rho = series_exponent(spec, channel, anchor)  # validates the channel
     try:
@@ -246,7 +250,6 @@ def block(spec, channel: KacLabel, z: complex, order: int = 50) -> EvaluationRes
             raise
         raise ModelViolationError(f"channel {channel}: {exc}") from exc
     inner = evaluate_series(series, z)
-    zc = complex(z)
     pref = cmath.exp(anchor.floats[1] * cmath.log(zc))
     return EvaluationResult(
         inner.value * pref, inner.tail_bound * abs(pref), inner.order_used

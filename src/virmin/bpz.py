@@ -13,7 +13,11 @@ first-order pieces
            + z2^{1-m} d/dz2 + h2 (1-m) z2^{-m} ),
 
 one per mode, composed along each monomial of the singular vector
-(route A, null vector on slot 3).  A null vector on slot 2 is handled
+(route A, null vector on slot 3).  An operator is a plain dict from
+term keys (powers of z1, z2, z1 - z2, orders of d/dz1, d/dz2) to its
+nonzero coefficients.  The sum over monomials is taken Horner-wise:
+monomials with the same leftmost mode m share one composition with D_m
+over the sum of their tails.  A null vector on slot 2 is handled
 by the skew transform that swaps the middle and right insertions: the
 same insertion rule applies in the variables (z1 - z2, e^{i pi} z2)
 with the middle weight now that of w3, and transporting the operator
@@ -68,103 +72,76 @@ from .verma import PBWVector
 
 # Operator term key: exponents of z1, z2, (z1 - z2), then d/dz1, d/dz2 orders.
 TermKey = tuple[int, int, int, int, int]
+# A two-variable operator: a finite sum of monomial-times-derivative terms,
+# {term key: coefficient}, holding nonzero coefficients only.
+Operator = dict[TermKey, Fraction]
 
 
-@dataclass(frozen=True)
-class TwoVarOperator:
-    """Finite sum of monomial-times-derivative terms in two variables."""
-
-    terms: tuple[tuple[TermKey, Fraction], ...]
-
-    @staticmethod
-    def from_dict(d: dict[TermKey, Fraction]) -> "TwoVarOperator":
-        items = tuple(sorted((k, v) for k, v in d.items() if v != 0))
-        return TwoVarOperator(items)
-
-    @staticmethod
-    def identity() -> "TwoVarOperator":
-        return TwoVarOperator.from_dict({(0, 0, 0, 0, 0): Fraction(1)})
-
-    def as_dict(self) -> dict[TermKey, Fraction]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TwoVarOperator") -> "TwoVarOperator":
-        d = self.as_dict()
-        for k, v in other.terms:
-            d[k] = d.get(k, Fraction(0)) + v
-        return TwoVarOperator.from_dict(d)
-
-    def scaled(self, k: Fraction) -> "TwoVarOperator":
-        return TwoVarOperator.from_dict({key: v * k for key, v in self.terms})
-
-
-
-def compose(d: TwoVarOperator, x: TwoVarOperator) -> TwoVarOperator:
-    """Normal-ordered product d . x; d must be at most first order."""
-    out: dict[TermKey, Fraction] = {}
-
-    def add(key: TermKey, val: Fraction):
+def _add(out: Operator, key: TermKey, val: Fraction) -> None:
+    """out[key] += val, dropping the term when the sum vanishes."""
+    if val:
+        val += out.pop(key, 0)
         if val:
-            out[key] = out.get(key, Fraction(0)) + val
+            out[key] = val
 
-    for (a1, b1, e1, r1, s1), c1 in d.terms:
+
+def compose(d: Operator, x: Operator) -> Operator:
+    """Normal-ordered product d . x; d must be at most first order."""
+    out: Operator = {}
+    for (a1, b1, e1, r1, s1), c1 in d.items():
         if r1 + s1 > 1:
             raise ShapeError("compose expects a first-order left factor")
-        for (a2, b2, e2, r2, s2), c2 in x.terms:
+        for (a2, b2, e2, r2, s2), c2 in x.items():
             coef = c1 * c2
             key_a, key_b, key_e = a1 + a2, b1 + b2, e1 + e2
             if r1 == 0 and s1 == 0:
-                add((key_a, key_b, key_e, r2, s2), coef)
+                _add(out, (key_a, key_b, key_e, r2, s2), coef)
             elif r1 == 1:
                 # d/dz1 through the monomial of x
-                add((key_a - 1, key_b, key_e, r2, s2), coef * a2)
-                add((key_a, key_b, key_e - 1, r2, s2), coef * e2)
-                add((key_a, key_b, key_e, r2 + 1, s2), coef)
+                _add(out, (key_a - 1, key_b, key_e, r2, s2), coef * a2)
+                _add(out, (key_a, key_b, key_e - 1, r2, s2), coef * e2)
+                _add(out, (key_a, key_b, key_e, r2 + 1, s2), coef)
             else:
-                add((key_a, key_b - 1, key_e, r2, s2), coef * b2)
-                add((key_a, key_b, key_e - 1, r2, s2), -coef * e2)
-                add((key_a, key_b, key_e, r2, s2 + 1), coef)
-    return TwoVarOperator.from_dict(out)
+                _add(out, (key_a, key_b - 1, key_e, r2, s2), coef * b2)
+                _add(out, (key_a, key_b, key_e - 1, r2, s2), -coef * e2)
+                _add(out, (key_a, key_b, key_e, r2, s2 + 1), coef)
+    return out
 
 
-def insertion_operator_slot3(m: int, h1: Fraction, h2: Fraction) -> TwoVarOperator:
+def insertion_operator_slot3(m: int, h1: Fraction, h2: Fraction) -> Operator:
     """The mode-m insertion operator D_m for a right-slot lowering mode."""
     if m < 1:
         raise RangeError("insertion mode must be positive")
-    w = Fraction(1 - m)
-    d: dict[TermKey, Fraction] = {
-        (1 - m, 0, 0, 1, 0): Fraction(-1),
-        (0, 1 - m, 0, 0, 1): Fraction(-1),
-    }
-    if w:
-        d[(-m, 0, 0, 0, 0)] = -h1 * w
-        d[(0, -m, 0, 0, 0)] = -h2 * w
-    return TwoVarOperator.from_dict(d)
+    w = 1 - m
+    d: Operator = {}
+    for key, val in (
+        ((1 - m, 0, 0, 1, 0), Fraction(-1)),
+        ((0, 1 - m, 0, 0, 1), Fraction(-1)),
+        ((-m, 0, 0, 0, 0), -h1 * w),
+        ((0, -m, 0, 0, 0), -h2 * w),
+    ):
+        _add(d, key, val)
+    return d
 
 
-def insertion_operator_slot2(m: int, h1: Fraction, h3: Fraction) -> TwoVarOperator:
+def insertion_operator_slot2(m: int, h1: Fraction, h3: Fraction) -> Operator:
     """Mode-m insertion operator for a middle-slot lowering mode,
-    transported back from the swapped variables (z1 - z2, e^{i pi} z2)."""
+    transported back from the swapped variables (z1 - z2, e^{i pi} z2).
+    At m = 1 its two d/dz1 terms cancel, leaving d/dz2."""
     if m < 1:
         raise RangeError("insertion mode must be positive")
-    w = Fraction(1 - m)
-    sign = Fraction(-1) ** m
-    d: dict[TermKey, Fraction] = {}
-
-    def add(key: TermKey, val: Fraction):
-        if val:
-            d[key] = d.get(key, Fraction(0)) + val
-
-    add((0, 0, 1 - m, 1, 0), Fraction(-1))
-    add((0, 1 - m, 0, 1, 0), -sign)
-    add((0, 1 - m, 0, 0, 1), -sign)
-    if w:
-        add((0, 0, -m, 0, 0), -h1 * w)
-        add((0, -m, 0, 0, 0), -sign * h3 * w)
-    return TwoVarOperator.from_dict(d)
+    w = 1 - m
+    sign = Fraction((-1) ** m)
+    d: Operator = {}
+    for key, val in (
+        ((0, 0, 1 - m, 1, 0), Fraction(-1)),
+        ((0, 1 - m, 0, 1, 0), -sign),
+        ((0, 1 - m, 0, 0, 1), -sign),
+        ((0, 0, -m, 0, 0), -h1 * w),
+        ((0, -m, 0, 0, 0), -sign * h3 * w),
+    ):
+        _add(d, key, val)
+    return d
 
 
 @dataclass(frozen=True)
@@ -216,32 +193,34 @@ class CorrelatorSpec:
         return table
 
 
-def _compose_chain(factors: list[TwoVarOperator]) -> TwoVarOperator:
-    op = TwoVarOperator.identity()
-    for d in reversed(factors):
-        op = compose(d, op)
-    return op
-
-
-def _derive_pde(P: PBWVector, insertion) -> TwoVarOperator:
-    """Annihilating operator sum_parts coef D_m1 ... D_mr from the
-    singular vector P, with D_m = insertion(m)."""
-    if P.is_zero():
+def _derive_pde(chains: dict[tuple[int, ...], Fraction], insertion) -> Operator:
+    """Annihilating operator sum coef D_m1 ... D_mr over the monomials
+    {(m1, ..., mr): coef} of a singular vector, with D_m = insertion(m),
+    summed Horner-wise: monomials with the same leftmost mode m share one
+    compose(D_m, .) over the sum of their tails."""
+    if not chains:
         raise ShapeError("singular vector must be nonzero")
-    op = TwoVarOperator.from_dict({})
-    for parts, coef in P.coefficients.items():
-        op = op + _compose_chain([insertion(m) for m in parts]).scaled(coef)
-    return op
+    out: Operator = {}
+    tails: dict[int, dict[tuple[int, ...], Fraction]] = {}
+    for parts, coef in chains.items():
+        if parts:
+            tails.setdefault(parts[0], {})[parts[1:]] = coef
+        else:
+            _add(out, (0, 0, 0, 0, 0), coef)
+    for m, rest in tails.items():
+        for key, val in compose(insertion(m), _derive_pde(rest, insertion)).items():
+            _add(out, key, val)
+    return out
 
 
-def derive_pde_slot3(spec: CorrelatorSpec, P: PBWVector) -> TwoVarOperator:
+def derive_pde_slot3(spec: CorrelatorSpec, P: PBWVector) -> Operator:
     """Annihilating operator from a slot-3 singular vector P."""
-    return _derive_pde(P, lambda m: insertion_operator_slot3(m, spec.h1, spec.h2))
+    return _derive_pde(P.coefficients, lambda m: insertion_operator_slot3(m, spec.h1, spec.h2))
 
 
-def derive_pde_slot2(spec: CorrelatorSpec, Q: PBWVector) -> TwoVarOperator:
+def derive_pde_slot2(spec: CorrelatorSpec, Q: PBWVector) -> Operator:
     """Annihilating operator from a slot-2 singular vector Q."""
-    return _derive_pde(Q, lambda m: insertion_operator_slot2(m, spec.h1, spec.h3))
+    return _derive_pde(Q.coefficients, lambda m: insertion_operator_slot2(m, spec.h1, spec.h3))
 
 
 # route -> (the field whose null vector is used, the PDE derivation).  The
@@ -491,7 +470,7 @@ def _euler_factors(anchor: ExponentPair):
     return factor
 
 
-def reduce_to_ode(op: TwoVarOperator, anchor: ExponentPair) -> ODESpec:
+def reduce_to_ode(op: Operator, anchor: ExponentPair) -> ODESpec:
     """Substitute F = z1^t1 z2^t2 g(z2/z1) and return the ODE for g.
 
     With z = z2/z1, theta = z d/dz and (x)_n the falling factorial,
@@ -507,9 +486,9 @@ def reduce_to_ode(op: TwoVarOperator, anchor: ExponentPair) -> ODESpec:
     An operator that is not scaling-homogeneous cannot cancel the z1
     dependence and is rejected.
     """
-    if op.is_zero():
+    if not op:
         raise ReductionError("cannot reduce the zero operator")
-    degrees = {a + b + e - r - s for (a, b, e, r, s), _ in op.terms}
+    degrees = {a + b + e - r - s for a, b, e, r, s in op}
     if len(degrees) != 1:
         raise ReductionError(
             "operator is not scaling-homogeneous: residual z1 dependence "
@@ -518,7 +497,7 @@ def reduce_to_ode(op: TwoVarOperator, anchor: ExponentPair) -> ODESpec:
     factor = _euler_factors(anchor)
     # (derivative order j, power e of 1 - z) -> {power of z: coefficient}
     acc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (a, b, e, r, s), coef in op.terms:
+    for (a, b, e, r, s), coef in op.items():
         for j, pj in enumerate(factor(r, s)):
             if pj:
                 terms = acc.setdefault((j, e), {})

@@ -9,6 +9,13 @@ and validates it in Fraction arithmetic.  The remaining helpers rebuild
 the ODE at z = 1, the Frobenius shift polynomials and the indicial
 polynomials by direct polynomial composition.  None of them shares code
 with virmin.bpz beyond the ODESpec container and the poly primitives.
+Operators are the plain dicts of virmin.bpz, {term key: coefficient}.
+
+`reference_derive_pde` is the earlier PDE derivation: each monomial's
+chain of insertion operators composed from the identity on its own with
+`virmin.bpz.compose`, then scaled and summed.  It checks the Horner
+grouping of `virmin.bpz`, not the product rule, which the hand-derived
+equations and `ratz_reduce_to_ode` check.
 
 The float-evaluation oracles are the earlier scalar paths: `tail_bound`
 over every term, `partial_sum` in Fractions, and the fusing fit and
@@ -55,7 +62,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from virmin.blocks import eval_local
-from virmin.bpz import CorrelatorSpec, ExponentPair, ODESpec, TwoVarOperator
+from virmin.bpz import CorrelatorSpec, ExponentPair, ODESpec, Operator, compose
 from virmin.errors import (
     DomainError,
     FusionError,
@@ -321,7 +328,7 @@ def fraction_validate_minimal_form(ode: ODESpec) -> None:
             raise StructureError("irregular singular point at infinity")
 
 
-def ratz_reduce_to_ode(op: TwoVarOperator, anchor) -> ODESpec:
+def ratz_reduce_to_ode(op: Operator, anchor) -> ODESpec:
     """Substitute F = z1^t1 z2^t2 g(z2/z1) and return the ODE for g.
 
     Each operator term is processed in the coordinates (w, z) = (z1,
@@ -330,9 +337,9 @@ def ratz_reduce_to_ode(op: TwoVarOperator, anchor) -> ODESpec:
     not scaling-homogeneous cannot cancel the overall w power and is
     rejected.
     """
-    if op.is_zero():
+    if not op:
         raise ReductionError("cannot reduce the zero operator")
-    degrees = {a + b + e - r - s for (a, b, e, r, s), _ in op.terms}
+    degrees = {a + b + e - r - s for a, b, e, r, s in op}
     if len(degrees) != 1:
         raise ReductionError(
             "operator is not scaling-homogeneous: residual z1 dependence "
@@ -346,7 +353,7 @@ def ratz_reduce_to_ode(op: TwoVarOperator, anchor) -> ODESpec:
             acc.append(RatZ.zero())
         acc[j] = acc[j] + val
 
-    for (a, b, e, r, s), coef in op.terms:
+    for (a, b, e, r, s), coef in op.items():
         c = [RatZ.one()]
         mu = t1 + t2
         for _ in range(s):
@@ -389,6 +396,20 @@ def ratz_reduce_to_ode(op: TwoVarOperator, anchor) -> ODESpec:
     ode = ODESpec(fraction_normalize_system(polys))
     fraction_validate_minimal_form(ode)
     return ode
+
+
+def reference_derive_pde(P: PBWVector, insertion) -> Operator:
+    """sum coef D_m1 ... D_mr over the monomials of P, with D_m =
+    insertion(m): each monomial's chain composed from the identity on its
+    own, right to left, scaled and added; zero sums dropped at the end."""
+    out: Operator = {}
+    for parts, coef in P.coefficients.items():
+        chain: Operator = {(0, 0, 0, 0, 0): Fraction(1)}
+        for m in reversed(parts):
+            chain = compose(insertion(m), chain)
+        for key, val in chain.items():
+            out[key] = out.get(key, 0) + coef * val
+    return {key: val for key, val in out.items() if val}
 
 
 def composed_at_one(ode: ODESpec) -> ODESpec:

@@ -147,6 +147,23 @@ def test_evaluate_series_domain():
     assert evaluate_series(s_pos, 0.0).value == 0
 
 
+def test_evaluate_series_rejects_nan():
+    for base in (0, 1):
+        s = frobenius_expand(sigma_ode(), base, indicial_exponents(sigma_ode(), base)[0], 10)
+        for z in (math.nan, complex(0.3, math.nan)):
+            with pytest.raises(DomainError):
+                evaluate_series(s, z)
+
+
+def test_block_rejects_the_branch_point_and_nan():
+    # z = 0 is the branch point of z^t2, outside |z1| > |z2| > 0: a typed
+    # DomainError on every channel, not cmath's ValueError
+    for channel in allowed_channels(SIGMA_SPEC):
+        for z in (0, 0.0, 0j, math.nan):
+            with pytest.raises(DomainError):
+                block(SIGMA_SPEC, channel, z)
+
+
 def test_negative_exponent_at_base_point():
     ode = ODESpec(((F(1, 8),), (F(0), F(1))))  # z g' = -1/8 g
     s = frobenius_expand(ode, 0, F(-1, 8), 5)

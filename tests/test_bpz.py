@@ -15,9 +15,11 @@ from exact_oracles import (
     recursion_shifts,
     reference_allowed_channels,
     reference_channel_exponents,
+    reference_derive_pde,
     reference_indicial_polynomial,
 )
 
+from virmin import bpz
 from virmin.bpz import (
     CorrelatorSpec,
     ExponentPair,
@@ -31,7 +33,7 @@ from virmin.bpz import (
     indicial_polynomial,
     insertion_operator_slot2,
     insertion_operator_slot3,
-    TwoVarOperator,
+    Operator,
     reduce_to_ode,
     reduced_ode,
 )
@@ -75,10 +77,10 @@ def ising_null(label):
     return singular_vectors(M34, label, 2)[0][1]
 
 
-def singular_loci(op: TwoVarOperator) -> set[str]:
+def singular_loci(op: Operator) -> set[str]:
     """Variety components where some coefficient of op has a pole."""
     loci = set()
-    for (a, b, e, _, _), _ in op.terms:
+    for a, b, e, _, _ in op:
         if a < 0:
             loci.add("z1")
         if b < 0:
@@ -88,8 +90,8 @@ def singular_loci(op: TwoVarOperator) -> set[str]:
     return loci
 
 
-def touches_diagonal(op: TwoVarOperator) -> bool:
-    return any(e != 0 for (_, _, e, _, _), _ in op.terms)
+def touches_diagonal(op: Operator) -> bool:
+    return any(e != 0 for _, _, e, _, _ in op)
 
 
 def conjugate_power(ode: ODESpec, k: int) -> ODESpec:
@@ -122,7 +124,7 @@ def conjugate_power(ode: ODESpec, k: int) -> ODESpec:
 
 def test_insertion_operator_m1():
     op = insertion_operator_slot3(1, F(1, 16), F(1, 16))
-    assert op.as_dict() == {
+    assert op == {
         (0, 0, 0, 1, 0): F(-1),
         (0, 0, 0, 0, 1): F(-1),
     }
@@ -130,7 +132,7 @@ def test_insertion_operator_m1():
 
 def test_insertion_operator_m2():
     op = insertion_operator_slot3(2, F(1, 16), F(1, 16))
-    assert op.as_dict() == {
+    assert op == {
         (-1, 0, 0, 1, 0): F(-1),
         (-2, 0, 0, 0, 0): F(1, 16),
         (0, -1, 0, 0, 1): F(-1),
@@ -141,7 +143,7 @@ def test_insertion_operator_m2():
 def test_d1_squared():
     d1 = insertion_operator_slot3(1, F(0), F(0))
     sq = compose(d1, d1)
-    assert sq.as_dict() == {
+    assert sq == {
         (0, 0, 0, 2, 0): F(1),
         (0, 0, 0, 1, 1): F(2),
         (0, 0, 0, 0, 2): F(1),
@@ -150,14 +152,14 @@ def test_d1_squared():
 
 def test_slot2_m1_is_translation():
     op = insertion_operator_slot2(1, F(1, 16), F(1, 16))
-    assert op.as_dict() == {(0, 0, 0, 0, 1): F(1)}
+    assert op == {(0, 0, 0, 0, 1): F(1)}
 
 
 def test_derive_pde_linearity():
     p = ising_null(SIGMA)
     op = derive_pde_slot3(SIGMA_SPEC, p)
     op5 = derive_pde_slot3(SIGMA_SPEC, p.scaled(F(5)))
-    assert op5.as_dict() == op.scaled(F(5)).as_dict()
+    assert op5 == {key: 5 * coef for key, coef in op.items()}
 
 
 def test_derive_pde_zero_vector_rejected():
@@ -291,9 +293,10 @@ def test_reduce_m1_gives_constant_solution():
 
 
 def test_reduce_rejects_inhomogeneous_operator():
-    op = insertion_operator_slot3(1, F(0), F(0)) + insertion_operator_slot3(
-        2, F(1, 16), F(1, 16)
-    )
+    op = {
+        **insertion_operator_slot3(1, F(0), F(0)),
+        **insertion_operator_slot3(2, F(1, 16), F(1, 16)),
+    }
     with pytest.raises(ReductionError):
         reduce_to_ode(op, ExponentPair(F(0), F(0)))
 
@@ -402,10 +405,10 @@ def test_anchor_regauge_all_level2_models():
 
 
 @lru_cache(maxsize=1)
-def oracle_pool():
+def null_pool():
     """Canonical diagonal <phi phi phi phi> of coprime p < q <= 7 with null
-    level <= 4, plus null level 6 for q <= 6: the reduced ODE on both
-    routes next to the RatZ reduction of the same operator and anchor."""
+    level <= 4, plus null level 6 for q <= 6, each with the primitive
+    singular vector at its null level."""
     from virmin.models import kac_table, null_level
 
     out = []
@@ -420,11 +423,82 @@ def oracle_pool():
                     continue
                 spec = CorrelatorSpec(model, label, label, label, label)
                 null = [v for lev, v in singular_vectors(model, label, level) if lev == level][0]
-                for route, derive in (("slot3", derive_pde_slot3), ("slot2", derive_pde_slot2)):
-                    ode, anchor, _ = reduced_ode(spec, None, route)
-                    oracle = ratz_reduce_to_ode(derive(spec, null), anchor)
-                    out.append((spec, route, ode, oracle))
+                out.append((spec, null))
     return out
+
+
+@lru_cache(maxsize=1)
+def oracle_pool():
+    """The reduced ODE of each correlator of `null_pool` on both routes
+    next to the RatZ reduction of the same operator and anchor."""
+    out = []
+    for spec, null in null_pool():
+        for route, derive in (("slot3", derive_pde_slot3), ("slot2", derive_pde_slot2)):
+            ode, anchor, _ = reduced_ode(spec, None, route)
+            oracle = ratz_reduce_to_ode(derive(spec, null), anchor)
+            out.append((spec, route, ode, oracle))
+    return out
+
+
+def test_horner_sum_matches_the_chain_reference(monkeypatch):
+    """Both routes give the operator that composing each monomial's chain
+    on its own gives, for every singular vector of the pool; no insertion
+    operator, product or sum built on the way holds a zero coefficient."""
+    built = []
+
+    def recording(fn):
+        def wrapper(*args):
+            built.append(fn(*args))
+            return built[-1]
+
+        return wrapper
+
+    for name in ("compose", "insertion_operator_slot2", "insertion_operator_slot3"):
+        monkeypatch.setattr(bpz, name, recording(getattr(bpz, name)))
+    levels = set()
+    for spec, null in null_pool():
+        levels.add(null.level)
+        for derive, insertion in (
+            (derive_pde_slot3, lambda m: insertion_operator_slot3(m, spec.h1, spec.h2)),
+            (derive_pde_slot2, lambda m: insertion_operator_slot2(m, spec.h1, spec.h3)),
+        ):
+            op = derive(spec, null)
+            assert op == reference_derive_pde(null, insertion), (spec, derive.__name__)
+            built.append(op)
+    assert levels == {1, 2, 3, 4, 6}
+    assert all(all(op.values()) for op in built)
+
+
+def test_compose_drops_cancelled_terms():
+    # d/dz1 . (z1 - (z1 - z2)): the constants from the product rule cancel
+    d1 = {(0, 0, 0, 1, 0): F(1)}
+    x = {(1, 0, 0, 0, 0): F(1), (0, 0, 1, 0, 0): F(-1)}
+    assert compose(d1, x) == {(1, 0, 0, 1, 0): F(1), (0, 0, 1, 1, 0): F(-1)}
+
+
+def test_routes_call_the_derivation_bound_in_the_module(monkeypatch):
+    """reduced_ode looks each route's derivation up by module name at call
+    time, so a wrapper bound over bpz.derive_pde_slot3 or
+    bpz.derive_pde_slot2 is the one called, once per memo miss."""
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(spec, vec):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(spec, vec)
+
+        return wrapper
+
+    for name in ("derive_pde_slot3", "derive_pde_slot2"):
+        monkeypatch.setattr(bpz, name, counting(name, getattr(bpz, name)))
+    reduced_ode.cache_clear()
+    try:
+        reduced_ode(SIGMA_SPEC, None, "slot3")
+        assert calls == {"derive_pde_slot3": 1}
+        reduced_ode(SIGMA_SPEC, None, "slot2")
+        assert calls == {"derive_pde_slot3": 1, "derive_pde_slot2": 1}
+    finally:
+        reduced_ode.cache_clear()
 
 
 def test_reduced_ode_matches_ratz_oracle():
@@ -468,10 +542,11 @@ operator_terms = st.lists(
 @settings(max_examples=80, deadline=None)
 def test_reduce_matches_ratz_oracle_on_random_operators(terms, deg, t1, t2):
     # homogeneous of degree deg: the power of z1 fills each term up
-    op = TwoVarOperator.from_dict({})
+    op: Operator = {}
     for b, e, r, s_, coef in terms:
         key = (deg + r + s_ - b - e, b, e, r, s_)
-        op = op + TwoVarOperator.from_dict({key: coef})
+        op[key] = op.get(key, 0) + coef
+    op = {key: coef for key, coef in op.items() if coef}
     anchor = ExponentPair(t1, t2)
     outcomes = []
     for reduce in (reduce_to_ode, ratz_reduce_to_ode):

@@ -72,6 +72,19 @@ def test_domain_error_exit_code(capsys):
     assert code == 3  # sigma not allowed in sigma x sigma
 
 
+@pytest.mark.parametrize("channel", ["1,1", "2,1"])
+@pytest.mark.parametrize("z", ["0", "nan"])
+def test_block_at_the_branch_point_or_nan_is_a_domain_error(channel, z, capsys):
+    code, out, err = run_cli(
+        capsys, "block", "3", "4",
+        "--labels", "1,2", "1,2", "1,2", "1,2",
+        "--channel", channel, "--z", z,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "internal error" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["kac-table", "3"])  # missing q
