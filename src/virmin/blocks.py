@@ -24,6 +24,8 @@ from .errors import DomainError, LogarithmicCaseError, ModelViolationError, Rang
 from .models import KacLabel
 from .poly import integer_form, peval
 
+BLOCK_ORDER = 50  # default series order of a block evaluation
+
 
 @dataclass(frozen=True)
 class FrobeniusSeries:
@@ -228,7 +230,7 @@ def evaluate_series(series: FrobeniusSeries, z: complex) -> EvaluationResult:
     return EvaluationResult(value, _tail_bound(series, u) * abs(power), order)
 
 
-def block(spec, channel: KacLabel, z: complex, order: int = 50) -> EvaluationResult:
+def block(spec, channel: KacLabel, z: complex, order: int = BLOCK_ORDER) -> EvaluationResult:
     """Single-channel block of the correlator, z1 normalized to 1.
 
     Value is z^(h_c - h2 - h3) * g_c(z) with g_c(0) = 1; the remaining

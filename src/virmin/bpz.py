@@ -223,15 +223,6 @@ def derive_pde_slot2(spec: CorrelatorSpec, Q: PBWVector) -> Operator:
     return _derive_pde(Q.coefficients, lambda m: insertion_operator_slot2(m, spec.h1, spec.h3))
 
 
-# route -> (the field whose null vector is used, the PDE derivation).  The
-# derivations are looked up by module name at call time, so that a wrapper
-# bound over derive_pde_slot3 or derive_pde_slot2 is the one called.
-_ROUTES = {
-    "slot3": ("w3", lambda spec, vec: derive_pde_slot3(spec, vec)),
-    "slot2": ("w2", lambda spec, vec: derive_pde_slot2(spec, vec)),
-}
-
-
 @dataclass(frozen=True)
 class ExponentPair:
     """Leading exponents (t1, t2) of the two intertwining operators."""
@@ -541,10 +532,14 @@ def reduced_ode(
         raise FusionError("correlator admits no intermediate channel")
     channel = anchor_channel if anchor_channel is not None else channels[0]
     anchor = channel_exponents(spec, channel)
-    if route not in _ROUTES:
+    if route not in ("slot3", "slot2"):
         raise RangeError(f"route must be 'slot3' or 'slot2', got {route!r}")
-    slot, derive = _ROUTES[route]
-    slot_label = getattr(spec, slot)
+    # The derivation is read from the module at call time, so a wrapper
+    # bound over derive_pde_slot3 or derive_pde_slot2 is the one called.
+    if route == "slot3":
+        slot_label, derive = spec.w3, derive_pde_slot3
+    else:
+        slot_label, derive = spec.w2, derive_pde_slot2
     level = null_level(spec.model, slot_label)
     prims = [
         (lev, vec)

@@ -5,10 +5,11 @@ holds a Gram matrix, `kacdet-<digest>.json` its determinant, which costs
 more to compute than the matrix itself.  Files are content-addressed by
 a stable hash of the operation name and the exact parameters; rationals
 are serialized as "numerator/denominator" strings so nothing ever
-passes through floating point.  A record whose schema_version differs
-is a miss.  Writes go to a temporary file in the same directory
-followed by an atomic rename, so concurrent writers are safe and a
-cache entry is either absent or complete.
+passes through floating point.  A record whose schema_version differs,
+or that does not parse, is a miss, and the recomputed value replaces
+it.  Writes go to a temporary file in the same directory followed by
+an atomic rename, so concurrent writers are safe and a cache entry is
+either absent or complete.
 """
 
 from __future__ import annotations
@@ -41,14 +42,16 @@ class GramCache:
         digest = hashlib.sha256(key.encode()).hexdigest()[:32]
         return self.directory / f"{operation}-{digest}.json"
 
-    def _read(self, operation: str, params: VermaParams, level: int) -> dict | None:
-        path = self._path(operation, params, level)
-        if not path.exists():
+    def _read(self, operation: str, params: VermaParams, level: int, parse):
+        """parse(record), or None for an absent, outdated or corrupt record."""
+        try:
+            data = json.loads(self._path(operation, params, level).read_text())
+            if data.get("schema_version") != SCHEMA_VERSION:
+                return None
+            return parse(data)
+        except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError,
+                ZeroDivisionError):
             return None
-        data = json.loads(path.read_text())
-        if data.get("schema_version") != SCHEMA_VERSION:
-            return None
-        return data
 
     def _write(self, operation: str, params: VermaParams, level: int, record: dict) -> None:
         path = self._path(operation, params, level)
@@ -71,14 +74,12 @@ class GramCache:
             raise
 
     def load(self, params: VermaParams, level: int) -> GramMatrix | None:
-        data = self._read("gram", params, level)
-        if data is None:
-            return None
-        basis = tuple(tuple(parts) for parts in data["basis"])
-        entries = tuple(
-            tuple(parse_frac(s) for s in row) for row in data["entries"]
-        )
-        return GramMatrix(params=params, level=level, basis=basis, entries=entries)
+        def parse(data):
+            basis = tuple(tuple(parts) for parts in data["basis"])
+            entries = tuple(tuple(parse_frac(s) for s in row) for row in data["entries"])
+            return GramMatrix(params=params, level=level, basis=basis, entries=entries)
+
+        return self._read("gram", params, level, parse)
 
     def store(self, gram: GramMatrix) -> None:
         self._write("gram", gram.params, gram.level, {
@@ -87,8 +88,7 @@ class GramCache:
         })
 
     def load_determinant(self, params: VermaParams, level: int) -> Fraction | None:
-        data = self._read("kacdet", params, level)
-        return None if data is None else parse_frac(data["determinant"])
+        return self._read("kacdet", params, level, lambda data: parse_frac(data["determinant"]))
 
     def store_determinant(self, params: VermaParams, level: int, value: Fraction) -> None:
         self._write("kacdet", params, level, {"determinant": frac_str(value)})

@@ -15,10 +15,10 @@ import json
 import os
 import sys
 
-from .blocks import block
+from .blocks import BLOCK_ORDER, block
 from .bpz import CorrelatorSpec, channel_exponents, indicial_exponents, reduced_ode
 from .cache import GramCache
-from .crossing import associativity_residual, correlator
+from .crossing import GRID_Z, GRID_Z1, ORDER as CROSSING_ORDER, associativity_residual, correlator
 from .errors import ConditioningError, VirminError
 from .fusion import fuse, fusion_table
 from .models import KacLabel, MinimalModel, central_charge, kac_table
@@ -298,15 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
     correlator_labels(p)
     p.add_argument("--channel", type=parse_label, required=True, help="intermediate label m,n")
     p.add_argument("--z", type=float, required=True)
-    p.add_argument("--order", type=int, default=50)
+    p.add_argument("--order", type=int, default=BLOCK_ORDER)
     p.set_defaults(fn=cmd_block)
 
     p = sub.add_parser("crossing", help="fusing matrix and associativity residuals")
     common(p)
     correlator_labels(p)
-    p.add_argument("--order", type=int, default=60)
-    p.add_argument("--grid-z1", type=float_list, default="0.9,1.0,1.1,1.2,1.3")
-    p.add_argument("--grid-z", type=float_list, default="0.52,0.54,0.56,0.58,0.60")
+    p.add_argument("--order", type=int, default=CROSSING_ORDER)
+    p.add_argument("--grid-z1", type=float_list, default=GRID_Z1)
+    p.add_argument("--grid-z", type=float_list, default=GRID_Z)
     p.set_defaults(fn=cmd_crossing)
 
     p = sub.add_parser("verify", help="run a named acceptance suite")

@@ -22,8 +22,10 @@ from functools import cached_property, lru_cache, wraps
 import numpy as np
 
 from .blocks import (
+    BLOCK_ORDER,
     EvaluationResult,
     FrobeniusSeries,
+    block,
     eval_local_derivatives,
     frobenius_expand,
 )
@@ -42,12 +44,16 @@ from .errors import (
     FusionError,
     LogarithmicCaseError,
     ModelViolationError,
+    ShapeError,
 )
 from .fusion import fusion_rule
 from .models import KacLabel, MinimalModel, TensorModel, conformal_weight
 
 
 ORDER = 60  # series order of the bases, the fit and the residual checks
+# the default (z1, z2 / z1) grid of the associativity check
+GRID_Z1 = (0.9, 1.0, 1.1, 1.2, 1.3)
+GRID_Z = (0.52, 0.54, 0.56, 0.58, 0.60)
 COND_LIMIT = 1e8  # largest trusted condition number of the collocation matrix
 # the circle of the monodromy check, once around 0
 MONODROMY_RADIUS = 0.35
@@ -285,17 +291,18 @@ def associativity_residual(
 
 
 def monodromy_residuals(
-    ode: ODESpec, basis: ChannelBasis, exponent_offsets: tuple[float, ...] = (0.0,)
+    basis: ChannelBasis, exponent_offsets: tuple[float, ...] = (0.0,)
 ) -> tuple[float, ...]:
-    """Residual between numeric continuation once around 0 and the
-    predicted diagonal action e^{2 pi i rho} on each basis solution, one
-    per exponent offset, from one continuation.
+    """Residual between numeric continuation of the basis's own ODE once
+    around 0 and the predicted diagonal action e^{2 pi i rho} on each
+    basis solution, one per exponent offset, from one continuation.
 
     An offset shifts the predicted exponents; a nonzero offset is the
     injected-fault negative control.
     """
     if basis.point != 0:
         raise DomainError("monodromy_residuals expects the basis at the point 0")
+    ode = basis.ode
     k = ode.order
     start = complex(MONODROMY_RADIUS)
     states0 = np.column_stack([eval_local_derivatives(s, start, k) for s in basis.solutions])
@@ -366,17 +373,18 @@ def tensor_block(
     specs,
     channels,
     z: complex,
-    order: int = 50,
+    order: int = BLOCK_ORDER,
 ) -> EvaluationResult:
     """Product of per-factor blocks (intertwining maps factor through
-    the tensor decomposition, so exponents add and values multiply)."""
-    from .blocks import block
-    from .errors import ShapeError
-
+    the tensor decomposition, so exponents add and values multiply).
+    Spec i must be a correlator of factor i."""
     specs = list(specs)
     channels = list(channels)
     if len(specs) != len(tmodel.factors) or len(channels) != len(specs):
         raise ShapeError("need one correlator spec and one channel per factor")
+    for i, (spec, factor) in enumerate(zip(specs, tmodel.factors)):
+        if spec.model != factor:
+            raise ShapeError(f"spec {i} is a correlator of {spec.model}, not of factor {factor}")
     results = [block(s, c, z, order) for s, c in zip(specs, channels)]
     value = 1 + 0j
     for r in results:

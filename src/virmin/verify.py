@@ -1,13 +1,19 @@
 """Named verification suites behind the acceptance gate and the CLI.
 
-Each suite exercises one certified claim end to end and returns a
-structured report: {suite, claim, passed, max_residual, tolerance,
-details, runtime_s}.  Tolerances and series orders are pinned here,
-nowhere else.
+Each suite exercises one certified claim end to end.  A suite is one
+function declared with @_suite(name, claim); its body returns
+(passed, max_residual, tolerance, details) and the decorator times it,
+builds the report {suite, claim, passed, max_residual, tolerance,
+details, runtime_s} and registers it in SUITES.  Each suite pins its own
+tolerance.  The series orders and the crossing grid are the library's
+defaults, read from blocks.BLOCK_ORDER, crossing.ORDER and
+crossing.GRID_Z1/GRID_Z, as the CLI reads them.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from fractions import Fraction
 from itertools import product
@@ -15,9 +21,12 @@ from math import gcd
 
 import numpy as np
 
-from .blocks import block, frobenius_expand, residual_orders
+from .blocks import BLOCK_ORDER, block, frobenius_expand, residual_orders
 from .bpz import CorrelatorSpec, allowed_channels, indicial_exponents, reduced_ode, series_exponent
 from .crossing import (
+    GRID_Z,
+    GRID_Z1,
+    ORDER as CROSSING_ORDER,
     associativity_residual,
     braiding_phase,
     channel_basis,
@@ -37,8 +46,7 @@ from .models import (
 )
 from .verma import PBWVector, VermaParams, kac_determinant, singular_vectors, verify_singular
 
-BLOCK_ORDER = 50  # series order of the blocks and tensor suites
-CROSSING_ORDER = 60  # series order of the ising-crossing, commutativity and monodromy suites
+SUITES: dict = {}  # name -> suite, in definition order
 
 
 def models_up_to(bound: int) -> list[MinimalModel]:
@@ -54,20 +62,34 @@ def level2_labels(model: MinimalModel) -> list[KacLabel]:
     return [lab for lab, _ in kac_table(model) if null_level(model, lab) == 2]
 
 
-def _report(suite, claim, passed, max_residual, tolerance, details, t0):
-    return {
-        "suite": suite,
-        "claim": claim,
-        "passed": bool(passed),
-        "max_residual": max_residual,
-        "tolerance": tolerance,
-        "details": details,
-        "runtime_s": round(time.perf_counter() - t0, 3),
-    }
+def _suite(name: str, claim: str):
+    """Register the decorated suite in SUITES under name.  The suite
+    returns (passed, max_residual, tolerance, details); the registered
+    function returns its timed report."""
+
+    def register(fn):
+        @functools.wraps(fn)
+        def run(*args):
+            t0 = time.perf_counter()
+            passed, max_residual, tolerance, details = fn(*args)
+            return {
+                "suite": name,
+                "claim": claim,
+                "passed": bool(passed),
+                "max_residual": max_residual,
+                "tolerance": tolerance,
+                "details": details,
+                "runtime_s": round(time.perf_counter() - t0, 3),
+            }
+
+        SUITES[name] = run
+        return run
+
+    return register
 
 
-def suite_kac_data() -> dict:
-    t0 = time.perf_counter()
+@_suite("kac-data", "Kac-table sizes (p-1)(q-1)/2 for coprime p,q <= 13 and pinned exact values")
+def suite_kac_data() -> tuple:
     failures = []
     for model in models_up_to(13):
         expect = (model.p - 1) * (model.q - 1) // 2
@@ -82,19 +104,11 @@ def suite_kac_data() -> dict:
     for got, want, name in pins:
         if got != want:
             failures.append(f"{name} = {got} != {want}")
-    return _report(
-        "kac-data",
-        "Kac-table sizes (p-1)(q-1)/2 for coprime p,q <= 13 and pinned exact values",
-        not failures,
-        None,
-        "exact",
-        {"models": len(models_up_to(13)), "failures": failures},
-        t0,
-    )
+    return not failures, None, "exact", {"models": len(models_up_to(13)), "failures": failures}
 
 
-def suite_fusion_ring() -> dict:
-    t0 = time.perf_counter()
+@_suite("fusion-ring", "commutativity, unit, slot symmetry, associativity for all models p,q <= 9")
+def suite_fusion_ring() -> tuple:
     failures = []
     checked = 0
     for model in models_up_to(9):
@@ -102,19 +116,14 @@ def suite_fusion_ring() -> dict:
         checked += 1
         if not report.passed:
             failures.append(f"{model}: {report.failures}")
-    return _report(
-        "fusion-ring",
-        "commutativity, unit, slot symmetry, associativity for all models p,q <= 9",
-        not failures,
-        None,
-        "exact",
-        {"models": checked, "failures": failures},
-        t0,
-    )
+    return not failures, None, "exact", {"models": checked, "failures": failures}
 
 
-def suite_kac_determinant(cache=None) -> dict:
-    t0 = time.perf_counter()
+@_suite(
+    "kac-determinant",
+    "Gram determinant vanishes exactly at level m*n and not below the orbit's first null level",
+)
+def suite_kac_determinant(cache=None) -> tuple:
     failures = []
     zero_checks = 0
     nonzero_checks = 0
@@ -137,19 +146,15 @@ def suite_kac_determinant(cache=None) -> dict:
                 if kac_determinant(params, lower, cache) == 0:
                     failures.append(f"det = 0 below null level for {model} {label} at {lower}")
                 nonzero_checks += 1
-    return _report(
-        "kac-determinant",
-        "Gram determinant vanishes exactly at level m*n and not below the orbit's first null level",
-        not failures,
-        None,
-        "exact",
-        {"zero_checks": zero_checks, "nonzero_checks": nonzero_checks, "failures": failures},
-        t0,
-    )
+    details = {"zero_checks": zero_checks, "nonzero_checks": nonzero_checks, "failures": failures}
+    return not failures, None, "exact", details
 
 
-def suite_singular_vectors() -> dict:
-    t0 = time.perf_counter()
+@_suite(
+    "singular-vectors",
+    "all returned singular vectors are annihilated by L(1), L(2); pinned Ising vector",
+)
+def suite_singular_vectors() -> tuple:
     failures = []
     count = 0
     cases = [
@@ -169,19 +174,15 @@ def suite_singular_vectors() -> dict:
     want = PBWVector(2, {(2,): Fraction(1), (1, 1): Fraction(-3, 4)})
     if not pinned or pinned[0][0] != 2 or pinned[0][1] != want:
         failures.append("(3,4)(2,1) level-2 vector is not L(-2) - 3/4 L(-1)^2")
-    return _report(
-        "singular-vectors",
-        "all returned singular vectors are annihilated by L(1), L(2); pinned Ising vector",
-        not failures,
-        None,
-        "exact",
-        {"vectors_checked": count, "failures": failures},
-        t0,
-    )
+    return not failures, None, "exact", {"vectors_checked": count, "failures": failures}
 
 
-def suite_bpz_indicial() -> dict:
-    t0 = time.perf_counter()
+@_suite(
+    "bpz-indicial",
+    "level-2 reduced ODEs are second order, Fuchsian on {0,1,inf}, and their "
+    "indicial roots at 0 contain every fusion-allowed channel exponent",
+)
+def suite_bpz_indicial() -> tuple:
     failures = []
     cases = 0
     for model in models_up_to(5):
@@ -202,16 +203,7 @@ def suite_bpz_indicial() -> dict:
                 rho = series_exponent(spec, channel, anchor)
                 if rho not in roots:
                     failures.append(f"{model} {label}: channel {channel} exponent missing")
-    return _report(
-        "bpz-indicial",
-        "level-2 reduced ODEs are second order, Fuchsian on {0,1,inf}, and their "
-        "indicial roots at 0 contain every fusion-allowed channel exponent",
-        not failures,
-        None,
-        "exact",
-        {"correlators": cases, "failures": failures},
-        t0,
-    )
+    return not failures, None, "exact", {"correlators": cases, "failures": failures}
 
 
 def _ising_spec(m: int, n: int) -> CorrelatorSpec:
@@ -220,10 +212,12 @@ def _ising_spec(m: int, n: int) -> CorrelatorSpec:
     return CorrelatorSpec(MinimalModel(3, 4), label, label, label, label)
 
 
-def suite_blocks() -> dict:
-    import math
-
-    t0 = time.perf_counter()
+@_suite(
+    "blocks",
+    "Frobenius blocks match the closed-form solutions to 1e-10 and the exact "
+    "back-substitution residual of the truncated series sits above order N-2",
+)
+def suite_blocks() -> tuple:
     tol = 1e-10
     spec = _ising_spec(1, 2)
     worst = 0.0
@@ -248,42 +242,32 @@ def suite_blocks() -> dict:
         support = residual_orders(series)
         if support and min(support) <= BLOCK_ORDER - 2:
             failures.append(f"residual support reaches order {min(support)} <= N-2")
-    return _report(
-        "blocks",
-        "Frobenius blocks match the closed-form solutions to 1e-10 and the exact "
-        "back-substitution residual of the truncated series sits above order N-2",
-        not failures,
-        worst,
-        tol,
-        {"points": [0.1, 0.3, 0.5], "order": BLOCK_ORDER, "failures": failures},
-        t0,
-    )
+    details = {"points": [0.1, 0.3, 0.5], "order": BLOCK_ORDER, "failures": failures}
+    return not failures, worst, tol, details
 
 
-def suite_ising_crossing() -> dict:
-    t0 = time.perf_counter()
+@_suite(
+    "ising-crossing",
+    "product equals fused iterate on a 5x5 admissible (z1, z2) grid for the "
+    "Ising four-sigma and four-epsilon correlators",
+)
+def suite_ising_crossing() -> tuple:
     tol = 1e-8
-    grid_z1 = (0.9, 1.0, 1.1, 1.2, 1.3)
-    grid_z = (0.52, 0.54, 0.56, 0.58, 0.60)
     worst = 0.0
     for spec in (_ising_spec(1, 2), _ising_spec(2, 1)):
-        for z1 in grid_z1:
-            for z in grid_z:
+        for z1 in GRID_Z1:
+            for z in GRID_Z:
                 worst = max(worst, associativity_residual(spec, z1, z * z1, CROSSING_ORDER))
-    return _report(
-        "ising-crossing",
-        "product equals fused iterate on a 5x5 admissible (z1, z2) grid for the "
-        "Ising four-sigma and four-epsilon correlators",
-        worst < tol,
-        worst,
-        tol,
-        {"grid_z1": grid_z1, "grid_z2_over_z1": grid_z, "order": CROSSING_ORDER},
-        t0,
-    )
+    details = {"grid_z1": GRID_Z1, "grid_z2_over_z1": GRID_Z, "order": CROSSING_ORDER}
+    return worst < tol, worst, tol, details
 
 
-def suite_commutativity() -> dict:
-    t0 = time.perf_counter()
+@_suite(
+    "commutativity",
+    "half-monodromy transport below z=1 reproduces the swapped expansion with "
+    "the exact braiding phases e^{i pi (h_c - 2 h_sigma)}; conjugated phases fail",
+)
+def suite_commutativity() -> tuple:
     tol = 1e-6
     spec = _ising_spec(1, 2)
     resid, control = commutativity_residuals(spec, CROSSING_ORDER, flips=(False, True))
@@ -294,21 +278,16 @@ def suite_commutativity() -> dict:
         bp = braiding_phase(model, sig, sig, channel)
         expect = conformal_weight(model, channel) - 2 * conformal_weight(model, sig)
         phase_ok = phase_ok and bp.exponent == expect and abs(abs(bp.phase) - 1) < 1e-15
-    passed = resid < tol and control > 1e-3 and phase_ok
-    return _report(
-        "commutativity",
-        "half-monodromy transport below z=1 reproduces the swapped expansion with "
-        "the exact braiding phases e^{i pi (h_c - 2 h_sigma)}; conjugated phases fail",
-        passed,
-        resid,
-        tol,
-        {"negative_control": control, "phases_exact": phase_ok, "order": CROSSING_ORDER},
-        t0,
-    )
+    details = {"negative_control": control, "phases_exact": phase_ok, "order": CROSSING_ORDER}
+    return resid < tol and control > 1e-3 and phase_ok, resid, tol, details
 
 
-def suite_monodromy() -> dict:
-    t0 = time.perf_counter()
+@_suite(
+    "monodromy",
+    "continuation once around 0 acts diagonally by e^{2 pi i rho} on every "
+    "level-2 local basis (p,q <= 5); perturbed exponents are rejected",
+)
+def suite_monodromy() -> tuple:
     tol = 1e-8
     worst = 0.0
     control_min = float("inf")
@@ -316,27 +295,21 @@ def suite_monodromy() -> dict:
     for model in models_up_to(5):
         for label in level2_labels(model):
             spec = CorrelatorSpec(model, label, label, label, label)
-            ode, _, _ = reduced_ode(spec)
-            basis = channel_basis(ode, 0, CROSSING_ORDER)
-            resid, control = monodromy_residuals(ode, basis, (0.0, 0.01))
+            basis = channel_basis(reduced_ode(spec)[0], 0, CROSSING_ORDER)
+            resid, control = monodromy_residuals(basis, (0.0, 0.01))
             worst = max(worst, resid)
             control_min = min(control_min, control)
             cases += 1
-    passed = worst < tol and control_min > 1e-3
-    return _report(
-        "monodromy",
-        "continuation once around 0 acts diagonally by e^{2 pi i rho} on every "
-        "level-2 local basis (p,q <= 5); perturbed exponents are rejected",
-        passed,
-        worst,
-        tol,
-        {"odes": cases, "negative_control_min": control_min, "order": CROSSING_ORDER},
-        t0,
-    )
+    details = {"odes": cases, "negative_control_min": control_min, "order": CROSSING_ORDER}
+    return worst < tol and control_min > 1e-3, worst, tol, details
 
 
-def suite_tensor() -> dict:
-    t0 = time.perf_counter()
+@_suite(
+    "tensor",
+    "tensor blocks factor into products of single-model blocks and tensor "
+    "fusion multiplicities are products of factor multiplicities",
+)
+def suite_tensor() -> tuple:
     tol = 1e-12
     failures = []
     spec = _ising_spec(1, 2)
@@ -375,37 +348,12 @@ def suite_tensor() -> dict:
         for a1, b1, c1, a2, b2, c2 in bad[:5]:
             at = (la[a1], lb[a2], la[b1], lb[b2], la[c1], lb[c2])
             failures.append(f"tensor fusion mismatch at {at}")
-    return _report(
-        "tensor",
-        "tensor blocks factor into products of single-model blocks and tensor "
-        "fusion multiplicities are products of factor multiplicities",
-        not failures,
-        None,
-        tol,
-        {"block_points": 3, "order": BLOCK_ORDER, "fusion_triples": triples,
-         "fusion_mismatches": mismatches, "failures": failures[:5]},
-        t0,
-    )
-
-
-SUITES = {
-    "kac-data": suite_kac_data,
-    "fusion-ring": suite_fusion_ring,
-    "kac-determinant": suite_kac_determinant,
-    "singular-vectors": suite_singular_vectors,
-    "bpz-indicial": suite_bpz_indicial,
-    "blocks": suite_blocks,
-    "ising-crossing": suite_ising_crossing,
-    "commutativity": suite_commutativity,
-    "monodromy": suite_monodromy,
-    "tensor": suite_tensor,
-}
+    details = {"block_points": 3, "order": BLOCK_ORDER, "fusion_triples": triples,
+               "fusion_mismatches": mismatches, "failures": failures[:5]}
+    return not failures, None, tol, details
 
 
 def run_suite(name: str, cache=None) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    fn = SUITES[name]
-    if name == "kac-determinant":
-        return fn(cache)
-    return fn()
+    return SUITES[name](cache) if name == "kac-determinant" else SUITES[name]()

@@ -501,6 +501,11 @@ def test_routes_call_the_derivation_bound_in_the_module(monkeypatch):
         reduced_ode.cache_clear()
 
 
+def test_unknown_route_is_a_range_error():
+    with pytest.raises(RangeError, match="route must be 'slot3' or 'slot2', got 'slot4'"):
+        reduced_ode(SIGMA_SPEC, None, "slot4")
+
+
 def test_reduced_ode_matches_ratz_oracle():
     pool = oracle_pool()
     assert {ode.order for _, _, ode, _ in pool} == {1, 2, 3, 4, 6}

@@ -7,6 +7,8 @@ import pkgutil
 import sys
 from fractions import Fraction
 
+import pytest
+
 import virmin
 from virmin import blocks, bpz, crossing, linalg, verma
 from virmin.blocks import frobenius_expand
@@ -256,3 +258,30 @@ def test_a_record_of_another_schema_version_is_a_miss(tmp_path):
     assert cache.load_determinant(params, 4) is None
     assert kac_determinant(params, 4, cache) == cold
     assert json.loads(path.read_text()) == record
+
+
+@pytest.mark.parametrize(
+    "pattern, text",
+    [
+        ("kacdet-*.json", "{not json"),
+        ("kacdet-*.json", '{"schema_version": 1, "determinant": "1/0"}'),
+        ("gram-*.json", "{not json"),
+        ("gram-*.json", '{"schema_version": 1, "basis": [[1]], "entries": [["1/0"]]}'),
+    ],
+    ids=["det-not-json", "det-zero-denominator", "gram-not-json", "gram-zero-denominator"],
+)
+def test_a_record_that_does_not_parse_is_a_miss_and_is_rewritten(tmp_path, pattern, text):
+    cache = GramCache(tmp_path)
+    params = VermaParams(Fraction(7, 3), Fraction(-2, 5))
+    cold = kac_determinant(params, 4, cache)
+    gram = gram_matrix(params, 4)
+    (path,) = tmp_path.glob(pattern)
+    record = path.read_text()
+    path.write_text(text)
+    load = cache.load_determinant if pattern.startswith("kacdet") else cache.load
+    assert load(params, 4) is None
+    if pattern.startswith("gram"):
+        assert gram_matrix(params, 4, cache) == gram
+    else:
+        assert kac_determinant(params, 4, cache) == cold
+    assert path.read_text() == record

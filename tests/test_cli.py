@@ -181,6 +181,25 @@ def test_cache_warm_run_byte_identical(capsys, tmp_path):
     assert strip(out1) == strip(out2)
 
 
+def test_verify_recomputes_cache_records_that_do_not_parse(capsys, tmp_path):
+    args = ["verify", "kac-determinant", "--format", "json", "--cache-dir", str(tmp_path)]
+    assert main(list(args)) == 0
+    clean = json.loads(capsys.readouterr().out)
+    records = sorted(tmp_path.glob("*.json"))
+    texts = {path: path.read_text() for path in records}
+    for i, path in enumerate(records):
+        if i % 2 and path.name.startswith("kacdet-"):
+            path.write_text('{"schema_version": 1, "determinant": "1/0"}')
+        else:
+            path.write_text("{not json")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    (report,) = json.loads(out)["reports"]
+    (want,) = clean["reports"]
+    assert {**report, "runtime_s": 0} == {**want, "runtime_s": 0}
+    assert {path: path.read_text() for path in records} == texts
+
+
 def test_serialize_roundtrips():
     for x in (F(3, 7), F(-22, 5), F(0), F(5)):
         assert parse_frac(frac_str(x)) == x

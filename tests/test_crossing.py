@@ -27,7 +27,13 @@ from virmin.crossing import (
     monodromy_residuals,
     tensor_block,
 )
-from virmin.errors import ConditioningError, DomainError, FusionError, LogarithmicCaseError
+from virmin.errors import (
+    ConditioningError,
+    DomainError,
+    FusionError,
+    LogarithmicCaseError,
+    ShapeError,
+)
 from virmin.models import KacLabel, MinimalModel, TensorModel, kac_table, null_level
 
 F = Fraction
@@ -131,14 +137,14 @@ def test_braiding_phase_squares_to_full_monodromy():
 def test_monodromy_trivial_ode():
     ode = ODESpec(((), (F(0), F(1))))  # z g' = 0: constant solution
     basis = channel_basis(ode, 0, 10)
-    assert monodromy_residuals(ode, basis)[0] < 1e-14
+    assert monodromy_residuals(basis)[0] < 1e-14
 
 
 def test_monodromy_ising_and_fault():
     ode = sigma_ode()
     basis = channel_basis(ode, 0, 60)
-    assert monodromy_residuals(ode, basis)[0] < 1e-8
-    assert monodromy_residuals(ode, basis, (0.01,))[0] > 1e-3
+    assert monodromy_residuals(basis)[0] < 1e-8
+    assert monodromy_residuals(basis, (0.01,))[0] > 1e-3
 
 
 def test_associativity_examples():
@@ -217,6 +223,14 @@ def test_tensor_block_factor_reordering():
     ab = tensor_block(tm, [SIGMA_SPEC, spec25], [KacLabel(1, 1), KacLabel(1, 2)], z, 50)
     ba = tensor_block(tm_swapped, [spec25, SIGMA_SPEC], [KacLabel(1, 2), KacLabel(1, 1)], z, 50)
     assert abs(ab.value - ba.value) / abs(ab.value) < 1e-12
+
+
+def test_tensor_block_rejects_a_spec_of_another_model():
+    m25 = MinimalModel(2, 5)
+    with pytest.raises(ShapeError):
+        tensor_block(TensorModel((m25, m25)), [SIGMA_SPEC] * 2, [KacLabel(1, 1), EPS], 0.3)
+    with pytest.raises(ShapeError):
+        tensor_block(TensorModel((M34, m25)), [SIGMA_SPEC] * 2, [KacLabel(1, 1), EPS], 0.3)
 
 
 # The `virmin crossing` defaults and the grid tolerance of the

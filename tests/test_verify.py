@@ -67,8 +67,8 @@ def test_monodromy_suite_transports_each_basis_once(monkeypatch):
         for label in verify.level2_labels(model):
             ode, _, _ = reduced_ode(CorrelatorSpec(model, label, label, label, label))
             basis = channel_basis(ode, 0, 60)
-            worst = max(worst, monodromy_residuals(ode, basis)[0])
-            control = min(control, monodromy_residuals(ode, basis, (0.01,))[0])
+            worst = max(worst, monodromy_residuals(basis)[0])
+            control = min(control, monodromy_residuals(basis, (0.01,))[0])
     assert report["max_residual"] == worst
     assert report["details"]["negative_control_min"] == control
 
@@ -84,3 +84,20 @@ def test_commutativity_suite_transports_each_leg_once(monkeypatch):
     assert report["details"]["negative_control"] == commutativity_residual(
         spec, 60, flip_phases=True
     )
+
+
+def test_suites_are_the_module_functions_and_report_seven_keys():
+    """perfbench's tracer rebinds each suite through its module attribute
+    and names its span after the suite, so SUITES holds, in definition
+    order, exactly the module's suite_* functions."""
+    assert list(verify.SUITES) == [
+        "kac-data", "fusion-ring", "kac-determinant", "singular-vectors", "bpz-indicial",
+        "blocks", "ising-crossing", "commutativity", "monodromy", "tensor",
+    ]
+    keys = {"suite", "claim", "passed", "max_residual", "tolerance", "details", "runtime_s"}
+    for name, fn in verify.SUITES.items():
+        assert getattr(verify, fn.__name__) is fn
+        assert fn.__name__ == "suite_" + name.replace("-", "_")
+        report = verify.run_suite(name)
+        assert set(report) == keys
+        assert report["suite"] == name and report["passed"]
