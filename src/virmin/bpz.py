@@ -39,6 +39,13 @@ polynomial in theta times z^(b-s) (1-z)^e, and the resulting ODE has
 polynomial coefficients and regular singular points contained in
 {0, 1, infinity}.  An `ODESpec` builds its local data once: the same
 ODE at z = 1 and the Frobenius shift polynomials there and at 0.
+
+Both steps run in Python integers over one scale each, and the
+Fractions are formed once at the end.  The PDE carries delta^N, delta
+the lcm of the insertion operators' denominators and N the level of the
+singular vector; the ODE carries eps^top, eps the lcm of the anchor
+exponents' denominators and top the highest derivative order of the
+PDE, which its canonical form divides out.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -195,22 +202,40 @@ class CorrelatorSpec:
 
 def _derive_pde(chains: dict[tuple[int, ...], Fraction], insertion) -> Operator:
     """Annihilating operator sum coef D_m1 ... D_mr over the monomials
-    {(m1, ..., mr): coef} of a singular vector, with D_m = insertion(m),
-    summed Horner-wise: monomials with the same leftmost mode m share one
-    compose(D_m, .) over the sum of their tails."""
+    {(m1, ..., mr): coef} of a level-N singular vector, with D_m =
+    insertion(m), summed Horner-wise: monomials with the same leftmost
+    mode m share one compose(D_m, .) over the sum of their tails.
+
+    The sum runs in integers.  The vector's coefficients are cleared
+    once, and each D_m is built once and scaled by delta, the lcm of the
+    denominators of every D_m's coefficients.  A tail sum of level n is
+    carried at delta^n, so the composition with a leftmost mode m is
+    lifted by delta^(m-1); every chain ends at the common delta^N, which
+    is divided out once with the vector's denominator.
+    """
     if not chains:
         raise ShapeError("singular vector must be nonzero")
-    out: Operator = {}
-    tails: dict[int, dict[tuple[int, ...], Fraction]] = {}
-    for parts, coef in chains.items():
-        if parts:
-            tails.setdefault(parts[0], {})[parts[1:]] = coef
-        else:
-            _add(out, (0, 0, 0, 0, 0), coef)
-    for m, rest in tails.items():
-        for key, val in compose(insertion(m), _derive_pde(rest, insertion)).items():
-            _add(out, key, val)
-    return out
+    den, (ints,) = integer_form(chains.values())
+    ops = {m: insertion(m) for m in {m for parts in chains for m in parts}}
+    delta, rows = integer_form(*(op.values() for op in ops.values()))
+    steps = {m: dict(zip(op, row)) for (m, op), row in zip(ops.items(), rows)}
+
+    def horner(chains: dict[tuple[int, ...], int]) -> dict[TermKey, int]:
+        out: dict[TermKey, int] = {}
+        tails: dict[int, dict[tuple[int, ...], int]] = {}
+        for parts, coef in chains.items():
+            if parts:
+                tails.setdefault(parts[0], {})[parts[1:]] = coef
+            else:
+                _add(out, (0, 0, 0, 0, 0), coef)
+        for m, rest in tails.items():
+            lift = delta ** (m - 1)
+            for key, val in compose(steps[m], horner(rest)).items():
+                _add(out, key, val * lift)
+        return out
+
+    total = den * delta ** sum(next(iter(chains)))
+    return {key: Fraction(val, total) for key, val in horner(dict(zip(chains, ints))).items()}
 
 
 def derive_pde_slot3(spec: CorrelatorSpec, P: PBWVector) -> Operator:
@@ -437,28 +462,34 @@ def indicial_exponents(ode: ODESpec, point) -> list[Fraction]:
 
 
 def _euler_factors(anchor: ExponentPair):
-    """P_rs = (t1 - theta)_r (t2 + theta)_s in the falling basis
-    (theta)_j, ascending in j, memoised per (r, s) for one anchor.
+    """(eps, factor) with eps = lcm(den t1, den t2) and factor(r, s) the
+    integers eps^(r+s) P_rs, P_rs = (t1 - theta)_r (t2 + theta)_s in the
+    falling basis (theta)_j, ascending in j, memoised per (r, s) for one
+    anchor.
 
     P_rs = P_r,s-1 (t2 - s + 1 + theta), or P_r-1,0 (t1 - r + 1 - theta)
-    when s = 0, multiplied by x (x)_j = (x)_{j+1} + j (x)_j."""
-    table: dict[tuple[int, int], list[Fraction]] = {(0, 0): [Fraction(1)]}
+    when s = 0, multiplied by x (x)_j = (x)_{j+1} + j (x)_j; each factor
+    is taken times eps, which makes it integral."""
+    eps = lcm(anchor.t1.denominator, anchor.t2.denominator)
+    t1 = anchor.t1.numerator * (eps // anchor.t1.denominator)
+    t2 = anchor.t2.numerator * (eps // anchor.t2.denominator)
+    table: dict[tuple[int, int], list[int]] = {(0, 0): [1]}
 
-    def factor(r: int, s: int) -> list[Fraction]:
+    def factor(r: int, s: int) -> list[int]:
         if (r, s) not in table:
             if s:
-                prev, const, sign = factor(r, s - 1), anchor.t2 - s + 1, 1
+                prev, const, sign = factor(r, s - 1), t2 - (s - 1) * eps, eps
             else:
-                prev, const, sign = factor(r - 1, 0), anchor.t1 - r + 1, -1
+                prev, const, sign = factor(r - 1, 0), t1 - (r - 1) * eps, -eps
             # (const + sign theta) (theta)_j = sign (theta)_{j+1} + (const + sign j) (theta)_j
-            out = [Fraction(0)] * (len(prev) + 1)
+            out = [0] * (len(prev) + 1)
             for j, c in enumerate(prev):
                 out[j + 1] += sign * c
                 out[j] += c * (const + sign * j)
             table[(r, s)] = out
         return table[(r, s)]
 
-    return factor
+    return eps, factor
 
 
 def reduce_to_ode(op: Operator, anchor: ExponentPair) -> ODESpec:
@@ -476,6 +507,11 @@ def reduce_to_ode(op: Operator, anchor: ExponentPair) -> ODESpec:
     z^A (1-z)^B and brought to canonical form by `normalize_system`.
     An operator that is not scaling-homogeneous cannot cancel the z1
     dependence and is rejected.
+
+    The sum runs in integers: the operator's coefficients are cleared
+    once, eps^(r+s) P_rs is integral (see _euler_factors) and is lifted
+    by eps^(top-r-s), top the largest r + s, so every term carries the
+    one scale eps^top; the canonical form does not depend on it.
     """
     if not op:
         raise ReductionError("cannot reduce the zero operator")
@@ -485,31 +521,39 @@ def reduce_to_ode(op: Operator, anchor: ExponentPair) -> ODESpec:
             "operator is not scaling-homogeneous: residual z1 dependence "
             f"(term degrees {sorted(degrees)})"
         )
-    factor = _euler_factors(anchor)
+    eps, factor = _euler_factors(anchor)
+    top = max(r + s for _, _, _, r, s in op)
+    lifted: dict[tuple[int, int], list[int]] = {}
+    _, (coefs,) = integer_form(op.values())
     # (derivative order j, power e of 1 - z) -> {power of z: coefficient}
-    acc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (a, b, e, r, s), coef in op.items():
-        for j, pj in enumerate(factor(r, s)):
+    acc: dict[tuple[int, int], dict[int, int]] = {}
+    for (a, b, e, r, s), coef in zip(op, coefs):
+        if (r, s) not in lifted:
+            lift = eps ** (top - r - s)
+            lifted[r, s] = [lift * x for x in factor(r, s)]
+        for j, pj in enumerate(lifted[r, s]):
             if pj:
                 terms = acc.setdefault((j, e), {})
                 terms[b - s + j] = terms.get(b - s + j, 0) + coef * pj
     shift_z = -min(k for terms in acc.values() for k in terms)
     shift_omz = -min(e for _, e in acc)
     order = max(j for j, _ in acc)
-    polys: list[list[Fraction]] = [[] for _ in range(order + 1)]
+    polys: list[list[int]] = [[] for _ in range(order + 1)]
     for (j, e), terms in acc.items():
         m = e + shift_omz
         width = max(terms) + shift_z + m + 1
         out = polys[j]
-        out.extend([Fraction(0)] * (width - len(out)))
+        out.extend([0] * (width - len(out)))
         for k, v in terms.items():
             for t in range(m + 1):
                 c = comb(m, t)
                 out[k + shift_z + t] += -v * c if t % 2 else v * c
-    coeffs = [poly(c) for c in polys]
-    if not any(coeffs):
+    for out in polys:
+        while out and not out[-1]:
+            out.pop()
+    if not any(polys):
         raise ReductionError("reduction produced the zero ODE")
-    ode = ODESpec(normalize_system(coeffs))
+    ode = ODESpec(normalize_system(polys))
     ode.validate_minimal_form()
     return ode
 

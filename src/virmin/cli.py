@@ -18,7 +18,14 @@ import sys
 from .blocks import BLOCK_ORDER, block
 from .bpz import CorrelatorSpec, channel_exponents, indicial_exponents, reduced_ode
 from .cache import GramCache
-from .crossing import GRID_Z, GRID_Z1, ORDER as CROSSING_ORDER, associativity_residual, correlator
+from .crossing import (
+    GRID_TOL,
+    GRID_Z,
+    GRID_Z1,
+    ORDER as CROSSING_ORDER,
+    associativity_residual,
+    correlator,
+)
 from .errors import ConditioningError, VirminError
 from .fusion import fuse, fusion_table
 from .models import KacLabel, MinimalModel, central_charge, kac_table
@@ -229,7 +236,7 @@ def cmd_crossing(args) -> int:
         lines.append("  " + "  ".join(f"{v.real:+.9f}{v.imag:+.2e}j" for v in row))
     lines.append(f"max associativity residual on grid: {worst:.3e}")
     _emit(args, payload, "\n".join(lines))
-    return 0
+    return 0 if worst < GRID_TOL and fm.residual < GRID_TOL else 1
 
 
 def cmd_verify(args) -> int:

@@ -142,10 +142,10 @@ def _transfer_matrices(ode: ODESpec, starts: np.ndarray, targets: np.ndarray) ->
     return at_target @ padded[:, band - k :]
 
 
-def continue_along(ode: ODESpec, start: complex, state, path) -> np.ndarray:
-    """Continue the state from start through the waypoints of path by
-    Taylor steps; state is a (k,) vector or a (k, m) matrix whose columns
-    are states, and the result has its shape.
+def states_along(ode: ODESpec, start: complex, state, path) -> list[np.ndarray]:
+    """The state continued from start to each waypoint of path in turn by
+    Taylor steps, one array per waypoint; state is a (k,) vector or a
+    (k, m) matrix whose columns are states, and each result has its shape.
 
     Raises DomainError if a step starts at a singular point or reaches
     as far as the nearest one.
@@ -154,11 +154,20 @@ def continue_along(ode: ODESpec, start: complex, state, path) -> np.ndarray:
     starts = np.concatenate(([complex(start)], targets))[:-1]
     state = np.asarray(state, dtype=complex)
     cur = state.reshape(ode.order, -1)
+    out = []
     # einsum sums each column in the same order whatever the number of
     # columns, so a column of a batch equals the same state continued alone.
     for step in _transfer_matrices(ode, starts, targets):
         cur = np.einsum("tj,jm->tm", step, cur)
-    return cur.reshape(state.shape)
+        out.append(cur.reshape(state.shape))
+    return out
+
+
+def continue_along(ode: ODESpec, start: complex, state, path) -> np.ndarray:
+    """The state continued from start through the waypoints of path: the
+    last of states_along, or the state itself for an empty path."""
+    states = states_along(ode, start, state, path)
+    return states[-1] if states else np.asarray(state, dtype=complex)
 
 
 def taylor_step(ode: ODESpec, p: complex, state, target: complex) -> np.ndarray:

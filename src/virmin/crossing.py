@@ -37,7 +37,7 @@ from .bpz import (
     reduced_ode,
     series_exponent,
 )
-from .continuation import circle_path, continue_along, lower_arc_path
+from .continuation import circle_path, continue_along, lower_arc_path, states_along
 from .errors import (
     ConditioningError,
     DomainError,
@@ -54,6 +54,8 @@ ORDER = 60  # series order of the bases, the fit and the residual checks
 # the default (z1, z2 / z1) grid of the associativity check
 GRID_Z1 = (0.9, 1.0, 1.1, 1.2, 1.3)
 GRID_Z = (0.52, 0.54, 0.56, 0.58, 0.60)
+# the largest associativity or held-out fusing residual that certifies
+GRID_TOL = 1e-8
 COND_LIMIT = 1e8  # largest trusted condition number of the collocation matrix
 # the circle of the monodromy check, once around 0
 MONODROMY_RADIUS = 0.35
@@ -337,15 +339,14 @@ def commutativity_residuals(
             for i in cor.channel_indices
         ]
     )
-    pos = complex(start)
-    path = lower_arc_path(0.5, 16) + [complex(COMMUTATIVITY_TARGETS[0])]
+    # One transport along the arc and on through every target; the
+    # states at the targets are the last waypoints'.
+    path = lower_arc_path(0.5, 16) + [complex(x) for x in COMMUTATIVITY_TARGETS]
+    states = states_along(ode, complex(start), cur, path)[-len(COMMUTATIVITY_TARGETS) :]
     worst = [0.0] * len(flips)
-    legs = [path] + [[complex(x)] for x in COMMUTATIVITY_TARGETS[1:]]
-    for w, (target, leg) in enumerate(zip(COMMUTATIVITY_TARGETS, legs)):
-        cur = continue_along(ode, pos, cur, leg)
-        pos = complex(target)
+    for w, state in enumerate(states):
         for f, pred in enumerate(preds):
-            resid = np.abs(cur[0] - pred[w]) / np.maximum(np.abs(pred[w]), 1e-300)
+            resid = np.abs(state[0] - pred[w]) / np.maximum(np.abs(pred[w]), 1e-300)
             worst[f] = max(worst[f], float(resid.max()))
     return tuple(worst)
 

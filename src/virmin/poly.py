@@ -23,7 +23,8 @@ ZERO: Poly = ()
 
 
 def poly(coeffs) -> Poly:
-    out = [Fraction(c) for c in coeffs]
+    """Ascending coefficients as a Poly; Fractions are kept as they are."""
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -177,7 +178,8 @@ def normalize_system(polys: list[Poly]) -> tuple[Poly, ...]:
     divides by the integer content and fixes the sign so the leading
     coefficient of the highest-order polynomial is positive.  Works on
     the integer numerators over one common denominator, which the
-    canonical form does not depend on.
+    canonical form does not depend on, so the polynomials may be given
+    as ints (without trailing zeros) at any nonzero scale.
     """
     if all(not p for p in polys):
         raise ValueError("all coefficients vanish")

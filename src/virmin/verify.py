@@ -24,6 +24,7 @@ import numpy as np
 from .blocks import BLOCK_ORDER, block, frobenius_expand, residual_orders
 from .bpz import CorrelatorSpec, allowed_channels, indicial_exponents, reduced_ode, series_exponent
 from .crossing import (
+    GRID_TOL,
     GRID_Z,
     GRID_Z1,
     ORDER as CROSSING_ORDER,
@@ -252,7 +253,7 @@ def suite_blocks() -> tuple:
     "Ising four-sigma and four-epsilon correlators",
 )
 def suite_ising_crossing() -> tuple:
-    tol = 1e-8
+    tol = GRID_TOL
     worst = 0.0
     for spec in (_ising_spec(1, 2), _ising_spec(2, 1)):
         for z1 in GRID_Z1:

@@ -43,6 +43,15 @@ singular-vector filter built on it.
 same integer recursion as `virmin.blocks`, with every coefficient
 reduced to a Fraction as it is produced.
 
+`gram_block_coefficients` is the block series of one channel from the
+Shapovalov form alone, a_N = rho_L^T G_S^-1 rho_R (Di Francesco,
+Mathieu and Senechal, ch. 6): it shares only `pbw_basis` and
+`gram_matrix` with the ODE path it checks.
+
+`reference_commutativity_residuals` is the earlier commutativity
+transport: the arc below z = 1 and each leg between the targets
+continued by a call of its own.
+
 `reference_taylor_step` is the earlier continuation kernel: one Taylor
 step, with its own shift, Toeplitz weights and recursion, applied to the
 state directly; chaining it along a path is the reference for the
@@ -61,8 +70,10 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from virmin.blocks import eval_local
+from virmin.blocks import eval_local, eval_local_derivatives
 from virmin.bpz import CorrelatorSpec, ExponentPair, ODESpec, Operator, compose
+from virmin.continuation import continue_along, lower_arc_path
+from virmin.crossing import COMMUTATIVITY_TARGETS, correlator
 from virmin.errors import (
     DomainError,
     FusionError,
@@ -90,6 +101,7 @@ from virmin.verma import (
     _normalize_singular,
     _singular_space,
     apply_lowering,
+    gram_matrix,
     pbw_basis,
 )
 
@@ -714,6 +726,57 @@ def rowspace_dim(space: RowSpace) -> int:
     return len(space._rows)
 
 
+def _solve(matrix, rhs) -> list[Fraction]:
+    """x with matrix x = rhs, by Gauss-Jordan elimination in Fractions;
+    the matrix must be invertible."""
+    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    n = len(rows)
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return [row[-1] for row in rows]
+
+
+def _vertex_product(parts, hp: Fraction, h_in: Fraction, h_out: Fraction) -> Fraction:
+    """prod_i (hp + l_i + k_i h_in - h_out) over the modes k_i of the
+    monomial L(-parts[0]) ... L(-parts[-1]) |hp>, l_i the level of the
+    modes to the right of k_i: its pairing with the primary h_in
+    inserted at 1 on the primary h_out, relative to the level-0 pairing."""
+    out, level = Fraction(1), 0
+    for k in reversed(parts):
+        out *= hp + level + k * h_in - h_out
+        level += k
+    return out
+
+
+def gram_block_coefficients(spec: CorrelatorSpec, channel: KacLabel, top: int) -> list[Fraction]:
+    """a_0, ..., a_top of the channel's block series from the Shapovalov
+    form: a_N = rho_L^T G_S^-1 rho_R, with G the level-N Gram matrix of
+    the channel weight h_p, S a maximal set of independent rows of G
+    (so G_S is the Gram matrix of the irreducible quotient),
+    rho_R = prod (h_p + l_i + k_i h2 - h3) and rho_L the same with
+    (h1, h4); an empty S gives 0."""
+    c = central_charge(spec.model)
+    hp = conformal_weight(spec.model, channel)
+    out = [Fraction(1)]
+    for level in range(1, top + 1):
+        gram = gram_matrix(VermaParams(c, hp), level).entries
+        space = RowSpace()
+        rows = [i for i, row in enumerate(gram) if space.add(row)]
+        basis = [pbw_basis(level)[i] for i in rows]
+        rho_r = [_vertex_product(parts, hp, spec.h2, spec.h3) for parts in basis]
+        rho_l = [_vertex_product(parts, hp, spec.h1, spec.h4) for parts in basis]
+        x = _solve([[gram[i][j] for j in rows] for i in rows], rho_r) if rows else []
+        out.append(sum((a * b for a, b in zip(rho_l, x)), Fraction(0)))
+    return out
+
+
 def _falling_table(rows: int, cols: int) -> np.ndarray:
     """ff[i, j] = j (j-1) ... (j-i+1) for i < rows, j < cols."""
     j = np.arange(cols, dtype=float)
@@ -796,3 +859,30 @@ def reference_taylor_step(
     dz = complex(target) - complex(p)
     at_target = tab.evaluation * (dz ** np.arange(order + 1))[tab.eval_power]
     return np.einsum("tn,nm->tm", at_target, b).reshape(state.shape)
+
+
+def reference_commutativity_residuals(spec: CorrelatorSpec, order: int, flips) -> tuple:
+    """The earlier commutativity transport: the channel states continued
+    from z = 0.5 along the arc below z = 1 to the first target, then one
+    leg per further target, each by a continue_along call of its own;
+    the predictions are those of virmin.crossing."""
+    cor = correlator(spec, order)
+    basis0, basis1 = cor.fusing.basis0, cor.fusing.basis1
+    targets = COMMUTATIVITY_TARGETS
+    swapped = basis1.values(1 - np.array(targets))
+    conjugate = np.exp(-2j * np.pi * basis1.float_exponents)[:, None]
+    preds = [(cor.channel_rows @ (swapped * conjugate if f else swapped)).T for f in flips]
+    k = cor.ode.order
+    cur = np.column_stack(
+        [eval_local_derivatives(basis0.solutions[i], 0.5 + 0j, k) for i in cor.channel_indices]
+    )
+    pos = 0.5 + 0j
+    legs = [lower_arc_path(0.5, 16) + [complex(targets[0])]] + [[complex(x)] for x in targets[1:]]
+    worst = [0.0] * len(flips)
+    for w, (target, leg) in enumerate(zip(targets, legs)):
+        cur = continue_along(cor.ode, pos, cur, leg)
+        pos = complex(target)
+        for f, pred in enumerate(preds):
+            resid = np.abs(cur[0] - pred[w]) / np.maximum(np.abs(pred[w]), 1e-300)
+            worst[f] = max(worst[f], float(resid.max()))
+    return tuple(worst)

@@ -7,6 +7,7 @@ import pytest
 
 from exact_oracles import (
     composed_at_one,
+    gram_block_coefficients,
     recursion_shifts,
     reference_frobenius_expand,
     tail_bound,
@@ -218,6 +219,59 @@ def test_inconsistent_resonance_raises():
     ode = ODESpec(((F(1),), (), (F(0), F(1))))
     with pytest.raises(LogarithmicCaseError):
         frobenius_expand(ode, 0, F(0), 5)
+
+
+def _series(spec, channel, order):
+    ode, anchor, _ = reduced_ode(spec)
+    rho = channel_exponents(spec, channel).t2 - anchor.t2
+    return frobenius_expand(ode, 0, rho, order).coefficients
+
+
+def _spec(p, q, *labels):
+    labels = [KacLabel(*lab) for lab in labels]
+    return CorrelatorSpec(MinimalModel(p, q), *(labels * (4 // len(labels))))
+
+
+M56_13 = _spec(5, 6, (1, 3))
+M56_12_13 = _spec(5, 6, (1, 2), (1, 2), (1, 3), (1, 3))
+
+
+@pytest.mark.parametrize(
+    "spec, channel",
+    [
+        (SIGMA_SPEC, KacLabel(1, 1)),
+        (SIGMA_SPEC, KacLabel(2, 1)),
+        (_spec(4, 5, (2, 2)), KacLabel(1, 3)),
+        (M56_13, KacLabel(1, 3)),
+    ],
+    ids=str,
+)
+def test_series_matches_the_gram_block_oracle(spec, channel):
+    """Through a_4 the ODE series equals rho_L^T G_S^-1 rho_R, which is
+    built from the Shapovalov form alone."""
+    assert list(_series(spec, channel, 4)) == gram_block_coefficients(spec, channel, 4)
+
+
+def test_gram_block_oracle_pins_the_resonant_vacuum_blocks():
+    """The vacuum blocks of (5,6)<(1,3)^4> and (5,6)<(1,2)(1,2)(1,3)(1,3)>
+    through a_4, where the exponent gap 3 to a second root is resonant."""
+    vac = KacLabel(1, 1)
+    assert gram_block_coefficients(M56_13, vac, 4) == [1, 0, F(10, 9), F(10, 9), F(94, 81)]
+    assert gram_block_coefficients(M56_12_13, vac, 4) == [1, 0, F(5, 24), F(5, 24), F(229, 1152)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: at a consistent resonance the series sets the free "
+    "coefficient a_3 to 0; the physical block has the Gram value",
+)
+@pytest.mark.parametrize(
+    "spec, want", [(M56_13, F(10, 9)), (M56_12_13, F(5, 24))], ids=["(1,3)^4", "(1,2)^2(1,3)^2"]
+)
+def test_resonant_vacuum_a3_is_the_gram_value(spec, want):
+    assert gram_block_coefficients(spec, KacLabel(1, 1), 3)[3] == want
+    assert _series(spec, KacLabel(1, 1), 3)[3] == want
 
 
 def reference_expand(ode, point, exponent, order):

@@ -440,6 +440,65 @@ def oracle_pool():
     return out
 
 
+@lru_cache(maxsize=1)
+def mixed_pool():
+    """Mixed-label correlators of coprime p < q <= 5: (w4, w1, w2, w3) in
+    the orderings (a,a,b,b), (a,b,a,b) and (a,b,b,a) of two distinct
+    non-identity labels, with an allowed channel, on each route whose
+    null label (w3 for slot 3, w2 for slot 2) has null level <= 4, with
+    that label's primitive singular vector."""
+    from virmin.models import null_level
+
+    out = []
+    for q in range(3, 6):
+        for p in range(2, q):
+            if gcd(p, q) != 1:
+                continue
+            model = MinimalModel(p, q)
+            labels = [label for label, _ in kac_table(model) if label != KacLabel(1, 1)]
+            for a in labels:
+                for b in labels:
+                    if a == b:
+                        continue
+                    for order in ((a, a, b, b), (a, b, a, b), (a, b, b, a)):
+                        spec = CorrelatorSpec(model, *order)
+                        if not allowed_channels(spec):
+                            continue
+                        for route, label in (("slot3", spec.w3), ("slot2", spec.w2)):
+                            level = null_level(model, label)
+                            if level <= 4:
+                                null = singular_vectors(model, label, level)[0][1]
+                                out.append((spec, route, null))
+    return out
+
+
+def test_mixed_label_reductions_match_both_oracles():
+    """With h1, h2, h3, h4 not all equal, both routes give the chain
+    reference's operator and the RatZ reduction's ODE, so the integer
+    scales of the derivation and of the Euler factors are checked where
+    the diagonal pool cannot see them."""
+    orders, routes, orderings = set(), set(), set()
+    for spec, route, null in mixed_pool():
+        h1, h2, h3 = spec.h1, spec.h2, spec.h3
+        if route == "slot3":
+            op = derive_pde_slot3(spec, null)
+            want = reference_derive_pde(null, lambda m: insertion_operator_slot3(m, h1, h2))
+        else:
+            op = derive_pde_slot2(spec, null)
+            want = reference_derive_pde(null, lambda m: insertion_operator_slot2(m, h1, h3))
+        assert op == want, (spec, route)
+        assert all(type(c) is Fraction for c in op.values())
+        ode, anchor, _ = reduced_ode(spec, None, route)
+        assert ode.coefficients == ratz_reduce_to_ode(op, anchor).coefficients, (spec, route)
+        orders.add(ode.order)
+        routes.add(route)
+        orderings.add((spec.w4 == spec.w1, spec.w4 == spec.w2))
+    assert len(mixed_pool()) == 168
+    assert orders == {2, 3, 4}
+    assert routes == {"slot3", "slot2"}
+    assert orderings == {(True, False), (False, True), (False, False)}
+
+
 def test_horner_sum_matches_the_chain_reference(monkeypatch):
     """Both routes give the operator that composing each monomial's chain
     on its own gives, for every singular vector of the pool; no insertion

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from exact_oracles import ode_from_jsonable, pbw_from_jsonable
+from virmin import crossing
 from virmin.bpz import ODESpec
 from virmin.cli import main
 from virmin.models import KacLabel
@@ -152,6 +153,26 @@ def test_crossing_report(capsys):
     assert data["fusing_residual"] < 1e-8
     assert data["region"] == "|z1| > |z2| > |z1 - z2| > 0"
     assert len(data["fusing_matrix"]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra, code", [((), 0), (("--order", "3"), 1), (("--order", "3", "--format", "json"), 1)]
+)
+def test_crossing_exits_1_when_a_residual_misses_the_grid_tolerance(capsys, extra, code):
+    """The report is printed either way; at order 3 the grid residual is
+    5.3e-3, above crossing.GRID_TOL, so the command exits 1."""
+    labels = ("--labels", "1,2", "1,2", "1,2", "1,2")
+    got, out, err = run_cli(capsys, "crossing", "3", "4", *labels, *extra)
+    assert got == code
+    assert err == ""
+    if "json" in extra:
+        data = json.loads(out)
+        assert data["max_residual"] >= crossing.GRID_TOL
+        assert set(data) >= {"fusing_matrix", "fusing_residual", "max_residual", "order"}
+    else:
+        assert "max associativity residual on grid: " in out
+        worst = float(out.rsplit(": ", 1)[1])
+        assert (worst >= crossing.GRID_TOL) == (code == 1)
 
 
 def test_verify_suite_exit(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from exact_oracles import _falling_table as running_product_table
-from exact_oracles import reference_taylor_step
+from exact_oracles import reference_commutativity_residuals, reference_taylor_step
 from virmin.blocks import eval_local_derivatives
 from virmin.bpz import CorrelatorSpec, ODESpec, reduced_ode
 from virmin.continuation import (
@@ -16,9 +16,10 @@ from virmin.continuation import (
     circle_path,
     continue_along,
     lower_arc_path,
+    states_along,
     taylor_step,
 )
-from virmin.crossing import channel_basis
+from virmin.crossing import channel_basis, commutativity_residuals
 from virmin.errors import DomainError
 from virmin.models import KacLabel, MinimalModel
 
@@ -201,6 +202,31 @@ def test_transfer_matrices_match_chained_reference_steps(spec, path_name):
     want = _chained_reference(ode, start, states, path)
     for j in range(states.shape[1]):
         assert np.abs(got[:, j] - want[:, j]).max() <= 1e-12 * np.abs(want[:, j]).max()
+
+
+@pytest.mark.parametrize("spec", COMMUTATIVITY_SPECS, ids=str)
+def test_states_along_holds_every_waypoint_state(spec):
+    """Entry i of states_along is the state continued to waypoint i: the
+    path's prefix continued on its own, and the last is continue_along's."""
+    ode, states = _start_states(spec)
+    got = states_along(ode, 0.5, states, COMMUTATIVITY_PATH)
+    assert len(got) == len(COMMUTATIVITY_PATH)
+    assert np.array_equal(got[-1], continue_along(ode, 0.5, states, COMMUTATIVITY_PATH))
+    for i in (0, 15, 16, 17):
+        want = continue_along(ode, 0.5, states, COMMUTATIVITY_PATH[: i + 1])
+        assert got[i].shape == states.shape
+        assert np.abs(got[i] - want).max() <= 1e-13 * np.abs(want).max()
+    assert states_along(ode, 0.5, states[:, 0], []) == []
+
+
+@pytest.mark.parametrize("spec", COMMUTATIVITY_SPECS, ids=str)
+def test_commutativity_from_one_transport_matches_leg_by_leg(spec):
+    """One transport through every target gives the residuals of the
+    arc and each further leg continued by a call of its own."""
+    flips = (False, True)
+    got = commutativity_residuals(spec, 60, flips)
+    want = reference_commutativity_residuals(spec, 60, flips)
+    assert np.abs(np.array(got) - np.array(want)).max() <= 1e-14
 
 
 def test_empty_path_returns_the_state():

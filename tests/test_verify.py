@@ -44,14 +44,19 @@ def test_tensor_suite_names_a_flipped_factor_triple(flipped, monkeypatch):
 
 
 def _count_transports(monkeypatch) -> list:
+    """Record (name, path) of every transport crossing starts, through
+    continue_along or states_along."""
     calls = []
-    real = crossing.continue_along
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(ode, start, state, path):
+            calls.append((name, list(path)))
+            return real(ode, start, state, path)
 
-    monkeypatch.setattr(crossing, "continue_along", counting)
+        return wrapper
+
+    for name in ("continue_along", "states_along"):
+        monkeypatch.setattr(crossing, name, counting(name, getattr(crossing, name)))
     return calls
 
 
@@ -74,9 +79,14 @@ def test_monodromy_suite_transports_each_basis_once(monkeypatch):
 
 
 def test_commutativity_suite_transports_each_leg_once(monkeypatch):
+    """One transport runs the arc below z = 1 and every leg between the
+    targets: the states at the targets are its last waypoints'."""
     calls = _count_transports(monkeypatch)
     report = verify.suite_commutativity()
-    assert len(calls) == 3
+    assert len(calls) == 1
+    name, path = calls[0]
+    assert name == "states_along"
+    assert path[-3:] == [complex(x) for x in crossing.COMMUTATIVITY_TARGETS]
     monkeypatch.undo()
 
     spec = verify._ising_spec(1, 2)
