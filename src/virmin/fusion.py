@@ -10,7 +10,11 @@ and both sums m+m'+m'', n+n'+n'' are odd; otherwise 0.  Each weight has
 two Kac representatives, so we declare the rule to hold for an orbit
 triple when it holds for at least one choice of representatives; this
 makes it well defined on isomorphism classes (and is what the slot
-symmetry and associativity checks below validate).
+symmetry and associativity checks below validate).  Reflecting two of
+the three labels, (m, n) -> (p - m, q - n), maps the eight conditions
+onto each other (the simple-current symmetry of su(2)_{p-2} x
+su(2)_{q-2}), so the eight choices fall into two classes, represented
+by (a, b, c) and (a, b, c reflected), and the rule tries those two.
 
 Tensor-product models fuse factorwise.
 """
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -54,11 +57,10 @@ def _triple_ok(p: int, q: int, a, b, c):
 def _rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacLabel) -> int:
     """fusion_rule on labels already checked against the model."""
     p, q = model.p, model.q
-    reps = [((lab.m, lab.n), (p - lab.m, q - lab.n)) for lab in (a, b, c)]
-    for ra, rb, rc in product(*reps):
-        if _triple_ok(p, q, ra, rb, rc):
-            return 1
-    return 0
+    ra, rb = (a.m, a.n), (b.m, b.n)
+    return int(
+        _triple_ok(p, q, ra, rb, (c.m, c.n)) or _triple_ok(p, q, ra, rb, (p - c.m, q - c.n))
+    )
 
 
 def fusion_rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacLabel) -> int:
@@ -127,24 +129,20 @@ class FusionTable:
 def fusion_table(model: MinimalModel) -> FusionTable:
     """Compute (once per model) the full multiplicity table.
 
-    The rule is evaluated on the whole (k, k, k) label grid for each of
-    the eight choices of reflection representatives, and the results
-    are ORed, exactly as fusion_rule does for one triple.
+    The rule is evaluated on the whole (k, k, k) label grid for the two
+    classes of reflection representatives, and the results are ORed,
+    exactly as fusion_rule does for one triple.
     """
     labels = tuple(lab for lab, _ in kac_table(model))
+    p, q = model.p, model.q
     # int16 keeps the (k, k, k) sums small; every sum is below 3 * q
     m = np.array([lab.m for lab in labels], dtype=np.int16)
     n = np.array([lab.n for lab in labels], dtype=np.int16)
-    reps = ((m, n), (model.p - m, model.q - n))
-    table = np.zeros((len(labels),) * 3, dtype=bool)
-    for (ma, na), (mb, nb), (mc, nc) in product(reps, repeat=3):
-        table |= _triple_ok(
-            model.p,
-            model.q,
-            (ma[:, None, None], na[:, None, None]),
-            (mb[None, :, None], nb[None, :, None]),
-            (mc[None, None, :], nc[None, None, :]),
-        )
+    a = (m[:, None, None], n[:, None, None])
+    b = (m[None, :, None], n[None, :, None])
+    c = (m[None, None, :], n[None, None, :])
+    c_bar = (p - c[0], q - c[1])
+    table = _triple_ok(p, q, a, b, c) | _triple_ok(p, q, a, b, c_bar)
     return FusionTable(model, labels, table.astype(np.int8))
 
 

@@ -28,7 +28,9 @@ The channel oracles `reference_channel_exponents` and
 re-checks both fusion pairings and computes the Kac weights in
 Fractions, with no table.  `reference_fusion_rule` is the earlier rule
 that builds each reflected representative as a KacLabel and tries the
-eight choices in turn.
+eight choices in turn; `reference_fusion_table` is the earlier table,
+the rule evaluated on the whole label grid for each of the eight
+choices and ORed.
 
 `reference_kac_table` is the earlier Kac-table construction: every
 (m, n) canonicalized, duplicates dropped through a set, the rows sorted.
@@ -64,6 +66,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
@@ -635,6 +638,25 @@ def reference_fusion_rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacL
                 if _triple_ok(model.p, model.q, ra.as_tuple(), rb.as_tuple(), rc.as_tuple()):
                     return 1
     return 0
+
+
+def reference_fusion_table(model: MinimalModel) -> np.ndarray:
+    """The (k, k, k) int8 multiplicity array over the canonical labels in
+    kac_table order, ORed over all eight choices of representatives."""
+    labels = [lab for lab, _ in kac_table(model)]
+    m = np.array([lab.m for lab in labels], dtype=np.int16)
+    n = np.array([lab.n for lab in labels], dtype=np.int16)
+    reps = ((m, n), (model.p - m, model.q - n))
+    table = np.zeros((len(labels),) * 3, dtype=bool)
+    for (ma, na), (mb, nb), (mc, nc) in product(reps, repeat=3):
+        table |= _triple_ok(
+            model.p,
+            model.q,
+            (ma[:, None, None], na[:, None, None]),
+            (mb[None, :, None], nb[None, :, None]),
+            (mc[None, None, :], nc[None, None, :]),
+        )
+    return table.astype(np.int8)
 
 
 def reference_kac_table(model: MinimalModel) -> list[tuple[KacLabel, Fraction]]:

@@ -4,7 +4,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from exact_oracles import reference_fusion_rule
+from exact_oracles import reference_fusion_rule, reference_fusion_table
 from virmin import fusion
 from virmin.errors import RangeError, ShapeError
 from virmin.fusion import (
@@ -182,6 +182,15 @@ def test_fusion_table_matches_rule_for_all_models_up_to_9():
 
 def _coprime_models(q_max: int):
     return [MinimalModel(p, q) for q in range(3, q_max + 1) for p in range(2, q) if gcd(p, q) == 1]
+
+
+def test_fusion_table_from_two_reflection_classes_equals_the_eight_choice_table():
+    models = _coprime_models(20)
+    assert len(models) == 108
+    for model in models:
+        # unwrapped: the tables of the larger models would fill the lru_cache
+        ft = fusion_table.__wrapped__(model)
+        assert np.array_equal(ft.table, reference_fusion_table(model)), model
 
 
 def _invalid_labels(model):

@@ -9,6 +9,7 @@ from virmin import linalg
 from virmin.linalg import det, ff_echelon, nullspace, rank as echelon_rank
 
 F = Fraction
+P = linalg._PRIME
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -168,3 +169,49 @@ def test_integer_rows_skip_the_denominator_clearing(monkeypatch):
     m = [[1, 2, 3], [2, 4, 6]]
     assert nullspace(m) == [[F(-2), F(1), F(0)], [F(-3), F(0), F(1)]]
     assert echelon_rank(m) == 1
+
+
+@pytest.mark.parametrize(
+    "m, want_rank, want_kernel",
+    [
+        ([[P, 0], [0, 1]], 2, []),
+        ([[1, 1], [1, 1 + P]], 2, []),
+        ([[2 * P, 0, 0], [0, 0, 1]], 2, [[F(0), F(1), F(0)]]),
+        ([[P, 0], [0, P], [P, P]], 2, []),
+    ],
+)
+def test_rank_and_kernel_are_exact_where_the_prime_is_unlucky(m, want_rank, want_kernel):
+    """Full rank over Q, rank-deficient modulo P: the certificate fails,
+    and the elimination over Z gives the exact answer."""
+    assert linalg._rank_mod_prime(m) < want_rank
+    assert echelon_rank(m) == rank(m) == want_rank
+    assert nullspace(m) == want_kernel
+
+
+unlucky_entries = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-2, max_value=2).map(lambda k: k * P),
+    st.integers(min_value=-2, max_value=2).map(lambda k: k * P + 1),
+)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(unlucky_entries, min_size=n, max_size=n), min_size=1, max_size=6
+        )
+    )
+)
+@settings(max_examples=150)
+def test_certified_rank_and_kernel_equal_the_elimination_over_z(rows):
+    """Entries include multiples of P, so the certificate meets both full
+    rank and unlucky deficits; rank and kernel never differ from the
+    fraction-free elimination alone."""
+    want_rank = len(ff_echelon(rows)[1])
+    assert echelon_rank(rows) == want_rank == rank(rows)
+    assert linalg._rank_mod_prime(rows) <= want_rank
+    kernel = nullspace(rows)
+    assert len(kernel) == len(rows[0]) - want_rank
+    with pytest.MonkeyPatch.context() as mp:  # the certificate off: ff_echelon alone
+        mp.setattr(linalg, "_rank_mod_prime", lambda int_rows: -1)
+        assert nullspace(rows) == kernel

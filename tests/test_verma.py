@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from virmin import linalg
 from virmin.cache import GramCache
 from virmin.errors import RangeError
 from exact_oracles import gauss_det, rank, reference_singular_vectors
@@ -365,3 +366,25 @@ def test_singular_vectors_match_the_rowspace_filter():
             want = reference_singular_vectors(model, label, 8)
             assert singular_vectors(model, label, 8) == want, (model, label)
 
+
+def test_singular_vectors_are_unchanged_without_the_modular_certificate(monkeypatch):
+    """With the certificate forced to fail, every rank and kernel comes
+    from the elimination over Z; the singular vectors are the same, for
+    every label of coprime p < q <= 7 through level 8 and for (2,2),
+    (2,3), (3,2) of M(p, p+1), p = 4-6, through level 10."""
+    cases = [
+        (MinimalModel(p, q), label, 8)
+        for q in range(3, 8)
+        for p in range(2, q)
+        if gcd(p, q) == 1
+        for label, _ in kac_table(MinimalModel(p, q))
+    ]
+    cases += [
+        (MinimalModel(p, p + 1), KacLabel(m, n), 10)
+        for p in (4, 5, 6)
+        for m, n in ((2, 2), (2, 3), (3, 2))
+    ]
+    certified = [singular_vectors(*case) for case in cases]
+    monkeypatch.setattr(linalg, "_rank_mod_prime", lambda int_rows: -1)
+    for case, want in zip(cases, certified):
+        assert singular_vectors(*case) == want, case
