@@ -72,10 +72,11 @@ from .models import (
     check_label,
     conformal_weight,
     kac_table,
+    null_level,
     reflect,
 )
 from .poly import Poly, degree, falling, integer_form, normalize_system, ord0, poly, rational_roots
-from .verma import PBWVector
+from .verma import PBWVector, singular_vectors
 
 # Operator term key: exponents of z1, z2, (z1 - z2), then d/dz1, d/dz2 orders.
 TermKey = tuple[int, int, int, int, int]
@@ -568,9 +569,6 @@ def reduced_ode(
     relevant slot's label.  Returns (ode, anchor, anchor_channel) with
     the anchor defaulting to the first allowed channel.
     """
-    from .models import null_level
-    from .verma import singular_vectors
-
     channels = allowed_channels(spec)
     if not channels:
         raise FusionError("correlator admits no intermediate channel")

@@ -39,6 +39,7 @@ from .serialize import (
     pbw_to_jsonable,
 )
 from .verify import SUITES, run_suite
+from .verma import singular_vectors
 
 USAGE_EXIT = 2
 DOMAIN_EXIT = 3
@@ -125,8 +126,6 @@ def cmd_fusion_table(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    from .verma import singular_vectors
-
     model = _model(args)
     label = KacLabel(args.m, args.n)
     found = singular_vectors(model, label, args.max_level)

@@ -15,6 +15,7 @@ e^{2 pi i rho}.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
@@ -22,7 +23,6 @@ from functools import cached_property, lru_cache, wraps
 import numpy as np
 
 from .blocks import (
-    BLOCK_ORDER,
     EvaluationResult,
     FrobeniusSeries,
     block,
@@ -104,11 +104,13 @@ class ChannelBasis:
         out.flags.writeable = False
         return out
 
-    def values(self, u) -> np.ndarray:
-        """Every solution at the nonzero local coordinate u, principal
-        branch of u^exponent: shape (k,) for a scalar u, (k, m) for a
-        1-D array of m points."""
-        u = np.asarray(u, dtype=complex)
+    def values(self, z) -> np.ndarray:
+        """Every solution at z, in the local coordinate u = z at 0 and
+        u = 1 - z at 1 (u nonzero), principal branch of u^exponent:
+        shape (k,) for a scalar z, (k, m) for a 1-D array of m points."""
+        if self.point == 1:  # a scalar z in Python arithmetic: no ufunc call
+            z = 1 - (z if np.isscalar(z) else np.asarray(z, dtype=complex))
+        u = np.asarray(z, dtype=complex)
         coeffs = self.coefficient_matrix
         powers = u[..., None] ** np.arange(coeffs.shape[1])
         # one matrix-vector product per point, so that every column of an
@@ -143,15 +145,10 @@ class FusingMatrix:
         return np.array(self.entries, dtype=complex)
 
 
-def _chebyshev_points(n: int, lo: float = 0.35, hi: float = 0.65) -> list[float]:
-    mid, half = (hi + lo) / 2, (hi - lo) / 2
+def _chebyshev_points(n: int) -> list[float]:
+    """n Chebyshev points of [0.35, 0.65]."""
+    mid, half = (0.65 + 0.35) / 2, (0.65 - 0.35) / 2
     return [mid + half * float(np.cos(np.pi * (2 * i + 1) / (2 * n))) for i in range(n)]
-
-
-def _values_at(basis: ChannelBasis, points) -> np.ndarray:
-    """(k, m) array of every basis solution at the m points z."""
-    z = np.asarray(points, dtype=float)
-    return basis.values(z if basis.point == 0 else 1 - z)
 
 
 def _heldout_residual(rows, basis0: ChannelBasis, basis1: ChannelBasis, points) -> float:
@@ -163,8 +160,8 @@ def _heldout_residual(rows, basis0: ChannelBasis, basis1: ChannelBasis, points) 
     meaningful where a solution passes through zero at one of the
     points (a pointwise ratio would read 0/0 there).
     """
-    lhs = _values_at(basis0, points)
-    rhs = np.asarray(rows, dtype=complex) @ _values_at(basis1, points)
+    lhs = basis0.values(points)
+    rhs = np.asarray(rows, dtype=complex) @ basis1.values(points)
     scale = np.maximum(np.abs(lhs).max(axis=1), 1e-300)
     return float((np.abs(lhs - rhs).max(axis=1) / scale).max())
 
@@ -185,14 +182,14 @@ def fusing_matrix(ode: ODESpec, order: int = ORDER) -> FusingMatrix:
     fit = _chebyshev_points(max(2 * k, 8))
     held = [x for x in _chebyshev_points(max(2 * k, 8) + 5) if x not in fit]
 
-    a = _values_at(basis1, fit).T
+    a = basis1.values(fit).T
     cond = np.linalg.cond(a)
     if cond > COND_LIMIT:
         raise ConditioningError(
             f"basis collocation matrix has condition number {cond:.3g}; "
             "use a higher order"
         )
-    sol, *_ = np.linalg.lstsq(a, _values_at(basis0, fit).T, rcond=None)
+    sol, *_ = np.linalg.lstsq(a, basis0.values(fit).T, rcond=None)
     rows = tuple(tuple(complex(v) for v in col) for col in sol.T)
     return FusingMatrix(
         entries=rows,
@@ -226,29 +223,17 @@ def braiding_phase(
     return BraidingPhase(exponent, cmath.exp(1j * cmath.pi * float(exponent)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Correlator:
-    """A solved correlator: its reduced ODE, the fusing matrix between
-    the bases at 0 and 1 (which carries both bases), and the index in
-    the point-0 basis of each allowed channel."""
+    """A solved correlator: the fusing matrix between the bases at 0 and
+    1 (which carry the reduced ODE), the allowed channels, and, as
+    read-only arrays, each channel's index in the point-0 basis and its
+    row of the fusing matrix."""
 
-    ode: ODESpec
     fusing: FusingMatrix
-    channels: tuple[tuple[KacLabel, int], ...]
-
-    @cached_property
-    def channel_indices(self) -> np.ndarray:
-        """Read-only point-0 basis index of each allowed channel."""
-        out = np.array([i for _, i in self.channels])
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def channel_rows(self) -> np.ndarray:
-        """Read-only rows of the fusing matrix for the allowed channels."""
-        out = self.fusing.as_array()[self.channel_indices]
-        out.flags.writeable = False
-        return out
+    channels: tuple[KacLabel, ...]
+    channel_indices: np.ndarray
+    channel_rows: np.ndarray
 
 
 @_memo
@@ -257,13 +242,17 @@ def correlator(spec: CorrelatorSpec, order: int = ORDER) -> Correlator:
     ode, anchor, _ = reduced_ode(spec)
     fm = fusing_matrix(ode, order)
     index = {rho: i for i, rho in enumerate(fm.basis0.exponents)}
-    channels = []
-    for c in allowed_channels(spec):
+    channels = tuple(allowed_channels(spec))
+    indices = []
+    for c in channels:
         rho = series_exponent(spec, c, anchor)
         if rho not in index:
             raise ModelViolationError(f"channel {c}: {rho} is not an indicial root at 0")
-        channels.append((c, index[rho]))
-    return Correlator(ode, fm, tuple(channels))
+        indices.append(index[rho])
+    idx = np.array(indices)
+    rows = fm.as_array()[idx]
+    idx.flags.writeable = rows.flags.writeable = False
+    return Correlator(fm, channels, idx, rows)
 
 
 def associativity_residual(
@@ -287,7 +276,7 @@ def associativity_residual(
     fm = cor.fusing
     z = z2c / z1c
     prod = fm.basis0.values(z)[cor.channel_indices]
-    iterate = cor.channel_rows @ fm.basis1.values(1 - z)
+    iterate = cor.channel_rows @ fm.basis1.values(z)
     scale = np.maximum(np.maximum(np.abs(prod), np.abs(iterate)), 1e-300)
     return float((np.abs(prod - iterate) / scale).max())
 
@@ -317,16 +306,18 @@ def monodromy_residuals(
 def commutativity_residuals(
     spec: CorrelatorSpec, order: int = ORDER, flips: tuple[bool, ...] = (False,)
 ) -> tuple[float, ...]:
-    """commutativity_residual for each flip_phases value, from one transport."""
+    """commutativity_residual once per flip, from one transport; a True
+    flip conjugates the braiding phases, which must break the match
+    (negative control)."""
     cor = correlator(spec, order)
-    ode, fm = cor.ode, cor.fusing
-    basis0, basis1 = fm.basis0, fm.basis1
+    basis0, basis1 = cor.fusing.basis0, cor.fusing.basis1
+    ode = basis0.ode
     k = ode.order
     start = 0.5
 
     # e^{i pi s_j} R_j(x), for every point-1 solution j and waypoint x > 1,
     # is solution j's principal-branch value at u = 1 - x: arg(u) = +pi.
-    swapped = basis1.values(1 - np.array(COMMUTATIVITY_TARGETS))
+    swapped = basis1.values(np.array(COMMUTATIVITY_TARGETS))
     conjugate = np.exp(-2j * np.pi * basis1.float_exponents)[:, None]
     # for each flip, one row per waypoint
     preds = [(cor.channel_rows @ (swapped * conjugate if f else swapped)).T for f in flips]
@@ -351,9 +342,7 @@ def commutativity_residuals(
     return tuple(worst)
 
 
-def commutativity_residual(
-    spec: CorrelatorSpec, order: int = ORDER, flip_phases: bool = False
-) -> float:
+def commutativity_residual(spec: CorrelatorSpec, order: int = ORDER) -> float:
     """Half-monodromy transport check for the exchange of the two
     middle insertions.
 
@@ -363,22 +352,16 @@ def commutativity_residual(
     is sum_j F_ij e^{i pi s_j} R_j(z) with R_j the point-1 series
     evaluated on the real branch (z - 1 > 0); the phases are exactly
     the braiding factors e^{i pi (h_c - h_a - h_b)} for the physical
-    intermediate channels.  flip_phases=True conjugates them, which
-    must break the match (negative control).
+    intermediate channels.
     """
-    return commutativity_residuals(spec, order, (flip_phases,))[0]
+    return commutativity_residuals(spec, order)[0]
 
 
-def tensor_block(
-    tmodel: TensorModel,
-    specs,
-    channels,
-    z: complex,
-    order: int = BLOCK_ORDER,
-) -> EvaluationResult:
-    """Product of per-factor blocks (intertwining maps factor through
-    the tensor decomposition, so exponents add and values multiply).
-    Spec i must be a correlator of factor i."""
+def tensor_block(tmodel: TensorModel, specs, channels, z: complex) -> EvaluationResult:
+    """Product of per-factor blocks at BLOCK_ORDER (intertwining maps
+    factor through the tensor decomposition, so exponents add and values
+    multiply), with tail sum_i tail_i prod_{j != i} |v_j|.  Spec i must
+    be a correlator of factor i."""
     specs = list(specs)
     channels = list(channels)
     if len(specs) != len(tmodel.factors) or len(channels) != len(specs):
@@ -386,15 +369,10 @@ def tensor_block(
     for i, (spec, factor) in enumerate(zip(specs, tmodel.factors)):
         if spec.model != factor:
             raise ShapeError(f"spec {i} is a correlator of {spec.model}, not of factor {factor}")
-    results = [block(s, c, z, order) for s, c in zip(specs, channels)]
-    value = 1 + 0j
-    for r in results:
-        value *= r.value
-    tail = 0.0
-    for i, r in enumerate(results):
-        others = 1.0
-        for j, r2 in enumerate(results):
-            if j != i:
-                others *= abs(r2.value)
-        tail += r.tail_bound * others
+    results = [block(s, c, z) for s, c in zip(specs, channels)]
+    value = math.prod((r.value for r in results), start=1 + 0j)
+    tail = sum(
+        r.tail_bound * math.prod(abs(o.value) for j, o in enumerate(results) if j != i)
+        for i, r in enumerate(results)
+    )
     return EvaluationResult(value, tail, min(r.order_used for r in results))

@@ -316,17 +316,13 @@ def suite_tensor() -> tuple:
     spec = _ising_spec(1, 2)
     tmodel = TensorModel((spec.model, spec.model))
     for z in (0.2, 0.3, 0.45):
-        pair = tensor_block(
-            tmodel, [spec, spec], [KacLabel(1, 1), KacLabel(2, 1)], z, BLOCK_ORDER
-        )
+        pair = tensor_block(tmodel, [spec, spec], [KacLabel(1, 1), KacLabel(2, 1)], z)
         single1 = block(spec, KacLabel(1, 1), z, BLOCK_ORDER).value
         single2 = block(spec, KacLabel(2, 1), z, BLOCK_ORDER).value
         rel = abs(pair.value - single1 * single2) / abs(single1 * single2)
         if rel > tol:
             failures.append(f"tensor block differs from factor product by {rel:.2e}")
-        swapped = tensor_block(
-            tmodel, [spec, spec], [KacLabel(2, 1), KacLabel(1, 1)], z, BLOCK_ORDER
-        )
+        swapped = tensor_block(tmodel, [spec, spec], [KacLabel(2, 1), KacLabel(1, 1)], z)
         if abs(pair.value - swapped.value) > tol * abs(pair.value):
             failures.append("factor reordering changed the tensor block")
 

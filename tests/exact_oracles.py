@@ -597,7 +597,7 @@ def scalar_associativity_residual(cor, anchor, rows, z1: float, z2: float) -> fl
         float(anchor.t2) * cmath.log(z)
     )
     worst = 0.0
-    for _, i in cor.channels:
+    for i in cor.channel_indices:
         prod = pref * eval_local(basis0.solutions[i], z)
         iterate = pref * sum(f * eval_local(s1, 1 - z) for f, s1 in zip(rows[i], basis1.solutions))
         worst = max(worst, abs(prod - iterate) / max(abs(prod), abs(iterate), 1e-300))
@@ -891,10 +891,11 @@ def reference_commutativity_residuals(spec: CorrelatorSpec, order: int, flips) -
     cor = correlator(spec, order)
     basis0, basis1 = cor.fusing.basis0, cor.fusing.basis1
     targets = COMMUTATIVITY_TARGETS
-    swapped = basis1.values(1 - np.array(targets))
+    swapped = basis1.values(np.array(targets))
     conjugate = np.exp(-2j * np.pi * basis1.float_exponents)[:, None]
     preds = [(cor.channel_rows @ (swapped * conjugate if f else swapped)).T for f in flips]
-    k = cor.ode.order
+    ode = basis0.ode
+    k = ode.order
     cur = np.column_stack(
         [eval_local_derivatives(basis0.solutions[i], 0.5 + 0j, k) for i in cor.channel_indices]
     )
@@ -902,7 +903,7 @@ def reference_commutativity_residuals(spec: CorrelatorSpec, order: int, flips) -
     legs = [lower_arc_path(0.5, 16) + [complex(targets[0])]] + [[complex(x)] for x in targets[1:]]
     worst = [0.0] * len(flips)
     for w, (target, leg) in enumerate(zip(targets, legs)):
-        cur = continue_along(cor.ode, pos, cur, leg)
+        cur = continue_along(ode, pos, cur, leg)
         pos = complex(target)
         for f, pred in enumerate(preds):
             resid = np.abs(cur[0] - pred[w]) / np.maximum(np.abs(pred[w]), 1e-300)

@@ -264,14 +264,22 @@ def test_gram_block_oracle_pins_the_resonant_vacuum_blocks():
     strict=True,
     raises=AssertionError,
     reason="ROADMAP item 1: at a consistent resonance the series sets the free "
-    "coefficient a_3 to 0; the physical block has the Gram value",
+    "coefficient a_level to 0; the physical block has the Gram value",
 )
 @pytest.mark.parametrize(
-    "spec, want", [(M56_13, F(10, 9)), (M56_12_13, F(5, 24))], ids=["(1,3)^4", "(1,2)^2(1,3)^2"]
+    "spec, level, want",
+    [
+        (M56_13, 3, F(10, 9)),
+        (M56_12_13, 3, F(5, 24)),
+        (_spec(5, 6, (1, 4)), 3, F(845, 128)),
+        (_spec(6, 7, (3, 1)), 5, F(1708, 243)),
+    ],
+    ids=["(1,3)^4", "(1,2)^2(1,3)^2", "(5,6)(1,4)^4", "(6,7)(3,1)^4"],
 )
-def test_resonant_vacuum_a3_is_the_gram_value(spec, want):
-    assert gram_block_coefficients(spec, KacLabel(1, 1), 3)[3] == want
-    assert _series(spec, KacLabel(1, 1), 3)[3] == want
+def test_resonant_vacuum_a3_is_the_gram_value(spec, level, want):
+    """The vacuum coefficient a_level at the resonant exponent gap."""
+    assert gram_block_coefficients(spec, KacLabel(1, 1), level)[level] == want
+    assert _series(spec, KacLabel(1, 1), level)[level] == want
 
 
 def reference_expand(ode, point, exponent, order):

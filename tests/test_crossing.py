@@ -13,8 +13,8 @@ from exact_oracles import (
     scalar_heldout_residual,
 )
 from virmin import crossing
-from virmin.blocks import block, eval_local_derivatives, frobenius_expand
-from virmin.bpz import CorrelatorSpec, ODESpec, reduced_ode
+from virmin.blocks import BLOCK_ORDER, block, eval_local_derivatives, frobenius_expand
+from virmin.bpz import CorrelatorSpec, ODESpec, allowed_channels, reduced_ode, series_exponent
 from virmin.continuation import continue_along, lower_arc_path
 from virmin.crossing import (
     _heldout_residual,
@@ -22,6 +22,7 @@ from virmin.crossing import (
     braiding_phase,
     channel_basis,
     commutativity_residual,
+    commutativity_residuals,
     correlator,
     fusing_matrix,
     monodromy_residuals,
@@ -166,7 +167,7 @@ def test_associativity_grid():
 
 def test_commutativity_residual_and_phase_control():
     assert commutativity_residual(SIGMA_SPEC, 60) < 1e-6
-    assert commutativity_residual(SIGMA_SPEC, 60, flip_phases=True) > 1e-3
+    assert commutativity_residuals(SIGMA_SPEC, 60, (True,))[0] > 1e-3
     assert commutativity_residual(EPS_SPEC, 60) < 1e-6
 
 
@@ -197,8 +198,8 @@ def test_commutativity_against_closed_form_continuation():
 def test_tensor_block_square_and_vacuum():
     tm = TensorModel((M34, M34))
     for z in (0.2, 0.45):
-        single = block(SIGMA_SPEC, KacLabel(1, 1), z, 50).value
-        pair = tensor_block(tm, [SIGMA_SPEC, SIGMA_SPEC], [KacLabel(1, 1), KacLabel(1, 1)], z, 50)
+        single = block(SIGMA_SPEC, KacLabel(1, 1), z).value
+        pair = tensor_block(tm, [SIGMA_SPEC, SIGMA_SPEC], [KacLabel(1, 1), KacLabel(1, 1)], z)
         assert abs(pair.value - single**2) / abs(single**2) < 1e-12
 
     m23 = MinimalModel(2, 3)
@@ -207,8 +208,8 @@ def test_tensor_block_square_and_vacuum():
     assert abs(block(vac_spec, vac, 0.3, 30).value - 1) < 1e-14
     mixed = TensorModel((M34, m23))
     for z in (0.3,):
-        with_vac = tensor_block(mixed, [SIGMA_SPEC, vac_spec], [EPS, vac], z, 50)
-        alone = block(SIGMA_SPEC, EPS, z, 50).value
+        with_vac = tensor_block(mixed, [SIGMA_SPEC, vac_spec], [EPS, vac], z)
+        alone = block(SIGMA_SPEC, EPS, z).value
         assert abs(with_vac.value - alone) / abs(alone) < 1e-14
 
 
@@ -220,9 +221,32 @@ def test_tensor_block_factor_reordering():
     tm = TensorModel((M34, m25))
     tm_swapped = TensorModel((m25, M34))
     z = 0.3
-    ab = tensor_block(tm, [SIGMA_SPEC, spec25], [KacLabel(1, 1), KacLabel(1, 2)], z, 50)
-    ba = tensor_block(tm_swapped, [spec25, SIGMA_SPEC], [KacLabel(1, 2), KacLabel(1, 1)], z, 50)
+    ab = tensor_block(tm, [SIGMA_SPEC, spec25], [KacLabel(1, 1), KacLabel(1, 2)], z)
+    ba = tensor_block(tm_swapped, [spec25, SIGMA_SPEC], [KacLabel(1, 2), KacLabel(1, 1)], z)
     assert abs(ab.value - ba.value) / abs(ab.value) < 1e-12
+
+
+def test_tensor_block_tail_and_order_from_the_factor_blocks():
+    """The tail is sum_i tail_i * prod_{j != i} |v_j| over the factor
+    blocks, each product taken in factor order, and the order is the
+    least one used."""
+    m25 = MinimalModel(2, 5)
+    spec25 = CorrelatorSpec(m25, *[KacLabel(1, 2)] * 4)
+    factors = [(SIGMA_SPEC, KacLabel(1, 1)), (spec25, KacLabel(1, 2)), (EPS_SPEC, KacLabel(1, 1))]
+    for n in (2, 3):
+        specs, channels = zip(*factors[:n])
+        for z in (0.3, 0.45 + 0.1j):
+            got = tensor_block(TensorModel(tuple(s.model for s in specs)), specs, channels, z)
+            parts = [block(s, c, z) for s, c in zip(specs, channels)]
+            terms = []
+            for i, part in enumerate(parts):
+                others = 1.0
+                for j, other in enumerate(parts):
+                    if j != i:
+                        others *= abs(other.value)
+                terms.append(part.tail_bound * others)
+            assert got.tail_bound == sum(terms) > 0
+            assert got.order_used == min(p.order_used for p in parts) == BLOCK_ORDER
 
 
 def test_tensor_block_rejects_a_spec_of_another_model():
@@ -275,13 +299,14 @@ def bases(correlators):
 
 
 def test_basis_values_match_exact_partial_sums(certifying_correlators):
-    """values(u) against the exact partial sum at rational u, times u^rho
-    in floats.  The error is relative to |exact|, floored at 1/100 of the
-    terms' magnitude sum where a solution passes through zero."""
+    """values(z) against the exact partial sum at the rational local
+    coordinate u of z, times u^rho in floats.  The error is relative to
+    |exact|, floored at 1/100 of the terms' magnitude sum where a
+    solution passes through zero."""
     for basis in bases(certifying_correlators):
         for z in RATIONAL_Z:
             u = z if basis.point == 0 else 1 - z
-            got = basis.values(float(u))
+            got = basis.values(float(z))
             assert got.shape == (len(basis.solutions),)
             for value, series in zip(got, basis.solutions):
                 power = cmath.exp(series.float_exponent * cmath.log(float(u)))
@@ -295,10 +320,9 @@ def test_basis_values_match_exact_partial_sums(certifying_correlators):
 def test_basis_values_array_columns_match_scalar_calls(certifying_correlators):
     points = np.array([float(z) for z in RATIONAL_Z] + [0.44, 0.56])
     for basis in bases(certifying_correlators):
-        u = points if basis.point == 0 else 1 - points
-        grid = basis.values(u)
+        grid = basis.values(points)
         assert grid.shape == (len(basis.solutions), len(points))
-        for col, x in enumerate(u):
+        for col, x in enumerate(points):
             one = basis.values(x)
             scale = np.maximum(np.abs(one), 1e-300)
             assert np.all(np.abs(grid[:, col] - one) <= 1e-15 * scale)
@@ -311,11 +335,14 @@ def test_basis_float_data_is_read_only_and_built_once(certifying_correlators):
         assert not coeffs.flags.writeable and not rho.flags.writeable
         assert coeffs.shape == (len(basis.solutions), basis.solutions[0].order + 1)
         assert list(rho) == [float(e) for e in basis.exponents]
-    for _, cor in certifying_correlators:
+    for spec, cor in certifying_correlators:
         rows, idx = cor.channel_rows, cor.channel_indices
-        assert rows is cor.channel_rows and idx is cor.channel_indices
         assert not rows.flags.writeable and not idx.flags.writeable
-        assert list(idx) == [i for _, i in cor.channels]
+        assert cor.channels == tuple(allowed_channels(spec))
+        anchor = reduced_ode(spec)[1]
+        assert [cor.fusing.basis0.exponents[i] for i in idx] == [
+            series_exponent(spec, c, anchor) for c in cor.channels
+        ]
         assert np.array_equal(rows, cor.fusing.as_array()[idx])
 
 
