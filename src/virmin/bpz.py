@@ -582,13 +582,6 @@ def reduced_ode(
         slot_label, derive = spec.w3, derive_pde_slot3
     else:
         slot_label, derive = spec.w2, derive_pde_slot2
-    level = null_level(spec.model, slot_label)
-    prims = [
-        (lev, vec)
-        for lev, vec in singular_vectors(spec.model, slot_label, level)
-        if lev == level
-    ]
-    if not prims:
-        raise ModelViolationError(f"no null vector at level {level} for {slot_label}")
-    op = derive(spec, prims[0][1])
+    ((_, vector),) = singular_vectors(spec.model, slot_label, null_level(spec.model, slot_label))
+    op = derive(spec, vector)
     return reduce_to_ode(op, anchor), anchor, channel

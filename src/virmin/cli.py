@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .blocks import BLOCK_ORDER, block
 from .bpz import CorrelatorSpec, channel_exponents, indicial_exponents, reduced_ode
@@ -62,6 +63,14 @@ def _model(args) -> MinimalModel:
 def float_list(s: str) -> list[float]:
     """A comma-separated list of floats, as in --grid-z 0.52,0.54."""
     return [float(x) for x in s.split(",")]
+
+
+def cache_dir(s: str) -> str:
+    """A cache directory, or a path whose nearest existing ancestor is one."""
+    existing = next(p for p in (Path(s), *Path(s).parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"cannot use {s}: {existing} is not a directory")
+    return s
 
 
 def cmd_kac_table(args) -> int:
@@ -320,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument(
         "--cache-dir",
+        type=cache_dir,
         default=os.environ.get("VIRMIN_CACHE_DIR"),
         help="directory for the Gram and Kac-determinant cache (env VIRMIN_CACHE_DIR)",
     )

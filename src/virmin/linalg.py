@@ -3,18 +3,8 @@
 Determinants and kernels are computed by fraction-free (Bareiss)
 elimination on denominator-cleared integer matrices; rank decisions are
 therefore exact, which is what the degenerate Verma-module weights
-require.  `ff_echelon` is the one elimination over Z: the determinant,
-the kernel and the rank all read its echelon form.
-
-`rank` and `nullspace` first eliminate modulo the prime 2^31 - 1 in
-plain ints.  The rule is one-sided: a rank r modulo p means a nonzero
-r x r minor over Z, so full rank modulo p is full rank over Q and
-returns at once (the rank min(rows, cols), or the kernel []).  A
-smaller rank modulo p decides nothing, since p may divide every
-maximal minor, and the matrix goes to `ff_echelon` as before; every
-output therefore equals that of the elimination over Z.  Most Verma
-levels carry no singular vector, so most kernels are certified empty
-this way.  `det` does not use the residue, which cannot give its value.
+require.  `ff_echelon` is the one elimination over Z: the determinant
+and the kernel both read its echelon form.
 """
 
 from __future__ import annotations
@@ -26,8 +16,6 @@ from .poly import integer_form
 
 Vector = list[Fraction]
 Matrix = list[list[Fraction]]
-
-_PRIME = 2**31 - 1
 
 
 def ff_echelon(
@@ -75,33 +63,6 @@ def ff_echelon(
     return m, pivots, sign
 
 
-def _rank_mod_prime(int_rows: list[list[int]]) -> int:
-    """Rank of an integer matrix modulo _PRIME, by Gaussian elimination.
-
-    It never exceeds the rank r over Q, and equals it unless _PRIME
-    divides every r x r minor.
-    """
-    m = [[x % _PRIME for x in row] for row in int_rows]
-    n_rows = len(m)
-    r = 0
-    for col in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(r, n_rows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][col], -1, _PRIME)
-        top = [x * inv % _PRIME for x in m[r][col + 1:]]
-        for i in range(r + 1, n_rows):
-            row = m[i]
-            head = row[col]
-            if head:
-                row[col + 1:] = [(a - head * b) % _PRIME for a, b in zip(row[col + 1:], top)]
-        r += 1
-        if r == n_rows:
-            break
-    return r
-
-
 def _primitive_rows(matrix: Matrix) -> tuple[list[list[int]], Fraction]:
     """Integer rows with coprime entries and the product of the rational
     factors taken out of them (0 if a row is zero)."""
@@ -122,15 +83,6 @@ def _integer_rows(matrix: Matrix) -> list[list[int]]:
     if all(type(x) is int for row in matrix for x in row):
         return matrix
     return integer_form(*matrix)[1]
-
-
-def rank(matrix: Matrix) -> int:
-    """Exact rank of a matrix of Fractions or ints."""
-    ints = _integer_rows(matrix)
-    full = min(len(ints), len(ints[0])) if ints else 0
-    if _rank_mod_prime(ints) == full:
-        return full
-    return len(ff_echelon(ints)[1])
 
 
 def det(matrix: Matrix) -> Fraction:
@@ -174,10 +126,7 @@ def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:
             raise ValueError("need n_cols for an empty matrix")
         return [[Fraction(i == j) for j in range(n_cols)] for i in range(n_cols)]
     n_cols = len(matrix[0])
-    ints = _integer_rows(matrix)
-    if _rank_mod_prime(ints) == n_cols:
-        return []
-    ech, pivots, _ = ff_echelon(ints)
+    ech, pivots, _ = ff_echelon(_integer_rows(matrix))
     free = [c for c in range(n_cols) if c not in pivots]
     basis = []
     for f in free:

@@ -8,8 +8,8 @@ indexed here by partitions of N.  Everything is driven by the bracket
 
 together with L(n)|h> = 0 for n > 0, L(0)|h> = h|h>.  The module
 provides the contravariant (Shapovalov) Gram matrices, their exact
-determinants, and singular-vector extraction by exact kernel
-computation.
+determinants, and the two primitive singular vectors of a minimal-model
+weight, each the exact kernel of L(1) and L(2) at its own level.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import RangeError
-from .linalg import det, nullspace, rank
+from .errors import ModelViolationError, RangeError
+from .linalg import det, nullspace
 from .models import KacLabel, MinimalModel, central_charge, check_label, conformal_weight
 
 Partition = tuple[int, ...]
@@ -159,17 +159,6 @@ def apply_raising(params: VermaParams, m: int, v: PBWVector) -> PBWVector:
     return PBWVector(new_level, {word: x / d for word, x in out.items()})
 
 
-def apply_lowering(m: int, v: PBWVector) -> PBWVector:
-    """L(-m) applied to v (m >= 1)."""
-    if m < 1:
-        raise RangeError("apply_lowering handles positive modes only")
-    out: dict[Partition, Fraction] = {}
-    for parts, coef in v.coefficients.items():
-        for word, cf in _normal_order((m,) + parts):
-            out[word] = out.get(word, Fraction(0)) + coef * cf
-    return PBWVector(v.level + m, out)
-
-
 @dataclass(frozen=True)
 class GramMatrix:
     """Contravariant-form matrix at one level, in pbw_basis order."""
@@ -291,47 +280,35 @@ def _singular_space(params: VermaParams, level: int) -> list[PBWVector]:
 
 
 def _normalize_singular(v: PBWVector) -> PBWVector:
-    lead = v.coefficients.get((v.level,))
-    if lead is None:
-        basis = pbw_basis(v.level)
-        lead = next(v.coefficients[p] for p in basis if p in v.coefficients)
+    """v scaled to 1 at its first monomial in pbw_basis order, L(-level)
+    when present."""
+    lead = next(v.coefficients[p] for p in pbw_basis(v.level) if p in v.coefficients)
     return v.scaled(1 / lead)
 
 
 def singular_vectors(
     model: MinimalModel, label: KacLabel, max_level: int
 ) -> list[tuple[int, PBWVector]]:
-    """Primitive singular vectors up to max_level.
+    """Primitive singular vectors up to max_level, by level.
 
-    At each level the singular space is computed exactly and vectors
-    lying in the submodule generated by lower-level singular vectors are
-    filtered out; what remains generates new submodules.  Minimal-model
-    weights produce two primitive vectors, at levels m*n and
-    (p-m)*(q-n), when both are within range.
+    M(c, h_(m,n)) has its two primitive singular vectors at levels m*n
+    and (p-m)*(q-n), and every other singular vector lies in the
+    submodule they generate; a Virasoro Verma module has at most one
+    singular vector per level (Feigin-Fuchs 1984).  So the singular
+    space is computed at those two levels only, where it must be one
+    vector; anything else raises ModelViolationError.
     """
     check_label(model, label)
     if max_level < 1:
         raise RangeError("max_level must be at least 1")
     params = VermaParams(central_charge(model), conformal_weight(model, label))
+    levels = {label.m * label.n, (model.p - label.m) * (model.q - label.n)}
     found: list[tuple[int, PBWVector]] = []
-    for level in range(1, max_level + 1):
+    for level in sorted(lev for lev in levels if lev <= max_level):
         sing = _singular_space(params, level)
-        if not sing:
-            continue
-        basis = pbw_basis(level)
-        span = []
-        for lev, prim in found:
-            for parts in pbw_basis(level - lev):
-                desc = prim
-                for k in reversed(parts):
-                    desc = apply_lowering(k, desc)
-                span.append([desc.coefficients.get(p, Fraction(0)) for p in basis])
-        dim = rank(span)
-        for v in sing:
-            span.append([v.coefficients.get(p, Fraction(0)) for p in basis])
-            if rank(span) > dim:  # v is outside the span so far
-                dim += 1
-                found.append((level, _normalize_singular(v)))
+        if len(sing) != 1:
+            raise ModelViolationError(f"{len(sing)} singular vectors at level {level} of {label}")
+        found.append((level, _normalize_singular(sing[0])))
     return found
 
 

@@ -39,7 +39,8 @@ choices and ORed.
 that only the tests use.  `RowSpace` is the earlier incremental
 Gauss-Jordan row space in Fractions, with its queries `rowspace_contains`
 and `rowspace_dim`; `reference_singular_vectors` is the earlier
-singular-vector filter built on it.
+singular-vector filter built on it, which spans the descendants of the
+vectors kept so far with `apply_lowering` (L(-m) on a PBW vector).
 
 `reference_frobenius_expand` is the earlier Frobenius recursion: the
 same integer recursion as `virmin.blocks`, with every coefficient
@@ -102,8 +103,8 @@ from virmin.verma import (
     PBWVector,
     VermaParams,
     _normalize_singular,
+    _normal_order,
     _singular_space,
-    apply_lowering,
     gram_matrix,
     pbw_basis,
 )
@@ -714,6 +715,17 @@ class RowSpace:
         self._rows.append((p, [x / piv for x in v]))
         self._rows.sort(key=lambda t: t[0])
         return True
+
+
+def apply_lowering(m: int, v: PBWVector) -> PBWVector:
+    """L(-m) applied to v (m >= 1)."""
+    if m < 1:
+        raise RangeError("apply_lowering handles positive modes only")
+    out: dict = {}
+    for parts, coef in v.coefficients.items():
+        for word, cf in _normal_order((m,) + parts):
+            out[word] = out.get(word, Fraction(0)) + coef * cf
+    return PBWVector(v.level + m, out)
 
 
 def reference_singular_vectors(model: MinimalModel, label: KacLabel, max_level: int):

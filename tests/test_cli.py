@@ -221,6 +221,23 @@ def test_verify_recomputes_cache_records_that_do_not_parse(capsys, tmp_path):
     assert {path: path.read_text() for path in records} == texts
 
 
+def test_a_cache_dir_that_is_a_file_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    """--cache-dir or VIRMIN_CACHE_DIR naming a file, or a path below
+    one, exits 2 with a message naming the path."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for path in (afile, afile / "sub"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "kac-data", "--cache-dir", str(path)])
+        assert exc.value.code == 2
+        assert f"{path}: {afile} is not a directory" in capsys.readouterr().err
+    monkeypatch.setenv("VIRMIN_CACHE_DIR", str(afile))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "kac-data"])
+    assert exc.value.code == 2
+    assert str(afile) in capsys.readouterr().err
+
+
 def test_serialize_roundtrips():
     for x in (F(3, 7), F(-22, 5), F(0), F(5)):
         assert parse_frac(frac_str(x)) == x

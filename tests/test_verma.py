@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virmin import linalg
+from virmin import verma
+from virmin.bpz import CorrelatorSpec, reduced_ode
 from virmin.cache import GramCache
-from virmin.errors import RangeError
-from exact_oracles import gauss_det, rank, reference_singular_vectors
+from virmin.cli import main
+from virmin.errors import ModelViolationError, RangeError
+from exact_oracles import apply_lowering, gauss_det, rank, reference_singular_vectors
 from virmin.linalg import nullspace
 from virmin.models import KacLabel, MinimalModel, central_charge, conformal_weight, kac_table
 from virmin.serialize import frac_str
 from virmin.verma import (
     PBWVector,
     VermaParams,
-    apply_lowering,
     apply_raising,
     gram_matrix,
     kac_determinant,
@@ -357,34 +358,48 @@ def test_gram_cache_stores_only_the_requested_level(tmp_path):
 
 
 def test_singular_vectors_match_the_rowspace_filter():
-    """The rank-based filter keeps the vectors the earlier Gauss-Jordan
-    RowSpace filter keeps, for every label of coprime p < q <= 7 through
-    level 8."""
-    models = [MinimalModel(p, q) for q in range(3, 8) for p in range(2, q) if gcd(p, q) == 1]
-    for model in models:
-        for label, _ in kac_table(model):
-            want = reference_singular_vectors(model, label, 8)
-            assert singular_vectors(model, label, 8) == want, (model, label)
-
-
-def test_singular_vectors_are_unchanged_without_the_modular_certificate(monkeypatch):
-    """With the certificate forced to fail, every rank and kernel comes
-    from the elimination over Z; the singular vectors are the same, for
-    every label of coprime p < q <= 7 through level 8 and for (2,2),
-    (2,3), (3,2) of M(p, p+1), p = 4-6, through level 10."""
+    """The two Feigin-Fuchs levels hold the vectors the earlier
+    Gauss-Jordan RowSpace filter over every level keeps, for every label
+    of coprime p < q <= 7 and for (2,2), (2,3), (3,2) of M(p, p+1),
+    p = 4-6, through level 10.  Level 10 reaches the labels whose
+    singular space is nonempty above both primitive levels, such as
+    (2,3)(1,1) at 5 and 7 and (3,7)(2,1) at 10."""
     cases = [
-        (MinimalModel(p, q), label, 8)
+        (MinimalModel(p, q), label)
         for q in range(3, 8)
         for p in range(2, q)
         if gcd(p, q) == 1
         for label, _ in kac_table(MinimalModel(p, q))
     ]
     cases += [
-        (MinimalModel(p, p + 1), KacLabel(m, n), 10)
+        (MinimalModel(p, p + 1), KacLabel(m, n))
         for p in (4, 5, 6)
         for m, n in ((2, 2), (2, 3), (3, 2))
     ]
-    certified = [singular_vectors(*case) for case in cases]
-    monkeypatch.setattr(linalg, "_rank_mod_prime", lambda int_rows: -1)
-    for case, want in zip(cases, certified):
-        assert singular_vectors(*case) == want, case
+    for model, label in cases:
+        want = reference_singular_vectors(model, label, 10)
+        assert singular_vectors(model, label, 10) == want, (model, label)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_a_primitive_level_without_exactly_one_singular_vector_is_a_model_violation(
+    monkeypatch, capsys, count
+):
+    """A singular space of any other dimension at a primitive level
+    contradicts Feigin-Fuchs: singular_vectors and reduced_ode raise, and
+    `virmin bpz` exits 3."""
+    monkeypatch.setattr(
+        verma, "_singular_space",
+        lambda params, level: [PBWVector(level, {(level,): F(1)})] * count,
+    )
+    with pytest.raises(ModelViolationError):
+        singular_vectors(MinimalModel(3, 4), KacLabel(2, 1), 4)
+    m34, sigma = MinimalModel(3, 4), KacLabel(1, 2)
+    reduced_ode.cache_clear()  # a memoized ODE would skip the extraction
+    try:
+        with pytest.raises(ModelViolationError):
+            reduced_ode(CorrelatorSpec(m34, sigma, sigma, sigma, sigma))
+        assert main(["bpz", "3", "4", "--labels", "1,2", "1,2", "1,2", "1,2"]) == 3
+        assert "singular vectors at level 2" in capsys.readouterr().err
+    finally:
+        reduced_ode.cache_clear()
