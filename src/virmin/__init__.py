@@ -40,6 +40,7 @@ from .bpz import (
     channel_exponents,
     derive_pde_slot2,
     derive_pde_slot3,
+    fusion_exponents,
     indicial_exponents,
     insertion_operator_slot3,
     reduce_to_ode,
@@ -99,6 +100,7 @@ __all__ = [
     "channel_exponents",
     "derive_pde_slot2",
     "derive_pde_slot3",
+    "fusion_exponents",
     "indicial_exponents",
     "insertion_operator_slot3",
     "reduce_to_ode",

@@ -3,11 +3,13 @@
 Coefficients come from the exact linear recursion obtained from
 substituting (local variable)^rho * sum a_k (local)^k into the ODE, run
 in integers over one running denominator, so every resonance decision
-is an exact test.  A series stores each a_k as the correctly rounded
-complex float of its exact value, one integer division per order; the
-exact Fractions are rebuilt from the same recursion only when
-`coefficients` is read.  The local variable is z at the base point 0
-and u = 1 - z at the base point 1.
+is an exact test.  The recursion reads one integer table of shift
+polynomials per point, which the ODE builds once, and evaluates it
+along the exponent's progression by forward differences.  A series
+stores each a_k as the correctly rounded complex float of its exact
+value, one integer division per order; the exact Fractions are rebuilt
+from the same recursion only when `coefficients` is read.  The local
+variable is z at the base point 0 and u = 1 - z at the base point 1.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .bpz import ODESpec, reduced_ode, series_exponent
 from .errors import DomainError, LogarithmicCaseError, ModelViolationError, RangeError
 from .models import KacLabel
-from .poly import integer_form, peval
+from .poly import peval
 
 BLOCK_ORDER = 50  # default series order of a block evaluation
 
@@ -47,8 +50,8 @@ class FrobeniusSeries:
     def coefficients(self) -> tuple[Fraction, ...]:
         """Exact a_k in lowest terms, from the recursion run again on
         first access; evaluation never needs them."""
-        terms = _terms(self.local_ode().frobenius_shifts, self.exponent, self.order)
-        return tuple(Fraction(num, den) for num, den in terms)
+        values = _values(self.local_ode().integer_shifts, self.exponent, self.order)
+        return tuple(Fraction(num, den) for num, den in _terms(values, self.exponent))
 
     @cached_property
     def float_exponent(self) -> float:
@@ -86,40 +89,57 @@ def frobenius_expand(
     if order < 0:
         raise RangeError("order must be nonnegative")
     exponent = Fraction(exponent)
-    shifts = (ode if point == 0 else ode.shifted_to_one).frobenius_shifts
-    if peval(shifts[0], exponent) != 0:
+    table = (ode if point == 0 else ode.shifted_to_one).integer_shifts
+    values = _values(table, exponent, order)
+    if values[0][0] != 0:
         raise RangeError(f"{exponent} is not an indicial root at {point}")
     # a vanishing term is +0.0, as complex(Fraction(0)) is; 0 / den
     # would give -0.0 over a negative running denominator
-    floats = tuple(
-        complex(num / den if num else 0.0) for num, den in _terms(shifts, exponent, order)
-    )
+    floats = tuple(complex(num / den if num else 0.0) for num, den in _terms(values, exponent))
     return FrobeniusSeries(point, exponent, floats, ode)
 
 
-def _terms(shifts, exponent: Fraction, order: int):
-    """(numerator, denominator) of a_0, ..., a_order, not reduced.
+def _values(table: list[list[int]], exponent: Fraction, order: int) -> list[list[int]]:
+    """values[j][m] = P_j(p + m q) for m = 0..order, where exponent = p/q
+    and P_j(x) = sum_k table[j][k] x^k q^(deg - k), deg the largest
+    degree in the table: with L the common denominator of the Frobenius
+    shifts A_j (whose integer rows the table holds), P_j(p + m q) =
+    L q^deg A_j(exponent + m).
 
-    The recursion in integers: with exponent = p/q and L the common
-    denominator of the shift coefficients, L q^deg A_j(exponent + m) =
-    P_j(p + m q) for integer polynomials P_j.  a_0..a_n are carried as
-    integer numerators over one running denominator; only the last jmax
+    Each row is a polynomial in m of degree d: its first d + 1 values
+    come from Horner, and the rest from their forward differences, the
+    d-th of which is constant, by repeated running sums.
+    """
+    p, q = exponent.numerator, exponent.denominator
+    count = order + 1
+    deg = max(len(ints) for ints in table) - 1
+    values = []
+    for ints in table:
+        scaled = [c * q ** (deg - k) for k, c in enumerate(ints or [0])]
+        head = [peval(scaled, x) for x in range(p, p + min(count, len(scaled)) * q, q)]
+        diffs = []
+        while head:
+            diffs.append(head[0])
+            head = [b - a for a, b in zip(head, head[1:])]
+        row = [diffs.pop()] * count
+        for start in reversed(diffs):
+            row = list(accumulate(row[:-1], initial=start))
+        values.append(row)
+    return values
+
+
+def _terms(values: list[list[int]], exponent: Fraction):
+    """(numerator, denominator) of a_0, ..., a_order, not reduced, from
+    the `_values` table of the exponent; order is the table's width less
+    one.
+
+    The recursion in integers: a_0..a_n are carried as integer
+    numerators over one running denominator; only the last jmax
     numerators are kept current.
     """
-    jmax = len(shifts) - 1
-    p, q = exponent.numerator, exponent.denominator
-    deg = max(len(s) for s in shifts) - 1
-    # values[j][m] = P_j(p + m q) for m = 0..order, by Horner over the
-    # whole progression at once
-    points = range(p, p + (order + 1) * q, q)
-    values = []
-    for ints in integer_form(*shifts)[1]:
-        acc = [0] * (order + 1)
-        for k in range(len(ints) - 1, -1, -1):
-            c = ints[k] * q ** (deg - k)
-            acc = [a * x + c for a, x in zip(acc, points)]
-        values.append(acc)
-    active = [j for j in range(1, jmax + 1) if shifts[j]]
+    jmax = len(values) - 1
+    order = len(values[0]) - 1
+    active = [j for j in range(1, jmax + 1) if any(values[j])]
     nums = [1]
     den = 1
     yield 1, 1

@@ -40,6 +40,13 @@ polynomial coefficients and regular singular points contained in
 {0, 1, infinity}.  An `ODESpec` builds its local data once: the same
 ODE at z = 1 and the Frobenius shift polynomials there and at 0.
 
+The indicial exponents are never searched for.  At each singular point
+the null field fuses with the insertion it meets by the rules of a
+degenerate field, so `fusion_exponents` writes every exponent down in
+closed form with the shifted Kac label it comes from; the reduced ODE
+carries them, and `indicial_exponents` confirms them by exact integer
+division of the indicial polynomial.
+
 Both steps run in Python integers over one scale each, and the
 Fractions are formed once at the end.  The PDE carries delta^N, delta
 the lcm of the insertion operators' denominators and N the level of the
@@ -50,7 +57,7 @@ PDE, which its canonical form divides out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm
@@ -69,13 +76,14 @@ from .fusion import fusion_rule
 from .models import (
     KacLabel,
     MinimalModel,
+    canonicalize,
     check_label,
     conformal_weight,
     kac_table,
     null_level,
     reflect,
 )
-from .poly import Poly, degree, falling, integer_form, normalize_system, ord0, poly, rational_roots
+from .poly import Poly, degree, divide_by_root, falling, integer_form, normalize_system, ord0, poly
 from .verma import PBWVector, singular_vectors
 
 # Operator term key: exponents of z1, z2, (z1 - z2), then d/dz1, d/dz2 orders.
@@ -298,9 +306,15 @@ class ODESpec:
     the leading one is nonzero.  For the correlator reductions the
     finite singular points are contained in {0, 1} and infinity is
     regular singular; `validate_minimal_form` checks this.
+
+    exponents maps a point (0, 1 or 'inf') to the indicial exponents
+    claimed there, with multiplicity; `indicial_exponents` confirms
+    them.  It stays out of equality and hashing: the coefficients fix
+    the exponents, so two equal ODEs that both pass carry the same ones.
     """
 
     coefficients: tuple[Poly, ...]
+    exponents: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         coeffs = tuple(poly(c) for c in self.coefficients)
@@ -309,6 +323,8 @@ class ODESpec:
         if not coeffs:
             raise ShapeError("ODE needs a nonzero leading coefficient")
         object.__setattr__(self, "coefficients", coeffs)
+        exps = {pt: tuple(sorted(map(Fraction, es))) for pt, es in self.exponents.items()}
+        object.__setattr__(self, "exponents", exps)
 
     def __hash__(self) -> int:
         return self._hash
@@ -337,12 +353,19 @@ class ODESpec:
     @cached_property
     def leading_roots(self) -> np.ndarray:
         """The distinct roots of the leading coefficient c_k, the finite
-        singular points, as a read-only complex array computed once:
-        rational roots exactly, then rounded, and any others by
-        numpy.roots.  Empty when c_k is constant."""
-        rational, rest = rational_roots(self.coefficients[-1])
-        others = np.roots([complex(c) for c in reversed(rest)]) if rest else []
-        out = np.array([complex(r) for r, _ in rational] + list(others), dtype=complex)
+        singular points, as a read-only complex array computed once.
+        The roots 0 and 1 are read from the valuations of c_k at 0 and
+        at 1 (see `validate_minimal_form`); numpy.roots finds any others
+        from the cofactor.  Empty when c_k is constant."""
+        ck = self.coefficients[-1]
+        at0, at1 = ord0(ck), ord0(self.shifted_to_one.coefficients[-1])
+        out = [0j] * (at0 > 0) + [1 + 0j] * (at1 > 0)
+        if degree(ck) > at0 + at1:
+            rest = ck[at0:]
+            for _ in range(at1):
+                rest, _ = divide_by_root(rest, Fraction(1))
+            out.extend(np.roots([complex(c) for c in reversed(rest)]))
+        out = np.array(out, dtype=complex)
         out.setflags(write=False)
         return out
 
@@ -392,6 +415,12 @@ class ODESpec:
             shifts.append(poly(Fraction(x, den) for x in acc))
         return tuple(shifts)
 
+    @cached_property
+    def integer_shifts(self) -> list[list[int]]:
+        """`frobenius_shifts` over their least common denominator, as
+        integer rows, built once."""
+        return integer_form(*self.frobenius_shifts)[1]
+
     def validate_minimal_form(self) -> None:
         """Assert singular points within {0, 1} and regular singularity
         everywhere including infinity (Fuchs criterion)."""
@@ -435,14 +464,18 @@ def indicial_polynomial(ode: ODESpec, point) -> Poly:
 
 
 def indicial_exponents(ode: ODESpec, point) -> list[Fraction]:
-    """Exact roots (with multiplicity) of the indicial polynomial.
+    """The exponents the ODE carries at the point, confirmed as the exact
+    roots, with multiplicity, of its indicial polynomial; a fresh sorted
+    list.
 
-    Raises StructureError if the point is an irregular singularity and
-    ModelViolationError if any root is irrational or complex; the
-    minimal-model equations never trigger the latter, so an occurrence
-    points at a derivation bug rather than being silently accepted.
-    The roots are extracted on every call; `crossing.fusing_matrix`
-    memoises the bases built from them.
+    Raises StructureError if the point is an irregular singularity or the
+    ODE carries no exponents there, and ModelViolationError if a carried
+    exponent is not a root or the roots do not exhaust the polynomial;
+    the minimal-model equations never trigger the latter, so an
+    occurrence points at a derivation bug rather than being silently
+    accepted.  Each carried copy of an exponent p/q divides out one factor
+    q x - p of the integer form, by exact integer synthetic division;
+    `crossing.fusing_matrix` memoises the bases built from them.
     """
     ind = indicial_polynomial(ode, point)
     if not ind or degree(ind) < ode.order:
@@ -450,16 +483,31 @@ def indicial_exponents(ode: ODESpec, point) -> list[Fraction]:
             f"indicial polynomial at {point} has degree {len(ind) - 1 if ind else 'none'}"
             f" < order {ode.order}: irregular singular point"
         )
-    roots, leftover = rational_roots(ind)
-    if leftover:
+    carried = ode.exponents.get(point)
+    if carried is None:
+        raise StructureError(f"the ODE carries no indicial exponents at {point}")
+    _, (work,) = integer_form(ind)
+    for rho in carried:
+        p, q = rho.numerator, rho.denominator
+        # work = (q x - p) g from the top: a_n = q g_(n-1), a_k = q g_(k-1) - p g_k,
+        # and the remainder a_0 + p g_0 must vanish
+        quotient, carry, rem = [], 0, 0
+        for a in reversed(work[1:]):
+            carry, rem = divmod(a + p * carry, q)
+            if rem:
+                break
+            quotient.append(carry)
+        if rem or work[0] + p * carry:
+            raise ModelViolationError(
+                f"{rho} is not an indicial root at {point} as often as the ODE carries it"
+            )
+        work = quotient[::-1]
+    if len(work) > 1:
         raise ModelViolationError(
-            f"indicial polynomial at {point} has non-rational roots; "
-            f"unfactored part {leftover}"
+            f"indicial polynomial at {point} keeps a factor of degree {len(work) - 1} "
+            "beyond the carried exponents"
         )
-    out: list[Fraction] = []
-    for r, mult in roots:
-        out.extend([r] * mult)
-    return out
+    return list(carried)
 
 
 def _euler_factors(anchor: ExponentPair):
@@ -493,7 +541,7 @@ def _euler_factors(anchor: ExponentPair):
     return eps, factor
 
 
-def reduce_to_ode(op: Operator, anchor: ExponentPair) -> ODESpec:
+def reduce_to_ode(op: Operator, anchor: ExponentPair, exponents: dict | None = None) -> ODESpec:
     """Substitute F = z1^t1 z2^t2 g(z2/z1) and return the ODE for g.
 
     With z = z2/z1, theta = z d/dz and (x)_n the falling factorial,
@@ -513,6 +561,7 @@ def reduce_to_ode(op: Operator, anchor: ExponentPair) -> ODESpec:
     once, eps^(r+s) P_rs is integral (see _euler_factors) and is lifted
     by eps^(top-r-s), top the largest r + s, so every term carries the
     one scale eps^top; the canonical form does not depend on it.
+    The ODE carries `exponents` (see ODESpec).
     """
     if not op:
         raise ReductionError("cannot reduce the zero operator")
@@ -554,9 +603,54 @@ def reduce_to_ode(op: Operator, anchor: ExponentPair) -> ODESpec:
             out.pop()
     if not any(polys):
         raise ReductionError("reduction produced the zero ODE")
-    ode = ODESpec(normalize_system(polys))
+    ode = ODESpec(normalize_system(polys), exponents or {})
     ode.validate_minimal_form()
     return ode
+
+
+def fusion_exponents(
+    spec: CorrelatorSpec, anchor: ExponentPair, route: str
+) -> dict[object, list[tuple[Fraction, KacLabel]]]:
+    """Indicial exponents at 0, 1 and 'inf' of the ODE reduced at `anchor`
+    on `route`, each with the shifted Kac label it comes from, sorted.
+
+    The null-slot field (w3 on route 'slot3', w2 on 'slot2') is
+    degenerate at level r s, (r, s) its canonical label, so it fuses with
+    the insertion it meets at a point, of label (m, n), into the r s
+    labels (m + i, n + j), i in {1-r, 3-r, ..., r-1} and j in
+    {1-s, ..., s-1} (Belavin-Polyakov-Zamolodchikov 1984;
+    Dotsenko-Fateev 1984).  With h(a, b) = ((b p - a q)^2 - (p - q)^2)
+    / (4 p q), the Kac weight extended to all integers, each exponent is
+    h(m + i, n + j) plus the point's offset: -h2 - h3 - t2 at 0, -h1 - h2
+    at 1 and h2 - h4 + t2 at infinity, t2 the anchor's.  The partner is
+    w2, w4, w1 at 0, 1, infinity on route 'slot3' and w3, w1, w4 on
+    'slot2'.  A label may lie outside the Kac table; either
+    representative of the partner gives the same exponents.
+    """
+    if route == "slot3":
+        null, partners = spec.w3, (spec.w2, spec.w4, spec.w1)
+    elif route == "slot2":
+        null, partners = spec.w2, (spec.w3, spec.w1, spec.w4)
+    else:
+        raise RangeError(f"route must be 'slot3' or 'slot2', got {route!r}")
+    p, q = spec.model.p, spec.model.q
+    r, s = canonicalize(spec.model, null).as_tuple()
+    offsets = (
+        -spec.h2 - spec.h3 - anchor.t2,
+        -spec.h1 - spec.h2,
+        spec.h2 - spec.h4 + anchor.t2,
+    )
+    out = {}
+    for point, partner, offset in zip((0, 1, "inf"), partners, offsets):
+        out[point] = sorted(
+            (
+                Fraction((b * p - a * q) ** 2 - (p - q) ** 2, 4 * p * q) + offset,
+                KacLabel(a, b),
+            )
+            for a in range(partner.m + 1 - r, partner.m + r, 2)
+            for b in range(partner.n + 1 - s, partner.n + s, 2)
+        )
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -567,15 +661,18 @@ def reduced_ode(
 
     The null vector is taken at its first degeneracy level for the
     relevant slot's label.  Returns (ode, anchor, anchor_channel) with
-    the anchor defaulting to the first allowed channel.
+    the anchor defaulting to the first allowed channel.  The ODE carries
+    the exponents of `fusion_exponents`.
     """
     channels = allowed_channels(spec)
     if not channels:
         raise FusionError("correlator admits no intermediate channel")
     channel = anchor_channel if anchor_channel is not None else channels[0]
     anchor = channel_exponents(spec, channel)
-    if route not in ("slot3", "slot2"):
-        raise RangeError(f"route must be 'slot3' or 'slot2', got {route!r}")
+    exponents = {  # checks the route
+        point: [rho for rho, _ in pairs]
+        for point, pairs in fusion_exponents(spec, anchor, route).items()
+    }
     # The derivation is read from the module at call time, so a wrapper
     # bound over derive_pde_slot3 or derive_pde_slot2 is the one called.
     if route == "slot3":
@@ -584,4 +681,4 @@ def reduced_ode(
         slot_label, derive = spec.w2, derive_pde_slot2
     ((_, vector),) = singular_vectors(spec.model, slot_label, null_level(spec.model, slot_label))
     op = derive(spec, vector)
-    return reduce_to_ode(op, anchor), anchor, channel
+    return reduce_to_ode(op, anchor, exponents), anchor, channel

@@ -2,8 +2,10 @@
 
 A polynomial is a tuple of Fractions in ascending power order with no
 trailing zeros; () is the zero polynomial.  Includes the canonical form
-of an ODE coefficient list and exact rational root extraction for
-indicial polynomials.
+of an ODE coefficient list and a search for the rational roots of a
+polynomial; the package reads its indicial exponents from the fusion
+rules instead (see `bpz.fusion_exponents`), so the search serves as
+the tests' reference.
 
 This module owns the exact primitives the rest of the package shares:
 `integer_form` clears denominators, `peval` is the one Horner loop and

@@ -29,6 +29,7 @@ from virmin.bpz import (
     compose,
     derive_pde_slot2,
     derive_pde_slot3,
+    fusion_exponents,
     indicial_exponents,
     indicial_polynomial,
     insertion_operator_slot2,
@@ -36,6 +37,7 @@ from virmin.bpz import (
     Operator,
     reduce_to_ode,
     reduced_ode,
+    series_exponent,
 )
 from virmin.errors import (
     FusionError,
@@ -45,8 +47,9 @@ from virmin.errors import (
     ShapeError,
     StructureError,
 )
-from virmin.models import KacLabel, MinimalModel, kac_table
-from virmin.poly import normalize_system
+from virmin.cli import main
+from virmin.models import KacLabel, MinimalModel, kac_table, reflect
+from virmin.poly import normalize_system, rational_roots
 from virmin.verma import PBWVector, singular_vectors
 
 F = Fraction
@@ -273,10 +276,8 @@ def test_slot2_route_mixed_labels():
     # <eps sigma sigma eps>: slot-2 and slot-3 nulls differ; both reduced
     # equations must carry the physical channel exponent in their roots
     spec = CorrelatorSpec(M34, EPS, SIGMA, SIGMA, EPS)
-    anchor = channel_exponents(spec, allowed_channels(spec)[0])
-    ode3 = reduce_to_ode(derive_pde_slot3(spec, ising_null(EPS)), anchor)
-    ode2 = reduce_to_ode(derive_pde_slot2(spec, ising_null(SIGMA)), anchor)
-    for ode in (ode3, ode2):
+    for route in ("slot3", "slot2"):
+        ode, anchor, _ = reduced_ode(spec, None, route)
         assert ode.order == 2
         roots = set(indicial_exponents(ode, 0))
         for channel in allowed_channels(spec):
@@ -319,7 +320,7 @@ def test_indicial_exponents_ising():
 
 def test_indicial_first_order():
     rho = F(2, 3)
-    ode = ODESpec(((-rho,), (F(0), F(1))))  # z g' = rho g
+    ode = ODESpec(((-rho,), (F(0), F(1))), {0: [rho]})  # z g' = rho g
     assert indicial_exponents(ode, 0) == [rho]
 
 
@@ -331,11 +332,29 @@ def test_indicial_irregular_point_rejected():
         ode.validate_minimal_form()
 
 
-def test_indicial_irrational_roots_reported():
-    # z^2 y'' + z y' - 2 y = 0 has indicial rho^2 - 2
-    ode = ODESpec(((F(-2),), (F(0), F(1)), (F(0), F(0), F(1))))
-    with pytest.raises(ModelViolationError):
-        indicial_exponents(ode, 0)
+def test_carried_exponents_that_are_not_roots_are_reported():
+    # z^2 y'' + z y' - c y = 0 has indicial rho^2 - c
+    def euler(c, exponents):
+        return ODESpec(((F(-c),), (F(0), F(1)), (F(0), F(0), F(1))), exponents)
+
+    assert indicial_exponents(euler(4, {0: [2, -2]}), 0) == [F(-2), F(2)]
+    assert indicial_exponents(euler(0, {0: [0, 0]}), 0) == [F(0), F(0)]
+    for ode in (
+        euler(2, {0: [F(7, 5), F(-7, 5)]}),  # irrational roots
+        euler(4, {0: [2, 2]}),  # a root beyond its multiplicity
+        euler(4, {0: [2]}),  # a leftover factor
+        euler(0, {0: [0]}),  # a double root carried once
+        euler(4, {0: [2, -2, 2]}),  # more exponents than the order
+    ):
+        with pytest.raises(ModelViolationError):
+            indicial_exponents(ode, 0)
+
+
+def test_an_ode_without_carried_exponents_is_a_structure_error():
+    coefficients = ((), (F(0), F(1)))  # z g' = 0
+    for ode in (ODESpec(coefficients), ODESpec(coefficients, {1: [F(0)]})):
+        with pytest.raises(StructureError, match="carries no indicial exponents at 0"):
+            indicial_exponents(ode, 0)
 
 
 def test_ode_order_equals_null_level():
@@ -619,3 +638,103 @@ def test_reduce_matches_ratz_oracle_on_random_operators(terms, deg, t1, t2):
         except (ReductionError, StructureError) as exc:
             outcomes.append(type(exc))
     assert outcomes[0] == outcomes[1]
+
+
+def kac_weight(model: MinimalModel, a: int, b: int) -> Fraction:
+    """((b p - a q)^2 - (p - q)^2) / (4 p q) at any integers a, b."""
+    p, q = model.p, model.q
+    return Fraction((b * p - a * q) ** 2 - (p - q) ** 2, 4 * p * q)
+
+
+@lru_cache(maxsize=1)
+def fusion_pool():
+    """(spec, route) over coprime p < q <= 7, two non-identity labels a
+    and b (equal or not), the orderings (a,a,b,b), (a,b,a,b) and (a,b,b,a)
+    of (w4, w1, w2, w3), with an allowed channel, on each route whose null
+    label (w3 for slot 3, w2 for slot 2) has null level <= 4.  A diagonal
+    spec appears once per ordering."""
+    from virmin.models import null_level
+
+    out = []
+    for q in range(3, 8):
+        for p in range(2, q):
+            if gcd(p, q) != 1:
+                continue
+            model = MinimalModel(p, q)
+            labels = [label for label, _ in kac_table(model) if label != KacLabel(1, 1)]
+            for a in labels:
+                for b in labels:
+                    for order in ((a, a, b, b), (a, b, a, b), (a, b, b, a)):
+                        spec = CorrelatorSpec(model, *order)
+                        if not allowed_channels(spec):
+                            continue
+                        for route, label in (("slot3", spec.w3), ("slot2", spec.w2)):
+                            if null_level(model, label) <= 4:
+                                out.append((spec, route))
+    return out
+
+
+def test_fusion_exponents_are_the_rational_roots():
+    """On both routes, at 0, 1 and infinity, the closed-form exponents are
+    the roots that the independent root search finds, with multiplicity
+    and nothing left over, and the ODE confirms them.  Each exponent is
+    its label's Kac weight plus the point's offset; at 0 every allowed
+    channel's series exponent appears under the channel's label."""
+    checked = {}
+    for spec, route in fusion_pool():
+        if (spec, route) in checked:
+            continue
+        ode, anchor, _ = reduced_ode(spec, None, route)
+        predicted = fusion_exponents(spec, anchor, route)
+        offsets = {
+            0: -spec.h2 - spec.h3 - anchor.t2,
+            1: -spec.h1 - spec.h2,
+            "inf": spec.h2 - spec.h4 + anchor.t2,
+        }
+        for point, offset in offsets.items():
+            roots, leftover = rational_roots(indicial_polynomial(ode, point))
+            want = [rho for rho, mult in roots for _ in range(mult)]
+            assert leftover == ()
+            assert [rho for rho, _ in predicted[point]] == want, (spec, route, point)
+            assert indicial_exponents(ode, point) == want
+            for rho, lab in predicted[point]:
+                assert rho == kac_weight(spec.model, lab.m, lab.n) + offset
+        labelled = set(predicted[0])
+        for channel in allowed_channels(spec):
+            rho = series_exponent(spec, channel, anchor)
+            assert {(rho, channel), (rho, reflect(spec.model, channel))} & labelled
+        checked[spec, route] = ode.order
+    assert len(fusion_pool()) == 2124
+    assert set(checked.values()) == {2, 3, 4}
+
+
+def moved_by_two(original):
+    """fusion_exponents with i moved by 2 at the point 0: the label
+    (m + i, n + j) becomes (m + i + 2, n + j), its exponent moves with it."""
+
+    def wrong(spec, anchor, route):
+        out = original(spec, anchor, route)
+        out[0] = [
+            (rho - kac_weight(spec.model, lab.m, lab.n) + kac_weight(spec.model, lab.m + 2, lab.n),
+             KacLabel(lab.m + 2, lab.n))
+            for rho, lab in out[0]
+        ]
+        return out
+
+    return wrong
+
+
+def test_a_wrong_shift_set_is_a_model_violation(monkeypatch, capsys):
+    lab = KacLabel(1, 3)
+    spec = CorrelatorSpec(MinimalModel(4, 5), lab, lab, lab, lab)
+    monkeypatch.setattr(bpz, "fusion_exponents", moved_by_two(bpz.fusion_exponents))
+    reduced_ode.cache_clear()
+    try:
+        ode, _, _ = reduced_ode(spec)
+        assert indicial_exponents(ode, 1)  # the other points are untouched
+        with pytest.raises(ModelViolationError, match="is not an indicial root at 0"):
+            indicial_exponents(ode, 0)
+        assert main(["bpz", "4", "5", "--labels", "1,3", "1,3", "1,3", "1,3"]) == 3
+        assert "not an indicial root at 0" in capsys.readouterr().err
+    finally:
+        reduced_ode.cache_clear()

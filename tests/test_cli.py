@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +257,33 @@ def test_pbw_str_format():
     vec = PBWVector(2, {(2,): F(1), (1, 1): F(-3, 4)})
     assert pbw_str(vec) == "L(-2) - 3/4 L(-1)^2"
     assert pbw_str(PBWVector(1, {(1,): F(1)})) == "L(-1)"
+
+
+# Runs virmin.cli.main on argv, then prints its exit code and wall time.
+TIMED_MAIN = """
+import json, sys, time
+from virmin.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "seconds": time.perf_counter() - start}), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("route", ["slot3", "slot2"])
+def test_bpz_order_8_returns_within_a_second(route):
+    """M(5,8) <(2,4)^4> has an order-8 ODE whose indicial polynomials have
+    ~2^51 leading coefficients; a root search on them does not return.
+    The command runs in its own process under a timeout, so a hang fails
+    the test instead of stalling the suite."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}"}
+    argv = ["bpz", "5", "8", "--labels", "2,4", "2,4", "2,4", "2,4", "--route", route,
+            "--format", "json"]
+    proc = subprocess.run([sys.executable, "-c", TIMED_MAIN, *argv], capture_output=True,
+                          text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    timing = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert timing["code"] == 0 and timing["seconds"] < 1.0
+    data = json.loads(proc.stdout)
+    assert data["ode"]["order"] == 8
+    assert all(len(exps) == 8 for exps in data["indicial_exponents"].values())

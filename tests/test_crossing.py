@@ -83,7 +83,7 @@ def test_fusing_matrix_roundtrip_all_level2_models():
 def test_fusing_matrix_single_channel():
     rho, sigma = F(1, 3), F(1, 5)
     # z(1-z) g' = (rho(1-z) - sigma z) g has the one solution z^rho (1-z)^sigma
-    ode = ODESpec(((-rho, rho + sigma), (F(0), F(1), F(-1))))
+    ode = ODESpec(((-rho, rho + sigma), (F(0), F(1), F(-1))), {0: [rho], 1: [sigma]})
     fm = fusing_matrix(ode, 80)
     assert fm.as_array().shape == (1, 1)
     assert abs(fm.as_array()[0, 0] - 1.0) < 1e-12
@@ -136,7 +136,7 @@ def test_braiding_phase_squares_to_full_monodromy():
 
 
 def test_monodromy_trivial_ode():
-    ode = ODESpec(((), (F(0), F(1))))  # z g' = 0: constant solution
+    ode = ODESpec(((), (F(0), F(1))), {0: [F(0)]})  # z g' = 0: constant solution
     basis = channel_basis(ode, 0, 10)
     assert monodromy_residuals(basis)[0] < 1e-14
 
