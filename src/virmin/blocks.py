@@ -10,6 +10,11 @@ stores each a_k as the correctly rounded complex float of its exact
 value, one integer division per order; the exact Fractions are rebuilt
 from the same recursion only when `coefficients` is read.  The local
 variable is z at the base point 0 and u = 1 - z at the base point 1.
+
+`residual_orders` back-substitutes those exact coefficients into the
+ODE, also in integers, but from the Fraction shift polynomials by
+Horner at every point, not from the recursion's table, so that the
+check stays independent of the recursion it checks.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 from .bpz import ODESpec, reduced_ode, series_exponent
 from .errors import DomainError, LogarithmicCaseError, ModelViolationError, RangeError
 from .models import KacLabel
-from .poly import peval
+from .poly import integer_form, peval
 
 BLOCK_ORDER = 50  # default series order of a block evaluation
 
@@ -171,21 +176,29 @@ def residual_orders(series: FrobeniusSeries) -> list[int]:
     power offset above exponent + nu) where the back-substituted
     residual is nonzero.  By construction these all exceed the
     truncation order.
+
+    The check runs in Python ints and reads neither `integer_shifts`
+    nor `_values`.  With exponent = p/q, L the common denominator of
+    the shift polynomials and D that of the coefficients, each shift
+    polynomial times L q^deg is evaluated by Horner at p + k q and
+    applied to the coefficients times D.  Each order's integer sum is
+    its residual times L q^deg D, so it is zero exactly when the
+    residual is.
     """
-    shifts = series.local_ode().frobenius_shifts
-    jmax = len(shifts) - 1
-    a = series.coefficients
-    top = len(a) - 1
-    bad = []
-    for n in range(0, top + jmax + 1):
-        val = Fraction(0)
-        for j in range(0, min(n, jmax) + 1):
-            k = n - j
-            if 0 <= k <= top and shifts[j]:
-                val += peval(shifts[j], series.exponent + k) * a[k]
-        if val != 0:
-            bad.append(n)
-    return bad
+    _, rows = integer_form(*series.local_ode().frobenius_shifts)
+    _, (nums,) = integer_form(series.coefficients)
+    p, q = series.exponent.numerator, series.exponent.denominator
+    deg = max(len(row) for row in rows) - 1
+    top = len(nums) - 1
+    values = []
+    for row in rows:
+        scaled = [c * q ** (deg - k) for k, c in enumerate(row)]
+        values.append([peval(scaled, p + k * q) for k in range(top + 1)])
+    return [
+        n
+        for n in range(top + len(rows))
+        if sum(vals[n - j] * nums[n - j] for j, vals in enumerate(values) if 0 <= n - j <= top)
+    ]
 
 
 def eval_local(series: FrobeniusSeries, u: complex) -> complex:

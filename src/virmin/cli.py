@@ -6,11 +6,18 @@ appear as "numerator/denominator" strings.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 domain error (bad labels,
 out-of-region points, disallowed channels), 4 ill-conditioned solve,
 5 internal error.
+
+The argument parser is built once per process (`build_parser` is a
+one-entry lru_cache), so in-process callers such as a test suite or a
+harness calling `main` per command pay for it once.  The one default
+read from the environment, VIRMIN_CACHE_DIR, is set again on every
+`main` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -263,7 +270,10 @@ def cmd_verify(args) -> int:
     return 0 if all(r["passed"] for r in reports) else 1
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; `main`
+    sets the verify subcommand's --cache-dir default per call."""
     parser = argparse.ArgumentParser(
         prog="virmin",
         description="exact and numeric toolkit for minimal Virasoro models",
@@ -330,16 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-dir",
         type=cache_dir,
-        default=os.environ.get("VIRMIN_CACHE_DIR"),
         help="directory for the Gram and Kac-determinant cache (env VIRMIN_CACHE_DIR)",
     )
     p.set_defaults(fn=cmd_verify)
+    parser.verify_parser = p
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse runs a string default through cache_dir, so a file exits 2
+    parser.verify_parser.set_defaults(cache_dir=os.environ.get("VIRMIN_CACHE_DIR"))
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

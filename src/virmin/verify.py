@@ -92,7 +92,8 @@ def _suite(name: str, claim: str):
 @_suite("kac-data", "Kac-table sizes (p-1)(q-1)/2 for coprime p,q <= 13 and pinned exact values")
 def suite_kac_data() -> tuple:
     failures = []
-    for model in models_up_to(13):
+    models = models_up_to(13)
+    for model in models:
         expect = (model.p - 1) * (model.q - 1) // 2
         got = len(kac_table(model))
         if got != expect:
@@ -105,7 +106,7 @@ def suite_kac_data() -> tuple:
     for got, want, name in pins:
         if got != want:
             failures.append(f"{name} = {got} != {want}")
-    return not failures, None, "exact", {"models": len(models_up_to(13)), "failures": failures}
+    return not failures, None, "exact", {"models": len(models), "failures": failures}
 
 
 @_suite("fusion-ring", "commutativity, unit, slot symmetry, associativity for all models p,q <= 9")

@@ -44,7 +44,9 @@ vectors kept so far with `apply_lowering` (L(-m) on a PBW vector).
 
 `reference_frobenius_expand` is the earlier Frobenius recursion: the
 same integer recursion as `virmin.blocks`, with every coefficient
-reduced to a Fraction as it is produced.
+reduced to a Fraction as it is produced.  `reference_residual_support`
+is the earlier back-substitution check, in Fractions, from the shift
+polynomials of `recursion_shifts`.
 
 `gram_block_coefficients` is the block series of one channel from the
 Shapovalov form alone, a_N = rho_L^T G_S^-1 rho_R (Di Francesco,
@@ -509,6 +511,22 @@ def reference_frobenius_expand(
                 f"inconsistent resonance at order {n} above exponent {exponent}"
             )
     return tuple(a)
+
+
+def reference_residual_support(ode, point, exponent, coeffs) -> list[int]:
+    """Orders where the Fraction shift polynomials applied to the
+    truncated coefficients leave a nonzero residual."""
+    shifts = recursion_shifts(ode if point == 0 else composed_at_one(ode))
+    top = len(coeffs) - 1
+    return [
+        n
+        for n in range(top + len(shifts))
+        if sum(
+            (peval(shifts[j], exponent + n - j) * coeffs[n - j]
+             for j in range(len(shifts)) if 0 <= n - j <= top),
+            Fraction(0),
+        ) != 0
+    ]
 
 
 def reference_indicial_polynomial(ode: ODESpec, point) -> Poly:

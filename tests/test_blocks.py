@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import struct
 from fractions import Fraction
@@ -10,6 +11,7 @@ from exact_oracles import (
     gram_block_coefficients,
     recursion_shifts,
     reference_frobenius_expand,
+    reference_residual_support,
     tail_bound,
 )
 from virmin.blocks import (
@@ -32,7 +34,6 @@ from virmin.bpz import (
 )
 from virmin.errors import DomainError, LogarithmicCaseError, ModelViolationError, RangeError
 from virmin.models import KacLabel, MinimalModel, kac_table, null_level
-from virmin.poly import peval
 
 F = Fraction
 
@@ -324,11 +325,11 @@ def test_series_match_fraction_recursion(p, q, labels):
                 assert frobenius_expand(ode, point, rho, 30).coefficients == want
 
 
-def diagonal_odes(max_level: int):
+def diagonal_odes(max_level: int, max_q: int = 7):
     """Reduced ODE of every diagonal correlator <phi phi phi phi>, phi a
-    canonical label of null level <= max_level of coprime p < q <= 7."""
+    canonical label of null level <= max_level of coprime p < q <= max_q."""
     out = []
-    for q in range(3, 8):
+    for q in range(3, max_q + 1):
         for p in range(2, q):
             if math.gcd(p, q) != 1:
                 continue
@@ -375,22 +376,6 @@ def test_series_floats_are_the_rounded_exact_coefficients():
                         negative_zeros += 1
                 expanded += 1
     assert expanded > 200 and raised > 0 and negative_zeros > 0
-
-
-def reference_residual_support(ode, point, exponent, coeffs) -> list[int]:
-    """Orders where the Fraction shift polynomials applied to the
-    truncated coefficients leave a nonzero residual."""
-    shifts = recursion_shifts(ode if point == 0 else composed_at_one(ode))
-    top = len(coeffs) - 1
-    return [
-        n
-        for n in range(top + len(shifts))
-        if sum(
-            (peval(shifts[j], exponent + n - j) * coeffs[n - j]
-             for j in range(len(shifts)) if 0 <= n - j <= top),
-            F(0),
-        ) != 0
-    ]
 
 
 def test_exact_coefficients_are_built_only_when_asked_for():
@@ -510,3 +495,35 @@ def test_tail_bound_and_values_match_the_full_term_scan():
         series = blocks.FrobeniusSeries(0, F(0), tuple(complex(c) for c in coeffs), ode)
         for u in (1e-200, 1e-3, 0.3, 0.9):
             assert blocks._tail_bound(series, u) == tail_bound(series, u)
+
+
+@pytest.mark.parametrize("point", [0, 1])
+def test_residual_orders_match_the_fraction_back_substitution(point):
+    """On every root at the point of the diagonal correlators of null
+    level <= 4 of coprime p < q <= 6, at order N = 30, resonant series
+    included: the integer support equals the Fraction oracle's and sits
+    above N.  Adding 1 to one exact coefficient a_k, k <= N, brings the
+    support down to an order <= N, in both."""
+    order = 30
+    checked = resonant = 0
+    for ode in diagonal_odes(4, max_q=6):
+        roots = indicial_exponents(ode, point)
+        for rho in roots:
+            try:
+                series = frobenius_expand(ode, point, rho, order)
+            except LogarithmicCaseError:
+                continue
+            support = residual_orders(series)
+            assert support == reference_residual_support(ode, point, rho, series.coefficients)
+            assert not support or min(support) > order
+            resonant += any((r - rho).denominator == 1 and 0 < r - rho <= order for r in roots)
+            # a copy, as frobenius_expand hands the same series to every caller
+            perturbed = dataclasses.replace(series)
+            coeffs = list(series.coefficients)
+            coeffs[order // 2] += 1
+            perturbed.__dict__["coefficients"] = tuple(coeffs)
+            support = residual_orders(perturbed)
+            assert support == reference_residual_support(ode, point, rho, tuple(coeffs))
+            assert support and min(support) <= order
+            checked += 1
+    assert checked >= 50 and resonant > 0

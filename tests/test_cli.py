@@ -10,7 +10,7 @@ import pytest
 from exact_oracles import ode_from_jsonable, pbw_from_jsonable
 from virmin import crossing
 from virmin.bpz import ODESpec
-from virmin.cli import main
+from virmin.cli import build_parser, main
 from virmin.models import KacLabel
 from virmin.serialize import (
     frac_str,
@@ -240,6 +240,39 @@ def test_a_cache_dir_that_is_a_file_is_a_usage_error(capsys, monkeypatch, tmp_pa
         main(["verify", "kac-data"])
     assert exc.value.code == 2
     assert str(afile) in capsys.readouterr().err
+
+
+def test_cache_dir_is_read_on_every_call_of_the_one_parser(capsys, monkeypatch, tmp_path):
+    """The parser is built once per process, yet VIRMIN_CACHE_DIR is read
+    on every main call and --cache-dir holds for its own call only."""
+    args = ["verify", "kac-determinant", "--format", "json"]
+    env_dir, flag_dir, afile = tmp_path / "env", tmp_path / "flag", tmp_path / "afile"
+    afile.write_text("")
+    parser = build_parser()
+
+    def written(directory):
+        records = sorted(directory.glob("*.json")) if directory.exists() else []
+        for path in records:
+            path.unlink()
+        return records
+
+    monkeypatch.setenv("VIRMIN_CACHE_DIR", str(env_dir))
+    assert main(args) == 0
+    assert written(env_dir)
+    monkeypatch.delenv("VIRMIN_CACHE_DIR")
+    assert main(args) == 0
+    assert not written(env_dir)
+    monkeypatch.setenv("VIRMIN_CACHE_DIR", str(afile))
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"{afile}: {afile} is not a directory" in capsys.readouterr().err
+    monkeypatch.delenv("VIRMIN_CACHE_DIR")
+    assert main([*args, "--cache-dir", str(flag_dir)]) == 0
+    assert written(flag_dir)
+    assert main(args) == 0
+    assert not written(flag_dir) and not written(env_dir)
+    assert build_parser() is parser
 
 
 def test_serialize_roundtrips():

@@ -5,6 +5,9 @@ command.  The exact commands must reproduce it byte for byte.  The
 numeric commands (`block`, `crossing`) must give equal non-float
 fields, floats within FLOAT_RTOL of the largest magnitude in their
 top-level field, and residual fields below their pinned tolerances.
+`verify all` is compared the same way report by report, each
+max_residual below its suite's own tolerance; its golden holds every
+runtime_s as 0, and a refresh sets them to 0 again.
 
 To refresh a file after an intended output change, write the command's
 output over it: `virmin <argv...> --format json > tests/golden/<name>.json`.
@@ -86,13 +89,31 @@ def assert_close(got, want, scale: float, path: str) -> None:
         assert got == want, path
 
 
-@pytest.mark.parametrize("name", sorted(NUMERIC))
-def test_numeric_command_matches_golden_within_tolerance(capsys, name):
-    got, want = json.loads(run(capsys, NUMERIC[name])), json.loads(golden(name))
+def assert_fields_close(got: dict, want: dict, limits: dict) -> None:
+    """Each field named in limits below its limit; every other field as
+    in want, floats within FLOAT_RTOL of the field's largest magnitude."""
     assert got.keys() == want.keys()
     for key, value in want.items():
-        if key in RESIDUAL_LIMITS:
-            assert got[key] < RESIDUAL_LIMITS[key], (key, got[key])
+        if key in limits:
+            assert got[key] < limits[key], (key, got[key])
         else:
             scale = max((abs(x) for x in floats(value)), default=0.0)
             assert_close(got[key], value, scale, key)
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC))
+def test_numeric_command_matches_golden_within_tolerance(capsys, name):
+    got, want = json.loads(run(capsys, NUMERIC[name])), json.loads(golden(name))
+    assert_fields_close(got, want, RESIDUAL_LIMITS)
+
+
+def test_verify_all_matches_golden_within_tolerance(capsys):
+    got, want = json.loads(run(capsys, ("verify", "all"))), json.loads(golden("verify_all"))
+    reports, want_reports = got.pop("reports"), want.pop("reports")
+    assert got == want
+    assert [r["suite"] for r in reports] == [r["suite"] for r in want_reports]
+    for report, want_report in zip(reports, want_reports):
+        limits = {} if want_report["max_residual"] is None else {
+            "max_residual": want_report["tolerance"]
+        }
+        assert_fields_close({**report, "runtime_s": 0}, want_report, limits)
