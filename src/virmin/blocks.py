@@ -15,6 +15,12 @@ variable is z at the base point 0 and u = 1 - z at the base point 1.
 ODE, also in integers, but from the Fraction shift polynomials by
 Horner at every point, not from the recursion's table, so that the
 check stays independent of the recursion it checks.
+
+A block reads its channel's series at 0, with the anchor's t2 as a
+float, from one bounded memo keyed by (spec, channel, order), so a warm
+block does float work only: no Fraction is hashed, compared or built.
+Each series keeps |a_k| and its last nonzero order for the tail
+estimate, and the block takes one log of z for both of its powers.
 """
 
 from __future__ import annotations
@@ -62,6 +68,17 @@ class FrobeniusSeries:
     def float_exponent(self) -> float:
         """float(exponent), converted once."""
         return float(self.exponent)
+
+    @cached_property
+    def magnitudes(self) -> tuple[float, ...]:
+        """|a_k| for k = 0..order, computed once for the tail estimate."""
+        return tuple(map(abs, self.complex_coefficients))
+
+    @cached_property
+    def last_nonzero(self) -> int:
+        """The largest k >= 1 with |a_k| > 0, or 0 if there is none."""
+        mags = self.magnitudes
+        return next((k for k in range(len(mags) - 1, 0, -1) if mags[k] > 0), 0)
 
 
 @dataclass(frozen=True)
@@ -234,18 +251,23 @@ def eval_local_derivatives(series: FrobeniusSeries, u: complex, count: int) -> l
 def _tail_bound(series: FrobeniusSeries, u: complex) -> float:
     """Last-term ratio heuristic for the truncation error: the last
     nonzero term times q / (1 - q), q the largest of |u| and the ratios
-    of consecutive terms among the last five."""
-    coeffs = series.complex_coefficients
+    of consecutive terms among the last five.  |u| < 1, so no term above
+    `last_nonzero` is nonzero and the search starts there."""
+    mags = series.magnitudes
     r = abs(u)
-    last = next((k for k in range(len(coeffs) - 1, 0, -1) if abs(coeffs[k]) * r**k > 0), 0)
+    last = series.last_nonzero
+    while last and not mags[last] * r**last > 0:  # r**k may underflow
+        last -= 1
     if last == 0:
         return 0.0
-    lo = max(0, last - 5)
-    mags = [abs(c) * r**k for k, c in enumerate(coeffs[lo : last + 1], lo)]
-    ratios = [b / a for a, b in zip(mags, mags[1:]) if a > 0 and b > 0]
-    q = max([r] + ratios)
+    q, prev = r, 0.0
+    for k in range(max(0, last - 5), last + 1):
+        term = mags[k] * r**k
+        if prev > 0 and term > 0 and term / prev > q:
+            q = term / prev
+        prev = term
     q = min(q, 0.999)
-    return mags[-1] * q / (1.0 - q)
+    return term * q / (1.0 - q)
 
 
 def evaluate_series(series: FrobeniusSeries, z: complex) -> EvaluationResult:
@@ -263,6 +285,22 @@ def evaluate_series(series: FrobeniusSeries, z: complex) -> EvaluationResult:
     return EvaluationResult(value, _tail_bound(series, u) * abs(power), order)
 
 
+@lru_cache(maxsize=128)
+def _block_series(spec, channel: KacLabel, order: int) -> tuple[FrobeniusSeries, float]:
+    """The channel's series at 0 and float(t2) of the anchor, read once
+    per (spec, channel, order).  A typed error is not cached, so every
+    call raises it again."""
+    ode, anchor, _ = reduced_ode(spec)
+    rho = series_exponent(spec, channel, anchor)  # validates the channel
+    try:
+        series = frobenius_expand(ode, 0, rho, order)
+    except RangeError as exc:
+        if order < 0:
+            raise
+        raise ModelViolationError(f"channel {channel}: {exc}") from exc
+    return series, anchor.floats[1]
+
+
 def block(spec, channel: KacLabel, z: complex, order: int = BLOCK_ORDER) -> EvaluationResult:
     """Single-channel block of the correlator, z1 normalized to 1.
 
@@ -276,16 +314,13 @@ def block(spec, channel: KacLabel, z: complex, order: int = BLOCK_ORDER) -> Eval
     zc = complex(z)
     if zc == 0:
         raise DomainError("z = 0 is the branch point of z^t2; blocks need |z1| > |z2| > 0")
-    ode, anchor, _ = reduced_ode(spec)
-    rho = series_exponent(spec, channel, anchor)  # validates the channel
-    try:
-        series = frobenius_expand(ode, 0, rho, order)
-    except RangeError as exc:
-        if order < 0:
-            raise
-        raise ModelViolationError(f"channel {channel}: {exc}") from exc
-    inner = evaluate_series(series, z)
-    pref = cmath.exp(anchor.floats[1] * cmath.log(zc))
-    return EvaluationResult(
-        inner.value * pref, inner.tail_bound * abs(pref), inner.order_used
-    )
+    series, t2 = _block_series(spec, channel, order)
+    # evaluate_series(series, z) scaled by z^t2, with one log of z
+    if not abs(zc) < 1:  # a NaN z fails every comparison
+        raise DomainError(f"{z} lies outside the convergence disk of the expansion at 0")
+    log_z = cmath.log(zc)
+    power = cmath.exp(series.float_exponent * log_z)
+    pref = cmath.exp(t2 * log_z)
+    value = peval(series.complex_coefficients, zc) * power * pref
+    tail = _tail_bound(series, zc) * abs(power) * abs(pref)
+    return EvaluationResult(value, tail, series.order)

@@ -174,6 +174,15 @@ class CorrelatorSpec:
         for lab in (self.w4, self.w1, self.w2, self.w3):
             check_label(self.model, lab)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, computed once: memo lookups keyed by a spec
+        would otherwise rehash its model and four labels."""
+        return hash((self.model, self.w4, self.w1, self.w2, self.w3))
+
     @cached_property
     def h4(self) -> Fraction:
         return conformal_weight(self.model, self.w4)

@@ -227,10 +227,9 @@ def cmd_crossing(args) -> int:
     spec = _correlator_spec(args)
     fm = correlator(spec, args.order).fusing
     grid_z1, grid_z = args.grid_z1, args.grid_z
-    worst = 0.0
-    for z1 in grid_z1:
-        for z in grid_z:
-            worst = max(worst, associativity_residual(spec, z1, z * z1, args.order))
+    z1s = [[z1] * len(grid_z) for z1 in grid_z1]
+    z2s = [[z * z1 for z in grid_z] for z1 in grid_z1]
+    worst = float(associativity_residual(spec, z1s, z2s, args.order).max())
     payload = {
         "command": "crossing",
         "claim": "product equals fused iterate on the sampled grid",

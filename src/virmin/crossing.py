@@ -10,6 +10,13 @@ transported with the half-monodromy phases e^{i pi s}, and the no-log
 structure of the expansions is certified by continuing solutions
 around a full circle at 0 and comparing with the diagonal action
 e^{2 pi i rho}.
+
+A warm associativity residual reads the solved correlator from one
+memo, evaluates each basis once at z (a scalar z takes a path without
+reshaping) and compares the channels' magnitudes in Python, so it does
+float work only.  Equal-shape arrays z1 and z2 evaluate each basis at
+all points in one call, and each point's residual equals the scalar
+call's there: every point's sums are the same matrix-vector products.
 """
 
 from __future__ import annotations
@@ -62,6 +69,8 @@ MONODROMY_RADIUS = 0.35
 MONODROMY_STEPS = 24
 # the real points z > 1 where the commutativity check compares
 COMMUTATIVITY_TARGETS = (1.35, 1.5, 1.65)
+# what ChannelBasis.values and associativity_residual take as one point
+_SCALARS = (int, float, complex, np.number)
 
 
 def _memo(fn):
@@ -104,19 +113,34 @@ class ChannelBasis:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def _complex_exponents(self) -> np.ndarray:
+        """float_exponents as complex, the type they are multiplied in."""
+        return self.float_exponents.astype(complex)
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        """0, 1, ..., order as complex, the type u is raised to them in."""
+        return np.arange(self.coefficient_matrix.shape[1], dtype=complex)
+
     def values(self, z) -> np.ndarray:
         """Every solution at z, in the local coordinate u = z at 0 and
         u = 1 - z at 1 (u nonzero), principal branch of u^exponent:
-        shape (k,) for a scalar z, (k, m) for a 1-D array of m points."""
-        if self.point == 1:  # a scalar z in Python arithmetic: no ufunc call
-            z = 1 - (z if np.isscalar(z) else np.asarray(z, dtype=complex))
+        shape (k,) for a scalar z, (k, m) for a 1-D array of m points.
+
+        Each point's sum is one matrix-vector product, in the scalar
+        and the array call alike, so a column of an array call equals
+        the scalar call at that point."""
+        if isinstance(z, _SCALARS):
+            u = complex(1 - z if self.point == 1 else z)
+            sums = self.coefficient_matrix @ u**self._degrees
+            return sums * np.exp(self._complex_exponents * np.log(u))
         u = np.asarray(z, dtype=complex)
-        coeffs = self.coefficient_matrix
-        powers = u[..., None] ** np.arange(coeffs.shape[1])
-        # one matrix-vector product per point, so that every column of an
-        # array call is summed exactly as the scalar call at that point
-        sums = (coeffs @ powers[..., None])[..., 0].T
-        return sums * np.exp(np.multiply.outer(self.float_exponents, np.log(u)))
+        if self.point == 1:
+            u = 1 - u
+        powers = u[..., None] ** self._degrees
+        sums = (self.coefficient_matrix @ powers[..., None])[..., 0].T
+        return sums * np.exp(np.multiply.outer(self._complex_exponents, np.log(u)))
 
 
 def channel_basis(ode: ODESpec, point: int, order: int = ORDER) -> ChannelBasis:
@@ -256,29 +280,71 @@ def correlator(spec: CorrelatorSpec, order: int = ORDER) -> Correlator:
 
 
 def associativity_residual(
-    spec: CorrelatorSpec, z1: float, z2: float, order: int = ORDER
-) -> float:
-    """Relative product-vs-iterate mismatch at one admissible point.
+    spec: CorrelatorSpec, z1, z2, order: int = ORDER
+) -> float | np.ndarray:
+    """Relative product-vs-iterate mismatch at one admissible point, or
+    one per point of equal-shape arrays z1 and z2.
 
     The product side is evaluated through the point-0 basis in
     z = z2/z1 and the iterate side through the point-1 basis (local in
     z1 - z2), transported with the fusing matrix; the worst relative
     discrepancy across the allowed channels is returned.  Both sides
     carry the same prefactor z1^(t1 + t2) z^t2, which cancels in the
-    relative discrepancy and is left out.
+    relative discrepancy and is left out.  An array call returns an
+    array of z1's shape whose every entry equals the scalar call at
+    that point.
     """
+    if not (isinstance(z1, _SCALARS) and isinstance(z2, _SCALARS)):
+        return _grid_residuals(spec, np.asarray(z1), np.asarray(z2), order)
+    z = _ratio(z1, z2)
+    cor = correlator(spec, order)
+    fm = cor.fusing
+    prod = fm.basis0.values(z)[cor.channel_indices]
+    iterate = cor.channel_rows @ fm.basis1.values(z)
+    diff = prod - iterate
+    return _worst_ratio(np.abs(prod).tolist(), np.abs(iterate).tolist(), np.abs(diff).tolist())
+
+
+def _ratio(z1, z2) -> complex:
+    """z2 / z1 at an admissible point; DomainError elsewhere."""
     z1c, z2c = complex(z1), complex(z2)
     if not (abs(z1c) > abs(z2c) > abs(z1c - z2c) > 0):
         raise DomainError(
             f"(z1, z2) = ({z1}, {z2}) violates |z1| > |z2| > |z1 - z2| > 0"
         )
+    return z2c / z1c
+
+
+def _worst_ratio(prod, iterate, diff) -> float:
+    """The largest diff / max(prod, iterate, 1e-300) over the channels,
+    from the magnitudes |p|, |i| and |p - i| of each channel's product
+    and iterate values; a NaN is returned as soon as it shows."""
+    worst = 0.0
+    for p, i, d in zip(prod, iterate, diff):
+        scale = i if i > p else p
+        r = d / (scale if scale > 1e-300 else 1e-300)
+        if r > worst:
+            worst = r
+        elif r != r:
+            return r
+    return worst
+
+
+def _grid_residuals(spec: CorrelatorSpec, z1: np.ndarray, z2: np.ndarray, order: int):
+    """associativity_residual at every point of z1 and z2, each basis
+    evaluated at all points in one call."""
+    if z1.shape != z2.shape:
+        raise ShapeError(f"z1 has shape {z1.shape} but z2 has shape {z2.shape}")
+    points = zip(z1.ravel().tolist(), z2.ravel().tolist())
+    z = np.array([_ratio(a, b) for a, b in points], dtype=complex)
     cor = correlator(spec, order)
     fm = cor.fusing
-    z = z2c / z1c
     prod = fm.basis0.values(z)[cor.channel_indices]
-    iterate = cor.channel_rows @ fm.basis1.values(z)
-    scale = np.maximum(np.maximum(np.abs(prod), np.abs(iterate)), 1e-300)
-    return float((np.abs(prod - iterate) / scale).max())
+    # one matrix-vector product per point, as in the scalar call
+    per_point = np.ascontiguousarray(fm.basis1.values(z).T)[..., None]
+    iterate = (cor.channel_rows @ per_point)[..., 0].T
+    columns = (np.abs(v).T.tolist() for v in (prod, iterate, prod - iterate))
+    return np.array([_worst_ratio(*col) for col in zip(*columns)]).reshape(z1.shape)
 
 
 def monodromy_residuals(

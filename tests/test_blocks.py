@@ -32,7 +32,13 @@ from virmin.bpz import (
     indicial_exponents,
     reduced_ode,
 )
-from virmin.errors import DomainError, LogarithmicCaseError, ModelViolationError, RangeError
+from virmin.errors import (
+    DomainError,
+    FusionError,
+    LogarithmicCaseError,
+    ModelViolationError,
+    RangeError,
+)
 from virmin.models import KacLabel, MinimalModel, kac_table, null_level
 
 F = Fraction
@@ -126,6 +132,7 @@ def test_block_rejects_a_channel_exponent_off_the_indicial_roots(monkeypatch, ca
     monkeypatch.setattr(blocks, "series_exponent", shifted)
     monkeypatch.setattr(crossing, "series_exponent", shifted)
     crossing.correlator.cache_clear()
+    blocks._block_series.cache_clear()  # the block memo holds the exact channel's series
     with pytest.raises(ModelViolationError):
         block(SIGMA_SPEC, EPS, 0.3, 20)
     first = allowed_channels(SIGMA_SPEC)[0]
@@ -164,6 +171,42 @@ def test_block_rejects_the_branch_point_and_nan():
         for z in (0, 0.0, 0j, math.nan):
             with pytest.raises(DomainError):
                 block(SIGMA_SPEC, channel, z)
+
+
+def test_block_raises_every_typed_error_again_on_a_repeated_call(monkeypatch):
+    """The block memo caches no exception: each error comes on the first
+    call and again on a repeated one, with the same message, in the
+    order z = 0, then the channel and the exponent, then |z| >= 1."""
+
+    def messages(exc_type, *args, **kwargs):
+        out = []
+        for _ in range(2):
+            with pytest.raises(exc_type) as info:
+                block(*args, **kwargs)
+            out.append(str(info.value))
+        assert out[0] == out[1]
+        return out[0]
+
+    blocks._block_series.cache_clear()
+    assert "not in" in messages(FusionError, SIGMA_SPEC, SIGMA, 0.3)  # sigma x sigma = 1 + eps
+    # z = 0 is checked before the channel
+    assert "branch point" in messages(DomainError, SIGMA_SPEC, SIGMA, 0)
+    assert "order" in messages(RangeError, SIGMA_SPEC, EPS, 0.3, -1)
+    for z in (1.5, 1, -1j, math.nan, complex(0.3, math.nan)):
+        assert "convergence disk" in messages(DomainError, SIGMA_SPEC, EPS, z)
+    assert "branch point" in messages(DomainError, SIGMA_SPEC, EPS, 0j)
+    assert blocks._block_series.cache_info().currsize == 1  # only (EPS, 50) succeeded
+
+    exact = bpz.series_exponent
+    monkeypatch.setattr(
+        blocks, "series_exponent", lambda spec, c, anchor: exact(spec, c, anchor) + F(1, 7)
+    )
+    blocks._block_series.cache_clear()
+    assert "not an indicial root" in messages(ModelViolationError, SIGMA_SPEC, EPS, 0.3, 20)
+    # the channel is checked before |z| >= 1
+    assert "not an indicial root" in messages(ModelViolationError, SIGMA_SPEC, EPS, 1.5)
+    assert blocks._block_series.cache_info().currsize == 0
+    blocks._block_series.cache_clear()
 
 
 def test_negative_exponent_at_base_point():
@@ -383,6 +426,7 @@ def test_exact_coefficients_are_built_only_when_asked_for():
     coefficients; residual_orders builds them and gives the support of
     the Fraction recursion."""
     blocks.frobenius_expand.cache_clear()
+    blocks._block_series.cache_clear()  # so that the blocks expand their series again
     crossing.correlator.cache_clear()
     crossing.fusing_matrix.cache_clear()
     ode = reduced_ode(CorrelatorSpec(MinimalModel(5, 6), *[KacLabel(2, 3)] * 4))[0]

@@ -14,7 +14,7 @@ from virmin import blocks, bpz, crossing, linalg, verma
 from virmin.blocks import frobenius_expand
 from virmin.bpz import CorrelatorSpec, indicial_exponents, indicial_polynomial, reduced_ode
 from virmin.cache import GramCache
-from virmin.models import KacLabel, MinimalModel
+from virmin.models import KacLabel, MinimalModel, reflect
 from virmin.verma import VermaParams, gram_matrix, kac_determinant
 
 SIGMA_SPEC = CorrelatorSpec(MinimalModel(3, 4), *[KacLabel(1, 2)] * 4)
@@ -37,6 +37,7 @@ def test_exact_memos_are_bounded_module_lru_caches():
     for name in (
         "virmin.bpz.reduced_ode",
         "virmin.blocks.frobenius_expand",
+        "virmin.blocks._block_series",
         "virmin.crossing.correlator",
         "virmin.crossing.fusing_matrix",
         "virmin.verma._raise_monomial",
@@ -105,6 +106,54 @@ def test_warm_evaluation_converts_nothing_again(monkeypatch):
     assert counts == {"eval_local": 0, "__float__": 0}
     blocks.block(block_spec, KacLabel(1, 1), 0.35)
     assert counts["__float__"] == 0
+
+
+def test_warm_evaluation_does_no_fraction_arithmetic(monkeypatch):
+    """A warm block and a warm associativity residual hash, compare,
+    subtract and build no Fraction: their memo keys are the spec (whose
+    hash is computed once), the channel label and the order."""
+    block_spec = CorrelatorSpec(MinimalModel(4, 5), *[KacLabel(2, 2)] * 4)
+    crossing.associativity_residual(ORDER4_SPEC, 1.0, 0.55)
+    blocks.block(block_spec, KacLabel(1, 1), 0.3)
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # __sub__ calls Fraction._sub through a closure, so it is counted here
+    for name in ("__hash__", "__eq__", "__sub__", "__new__"):
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    assert Fraction(1, 2) - Fraction(1, 3) == Fraction(1, 6) and hash(Fraction(1, 2))
+    assert {"__hash__", "__eq__", "__sub__", "__new__"} <= set(counts)
+    counts.clear()
+    crossing.associativity_residual(ORDER4_SPEC, 1.1, 0.6)
+    blocks.block(block_spec, KacLabel(1, 1), 0.35)
+    blocks.block(block_spec, KacLabel(1, 1), 0.4, 50)
+    assert counts == {}
+
+
+def test_one_block_memo_entry_serves_every_spelling_of_the_order():
+    """block(s, c, z), block(s, c, z, 50) and block(s, c, z, order=50)
+    read one entry; a reflected channel label has its own entry but the
+    same FrobeniusSeries."""
+    spec = CorrelatorSpec(MinimalModel(4, 5), *[KacLabel(2, 2)] * 4)
+    channel = KacLabel(1, 3)
+    blocks._block_series.cache_clear()  # also zeroes its hit and miss counts
+    first = blocks.block(spec, channel, 0.3)
+    assert blocks.block(spec, channel, 0.3, 50) == first
+    assert blocks.block(spec, channel, 0.3, order=50) == first
+    info = blocks._block_series.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    reflected = reflect(spec.model, channel)
+    assert reflected != channel
+    assert blocks.block(spec, reflected, 0.3) == first
+    series = blocks._block_series(spec, channel, 50)[0]
+    assert blocks._block_series(spec, reflected, 50)[0] is series
+    assert blocks._block_series.cache_info().currsize == 2
 
 
 def test_warm_channel_reads_do_no_fusion_or_weight_arithmetic(monkeypatch):

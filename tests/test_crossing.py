@@ -165,6 +165,40 @@ def test_associativity_grid():
     assert worst < 1e-10
 
 
+def test_associativity_residual_on_arrays_equals_the_scalar_calls():
+    """Equal-shape arrays z1, z2 give one residual per point, each equal
+    to the scalar call there, complex points included; the basis values
+    of an array call equal the scalar calls column by column."""
+    z1 = np.array(crossing.GRID_Z1)[:, None] * np.ones(len(crossing.GRID_Z))
+    z2 = z1 * np.array(crossing.GRID_Z)
+    spec6 = CorrelatorSpec(MinimalModel(5, 6), *[KacLabel(2, 3)] * 4)
+    for spec in (SIGMA_SPEC, EPS_SPEC, spec6):
+        for grid2 in (z2, z2 + 0.01j * z1):
+            got = associativity_residual(spec, z1, grid2, 60)
+            assert got.shape == z1.shape and got.dtype == float
+            for (i, j), value in np.ndenumerate(got):
+                assert value == associativity_residual(spec, z1[i, j], grid2[i, j], 60)
+            assert got.max() < 1e-8
+        fm = correlator(spec).fusing
+        z = (grid2 / z1).ravel()
+        for basis in (fm.basis0, fm.basis1):
+            columns = basis.values(z)
+            for col, x in enumerate(z):
+                assert np.array_equal(columns[:, col], basis.values(complex(x)))
+    # nested lists and 1-D arrays are arrays too
+    flat = associativity_residual(SIGMA_SPEC, [1.0, 1.1], [0.55, 0.6])
+    assert flat.shape == (2,) and flat[1] == associativity_residual(SIGMA_SPEC, 1.1, 0.6)
+
+
+def test_associativity_residual_on_arrays_rejects_bad_input():
+    with pytest.raises(ShapeError):
+        associativity_residual(SIGMA_SPEC, [1.0, 1.1], [0.55, 0.6, 0.6])
+    with pytest.raises(ShapeError):
+        associativity_residual(SIGMA_SPEC, 1.0, [0.55, 0.6])
+    with pytest.raises(DomainError, match=r"\(1.0, 0.4\)"):
+        associativity_residual(SIGMA_SPEC, [1.0, 1.0], [0.55, 0.4])
+
+
 def test_commutativity_residual_and_phase_control():
     assert commutativity_residual(SIGMA_SPEC, 60) < 1e-6
     assert commutativity_residuals(SIGMA_SPEC, 60, (True,))[0] > 1e-3
