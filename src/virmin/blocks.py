@@ -3,18 +3,18 @@
 Coefficients come from the exact linear recursion obtained from
 substituting (local variable)^rho * sum a_k (local)^k into the ODE, run
 in integers over one running denominator, so every resonance decision
-is an exact test.  The recursion reads one integer table of shift
-polynomials per point, which the ODE builds once, and evaluates it
-along the exponent's progression by forward differences.  A series
+is an exact test.  The recursion reads the ODE's integer shift
+polynomials at the point, which the ODE builds once, and evaluates
+them along the exponent's progression by forward differences.  A series
 stores each a_k as the correctly rounded complex float of its exact
 value, one integer division per order; the exact Fractions are rebuilt
 from the same recursion only when `coefficients` is read.  The local
 variable is z at the base point 0 and u = 1 - z at the base point 1.
 
 `residual_orders` back-substitutes those exact coefficients into the
-ODE, also in integers, but from the Fraction shift polynomials by
-Horner at every point, not from the recursion's table, so that the
-check stays independent of the recursion it checks.
+ODE, also in integers from the same shift polynomials, but by Horner at
+every point rather than by the recursion's forward differences, so that
+the check stays independent of the recursion it checks.
 
 A block reads its channel's series at 0, with the anchor's t2 as a
 float, from one bounded memo keyed by (spec, channel, order), so a warm
@@ -61,7 +61,7 @@ class FrobeniusSeries:
     def coefficients(self) -> tuple[Fraction, ...]:
         """Exact a_k in lowest terms, from the recursion run again on
         first access; evaluation never needs them."""
-        values = _values(self.local_ode().integer_shifts, self.exponent, self.order)
+        values = _values(self.local_ode().frobenius_shifts, self.exponent, self.order)
         return tuple(Fraction(num, den) for num, den in _terms(values, self.exponent))
 
     @cached_property
@@ -111,7 +111,7 @@ def frobenius_expand(
     if order < 0:
         raise RangeError("order must be nonnegative")
     exponent = Fraction(exponent)
-    table = (ode if point == 0 else ode.shifted_to_one).integer_shifts
+    table = (ode if point == 0 else ode.shifted_to_one).frobenius_shifts
     values = _values(table, exponent, order)
     if values[0][0] != 0:
         raise RangeError(f"{exponent} is not an indicial root at {point}")
@@ -121,12 +121,13 @@ def frobenius_expand(
     return FrobeniusSeries(point, exponent, floats, ode)
 
 
-def _values(table: list[list[int]], exponent: Fraction, order: int) -> list[list[int]]:
+def _values(
+    table: tuple[tuple[int, ...], ...], exponent: Fraction, order: int
+) -> list[list[int]]:
     """values[j][m] = P_j(p + m q) for m = 0..order, where exponent = p/q
     and P_j(x) = sum_k table[j][k] x^k q^(deg - k), deg the largest
-    degree in the table: with L the common denominator of the Frobenius
-    shifts A_j (whose integer rows the table holds), P_j(p + m q) =
-    L q^deg A_j(exponent + m).
+    degree in the table: with the table holding the integer Frobenius
+    shifts A_j, P_j(p + m q) = q^deg A_j(exponent + m).
 
     Each row is a polynomial in m of degree d: its first d + 1 values
     come from Horner, and the rest from their forward differences, the
@@ -194,15 +195,14 @@ def residual_orders(series: FrobeniusSeries) -> list[int]:
     residual is nonzero.  By construction these all exceed the
     truncation order.
 
-    The check runs in Python ints and reads neither `integer_shifts`
-    nor `_values`.  With exponent = p/q, L the common denominator of
-    the shift polynomials and D that of the coefficients, each shift
-    polynomial times L q^deg is evaluated by Horner at p + k q and
-    applied to the coefficients times D.  Each order's integer sum is
-    its residual times L q^deg D, so it is zero exactly when the
-    residual is.
+    The check runs in Python ints and does not read `_values`.  With
+    exponent = p/q and D the common denominator of the coefficients,
+    each integer shift polynomial times q^deg is evaluated by Horner at
+    p + k q and applied to the coefficients times D.  Each order's
+    integer sum is its residual times q^deg D, so it is zero exactly
+    when the residual is.
     """
-    _, rows = integer_form(*series.local_ode().frobenius_shifts)
+    rows = series.local_ode().frobenius_shifts
     _, (nums,) = integer_form(series.coefficients)
     p, q = series.exponent.numerator, series.exponent.denominator
     deg = max(len(row) for row in rows) - 1

@@ -47,12 +47,12 @@ closed form with the shifted Kac label it comes from; the reduced ODE
 carries them, and `indicial_exponents` confirms them by exact integer
 division of the indicial polynomial.
 
-Both steps run in Python integers over one scale each, and the
-Fractions are formed once at the end.  The PDE carries delta^N, delta
-the lcm of the insertion operators' denominators and N the level of the
-singular vector; the ODE carries eps^top, eps the lcm of the anchor
-exponents' denominators and top the highest derivative order of the
-PDE, which its canonical form divides out.
+Both steps run in Python integers over one scale each.  The PDE
+carries delta^N, delta the lcm of the insertion operators' denominators
+and N the level of the singular vector, and forms its Fractions at the
+end; the ODE carries eps^top, eps the lcm of the anchor exponents'
+denominators and top the highest derivative order of the PDE, which its
+canonical form divides out, and all its data are tuples of ints.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from .models import (
     null_level,
     reflect,
 )
-from .poly import Poly, degree, divide_by_root, falling, integer_form, normalize_system, ord0, poly
+from .poly import Poly, degree, divide_by_root, falling, integer_form, normalize_system, ord0
 from .verma import PBWVector, singular_vectors
 
 # Operator term key: exponents of z1, z2, (z1 - z2), then d/dz1, d/dz2 orders.
@@ -307,14 +307,23 @@ def allowed_channels(spec: CorrelatorSpec) -> list[KacLabel]:
     return list(spec.channels)[: len(spec.channels) // 2]
 
 
+def _trim(row: list) -> tuple:
+    """The list without its trailing zeros or empty rows, as a tuple."""
+    while row and not row[-1]:
+        row.pop()
+    return tuple(row)
+
+
 @dataclass(frozen=True)
 class ODESpec:
-    """Linear ODE sum_i c_i(z) g^(i)(z) = 0 with exact polynomial c_i.
+    """Linear ODE sum_i c_i(z) g^(i)(z) = 0 with integer polynomial c_i.
 
-    coefficients[i] is the polynomial multiplying the i-th derivative;
-    the leading one is nonzero.  For the correlator reductions the
-    finite singular points are contained in {0, 1} and infinity is
-    regular singular; `validate_minimal_form` checks this.
+    coefficients[i] is the polynomial multiplying the i-th derivative,
+    ints in ascending powers; the leading one is nonzero.  Rational
+    entries (anything `Fraction()` accepts) are multiplied through by
+    their common denominator, the same equation.  For the correlator
+    reductions the finite singular points are contained in {0, 1} and
+    infinity is regular singular; `validate_minimal_form` checks this.
 
     exponents maps a point (0, 1 or 'inf') to the indicial exponents
     claimed there, with multiplicity; `indicial_exponents` confirms
@@ -326,23 +335,14 @@ class ODESpec:
     exponents: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        coeffs = tuple(poly(c) for c in self.coefficients)
-        while coeffs and not coeffs[-1]:
-            coeffs = coeffs[:-1]
+        rows = ([x if isinstance(x, (int, Fraction)) else Fraction(x) for x in c]
+                for c in self.coefficients)
+        coeffs = _trim([_trim(row) for row in integer_form(*rows)[1]])
         if not coeffs:
             raise ShapeError("ODE needs a nonzero leading coefficient")
         object.__setattr__(self, "coefficients", coeffs)
         exps = {pt: tuple(sorted(map(Fraction, es))) for pt, es in self.exponents.items()}
         object.__setattr__(self, "exponents", exps)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """hash(coefficients), computed once: memo lookups keyed by an
-        ODE would otherwise rehash every Fraction in it."""
-        return hash(self.coefficients)
 
     @property
     def order(self) -> int:
@@ -382,25 +382,23 @@ class ODESpec:
     def shifted_to_one(self) -> "ODESpec":
         """The same ODE in the local variable u = 1 - z, built once.
 
-        Its coefficients are (-1)^i c_i(1 - u): each c_i is scaled to
-        integers, Taylor-shifted to c_i(1 + v) by repeated additions and
-        read at v = -u.
+        Its coefficients are (-1)^i c_i(1 - u): each c_i is
+        Taylor-shifted to c_i(1 + v) by repeated additions and read at
+        v = -u.
         """
         out = []
         for i, c in enumerate(self.coefficients):
-            den, (ints,) = integer_form(c)
+            ints = list(c)
             for k in range(len(ints) - 1):
                 for m in range(len(ints) - 2, k - 1, -1):
                     ints[m] += ints[m + 1]
-            out.append(
-                tuple(Fraction(-x if (i + k) % 2 else x, den) for k, x in enumerate(ints))
-            )
+            out.append(tuple(-x if (i + k) % 2 else x for k, x in enumerate(ints)))
         return ODESpec(tuple(out))
 
     @cached_property
     def frobenius_shifts(self) -> tuple[Poly, ...]:
         """Shift polynomials A_j(x) of the Frobenius recursion at z = 0,
-        built once.
+        as integer rows, built once.
 
         With nu = min_i (ord c_i - i), substituting z^rho sum a_n z^n
         gives sum_j A_j(rho + n - j) a_{n-j} = 0 per order n, where
@@ -408,8 +406,7 @@ class ODESpec:
         A_0 is the indicial polynomial.  The shifts at z = 1 are those
         of `shifted_to_one`.
         """
-        den, ints = integer_form(*self.coefficients)
-        nz = [(i, c) for i, c in enumerate(ints) if c]
+        nz = [(i, c) for i, c in enumerate(self.coefficients) if c]
         nu = min(ord0(c) - i for i, c in nz)
         jmax = max(len(c) - 1 - i for i, c in nz) - nu
         factors = {i: falling(i) for i, _ in nz}
@@ -421,14 +418,8 @@ class ODESpec:
                 if 0 <= idx < len(c) and c[idx]:
                     for k, f in enumerate(factors[i]):
                         acc[k] += c[idx] * f
-            shifts.append(poly(Fraction(x, den) for x in acc))
+            shifts.append(_trim(acc))
         return tuple(shifts)
-
-    @cached_property
-    def integer_shifts(self) -> list[list[int]]:
-        """`frobenius_shifts` over their least common denominator, as
-        integer rows, built once."""
-        return integer_form(*self.frobenius_shifts)[1]
 
     def validate_minimal_form(self) -> None:
         """Assert singular points within {0, 1} and regular singularity
@@ -451,7 +442,7 @@ class ODESpec:
 
 
 def indicial_polynomial(ode: ODESpec, point) -> Poly:
-    """Indicial polynomial at 0, 1 or 'inf' as a polynomial in rho.
+    """Indicial polynomial at 0, 1 or 'inf' as an integer polynomial in rho.
 
     At 0 and 1 it is A_0 of the Frobenius shifts there."""
     if point == 0:
@@ -463,12 +454,12 @@ def indicial_polynomial(ode: ODESpec, point) -> Poly:
         # factorial (rho)^(i) is (-1)^i (-rho)_i
         nz = [(i, c) for i, c in enumerate(ode.coefficients) if c]
         nu = max(degree(c) - i for i, c in nz)
-        out: list[Fraction] = [Fraction(0)] * (ode.order + 1)
+        out = [0] * (ode.order + 1)
         for i, c in nz:
             if degree(c) - i == nu:
                 for k, f in enumerate(falling(i)):
                     out[k] += -c[-1] * f if k % 2 else c[-1] * f
-        return poly(out)
+        return _trim(out)
     raise RangeError(f"indicial point must be 0, 1 or 'inf', got {point!r}")
 
 
@@ -483,8 +474,9 @@ def indicial_exponents(ode: ODESpec, point) -> list[Fraction]:
     the minimal-model equations never trigger the latter, so an
     occurrence points at a derivation bug rather than being silently
     accepted.  Each carried copy of an exponent p/q divides out one factor
-    q x - p of the integer form, by exact integer synthetic division;
-    `crossing.fusing_matrix` memoises the bases built from them.
+    q x - p of the integer indicial polynomial, by exact integer synthetic
+    division in place; `crossing.fusing_matrix` memoises the bases built
+    from them.
     """
     ind = indicial_polynomial(ode, point)
     if not ind or degree(ind) < ode.order:
@@ -495,22 +487,22 @@ def indicial_exponents(ode: ODESpec, point) -> list[Fraction]:
     carried = ode.exponents.get(point)
     if carried is None:
         raise StructureError(f"the ODE carries no indicial exponents at {point}")
-    _, (work,) = integer_form(ind)
+    work = list(ind)
     for rho in carried:
         p, q = rho.numerator, rho.denominator
         # work = (q x - p) g from the top: a_n = q g_(n-1), a_k = q g_(k-1) - p g_k,
-        # and the remainder a_0 + p g_0 must vanish
-        quotient, carry, rem = [], 0, 0
-        for a in reversed(work[1:]):
-            carry, rem = divmod(a + p * carry, q)
+        # and the remainder a_0 + p g_0 must vanish; g_(k-1) overwrites a_k
+        carry = rem = 0
+        for k in range(len(work) - 1, 0, -1):
+            carry, rem = divmod(work[k] + p * carry, q)
             if rem:
                 break
-            quotient.append(carry)
+            work[k] = carry
         if rem or work[0] + p * carry:
             raise ModelViolationError(
                 f"{rho} is not an indicial root at {point} as often as the ODE carries it"
             )
-        work = quotient[::-1]
+        del work[0]
     if len(work) > 1:
         raise ModelViolationError(
             f"indicial polynomial at {point} keeps a factor of degree {len(work) - 1} "
@@ -607,9 +599,7 @@ def reduce_to_ode(op: Operator, anchor: ExponentPair, exponents: dict | None = N
             for t in range(m + 1):
                 c = comb(m, t)
                 out[k + shift_z + t] += -v * c if t % 2 else v * c
-    for out in polys:
-        while out and not out[-1]:
-            out.pop()
+    polys = [_trim(out) for out in polys]
     if not any(polys):
         raise ReductionError("reduction produced the zero ODE")
     ode = ODESpec(normalize_system(polys), exponents or {})
@@ -662,17 +652,23 @@ def fusion_exponents(
     return out
 
 
-@lru_cache(maxsize=256)
 def reduced_ode(
     spec: CorrelatorSpec, anchor_channel: KacLabel | None = None, route: str = "slot3"
 ) -> tuple[ODESpec, ExponentPair, KacLabel]:
-    """Full pipeline: singular vector -> PDE -> reduced ODE, memoized.
+    """Full pipeline: singular vector -> PDE -> reduced ODE, memoized
+    once per (spec, anchor_channel, route) however the call spells them.
 
     The null vector is taken at its first degeneracy level for the
     relevant slot's label.  Returns (ode, anchor, anchor_channel) with
     the anchor defaulting to the first allowed channel.  The ODE carries
     the exponents of `fusion_exponents`.
     """
+    return _reduced_ode(spec, anchor_channel, route)
+
+
+@lru_cache(maxsize=256)
+def _reduced_ode(spec, anchor_channel, route):
+    """`reduced_ode`, every argument positional."""
     channels = allowed_channels(spec)
     if not channels:
         raise FusionError("correlator admits no intermediate channel")
@@ -691,3 +687,6 @@ def reduced_ode(
     ((_, vector),) = singular_vectors(spec.model, slot_label, null_level(spec.model, slot_label))
     op = derive(spec, vector)
     return reduce_to_ode(op, anchor, exponents), anchor, channel
+
+
+reduced_ode.cache_info, reduced_ode.cache_clear = _reduced_ode.cache_info, _reduced_ode.cache_clear

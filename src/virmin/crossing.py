@@ -374,7 +374,8 @@ def commutativity_residuals(
 ) -> tuple[float, ...]:
     """commutativity_residual once per flip, from one transport; a True
     flip conjugates the braiding phases, which must break the match
-    (negative control)."""
+    (negative control).  Each is the NumPy maximum over every waypoint
+    and channel, so a NaN anywhere is returned as NaN."""
     cor = correlator(spec, order)
     basis0, basis1 = cor.fusing.basis0, cor.fusing.basis1
     ode = basis0.ode
@@ -385,7 +386,7 @@ def commutativity_residuals(
     # is solution j's principal-branch value at u = 1 - x: arg(u) = +pi.
     swapped = basis1.values(np.array(COMMUTATIVITY_TARGETS))
     conjugate = np.exp(-2j * np.pi * basis1.float_exponents)[:, None]
-    # for each flip, one row per waypoint
+    # for each flip, a (waypoints, channels) array
     preds = [(cor.channel_rows @ (swapped * conjugate if f else swapped)).T for f in flips]
 
     # All allowed channels are continued together as the columns of one
@@ -400,12 +401,10 @@ def commutativity_residuals(
     # states at the targets are the last waypoints'.
     path = lower_arc_path(0.5, 16) + [complex(x) for x in COMMUTATIVITY_TARGETS]
     states = states_along(ode, complex(start), cur, path)[-len(COMMUTATIVITY_TARGETS) :]
-    worst = [0.0] * len(flips)
-    for w, state in enumerate(states):
-        for f, pred in enumerate(preds):
-            resid = np.abs(state[0] - pred[w]) / np.maximum(np.abs(pred[w]), 1e-300)
-            worst[f] = max(worst[f], float(resid.max()))
-    return tuple(worst)
+    values = np.stack(states)[:, 0]  # the solution row of each waypoint's state
+    return tuple(
+        float((np.abs(values - pred) / np.maximum(np.abs(pred), 1e-300)).max()) for pred in preds
+    )
 
 
 def commutativity_residual(spec: CorrelatorSpec, order: int = ORDER) -> float:

@@ -36,14 +36,14 @@ class StructureError(VirminError):
 
 
 class ModelViolationError(VirminError):
-    """A quantity that should be rational for minimal models came out
-    irrational or complex.  Surfaced as a diagnostic, never silently accepted."""
+    """An exact minimal-model identity failed (an indicial exponent or a
+    singular-vector count).  Surfaced as a diagnostic, never silently accepted."""
 
 
 class LogarithmicCaseError(VirminError):
-    """A Frobenius recursion hit an inconsistent resonance, meaning the
-    local solution would need a logarithm.  The minimal-model equations
-    treated here are log-free, so this signals a derivation bug upstream."""
+    """A local solution would need a logarithm: an inconsistent resonance
+    or a repeated indicial root.  Minimal-model equations raise it too,
+    at unphysical exponents and after a resonance set to zero."""
 
 
 class ConditioningError(VirminError):

@@ -1,11 +1,11 @@
 """Dense univariate polynomials over exact rationals.
 
-A polynomial is a tuple of Fractions in ascending power order with no
-trailing zeros; () is the zero polynomial.  Includes the canonical form
-of an ODE coefficient list and a search for the rational roots of a
-polynomial; the package reads its indicial exponents from the fusion
-rules instead (see `bpz.fusion_exponents`), so the search serves as
-the tests' reference.
+A polynomial is a tuple of ints (the ODE layer) or Fractions in
+ascending power order with no trailing zeros; () is the zero polynomial.
+Includes the canonical form of an ODE coefficient list, in ints, and a
+search for rational roots; the package reads its indicial exponents
+from the fusion rules instead (see `bpz.fusion_exponents`), so the
+search serves as the tests' reference.
 
 This module owns the exact primitives the rest of the package shares:
 `integer_form` clears denominators, `peval` is the one Horner loop and
@@ -19,7 +19,7 @@ from math import gcd, isfinite, lcm
 
 import numpy as np
 
-Poly = tuple[Fraction, ...]
+Poly = tuple[int | Fraction, ...]
 
 ZERO: Poly = ()
 
@@ -174,7 +174,7 @@ def _float_roots(ints: list[int]) -> list[complex]:
 
 
 def normalize_system(polys: list[Poly]) -> tuple[Poly, ...]:
-    """Canonical form of an ODE coefficient list.
+    """Canonical form of an ODE coefficient list, as tuples of ints.
 
     Divides out common z^a (1-z)^b monomial factors, clears denominators,
     divides by the integer content and fixes the sign so the leading
@@ -207,4 +207,4 @@ def normalize_system(polys: list[Poly]) -> tuple[Poly, ...]:
     content = gcd(*(c for p in ints for c in p))
     if next(p for p in reversed(ints) if p)[-1] < 0:
         content = -content
-    return tuple(tuple(Fraction(c // content) for c in p) for p in ints)
+    return tuple(tuple(c // content for c in p) for p in ints)

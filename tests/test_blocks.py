@@ -411,7 +411,7 @@ def test_series_floats_are_the_rounded_exact_coefficients():
                     float_bits(complex(c)) for c in want
                 ]
                 assert series.coefficients == want
-                values = blocks._values(series.local_ode().integer_shifts, rho, 60)
+                values = blocks._values(series.local_ode().frobenius_shifts, rho, 60)
                 terms = blocks._terms(values, rho)
                 for k, (num, den) in enumerate(terms):
                     if num == 0 and den < 0:

@@ -16,10 +16,12 @@ from exact_oracles import (
     reference_allowed_channels,
     reference_channel_exponents,
     reference_derive_pde,
+    reference_frobenius_expand,
     reference_indicial_polynomial,
 )
 
-from virmin import bpz
+from virmin import bpz, crossing
+from virmin.blocks import frobenius_expand
 from virmin.bpz import (
     CorrelatorSpec,
     ExponentPair,
@@ -64,11 +66,12 @@ EPS_SPEC = CorrelatorSpec(M34, EPS, EPS, EPS, EPS)
 # closed-form solutions before the build):
 #   sigma^4:   z(1-z)^2 g'' + (1/2 - 7/4 z + 5/4 z^2) g' - 3/64 z g = 0
 #   epsilon^4: z(1-z)^2 g'' + (2/3)(z^2 - 1) g'   - 2/3 z g  = 0
-HAND_SIGMA = ODESpec((
+HAND_SIGMA_ROWS = (
     (F(0), F(-3, 64)),
     (F(1, 2), F(-7, 4), F(5, 4)),
     (F(0), F(1), F(-2), F(1)),
-))
+)
+HAND_SIGMA = ODESpec(HAND_SIGMA_ROWS)
 HAND_EPS = ODESpec((
     (F(0), F(-2, 3)),
     (F(-2, 3), F(0), F(2, 3)),
@@ -252,6 +255,29 @@ def test_sigma_reduction_matches_hand_derivation():
     ode = reduce_to_ode(op, anchor)
     assert proportional(ode, HAND_SIGMA)
     assert ode.order == 2
+
+
+def test_a_rational_ode_is_its_denominator_cleared_twin():
+    """A hand-built rational ODE is stored multiplied through by its
+    common denominator: it equals and hashes as its twin cleared by
+    hand, carries the same exponents and series, and shares the twin's
+    frobenius_expand and fusing_matrix memo entries."""
+    exponents = {0: [F(0), F(1, 2)], 1: [F(-1, 8), F(3, 8)]}
+    rational = ODESpec(HAND_SIGMA_ROWS, exponents)
+    twin = ODESpec(tuple(tuple(int(64 * c) for c in row) for row in HAND_SIGMA_ROWS), exponents)
+    assert all(type(c) is int for row in rational.coefficients for c in row)
+    assert rational == twin and hash(rational) == hash(twin)
+    frobenius_expand.cache_clear()
+    crossing.fusing_matrix.cache_clear()
+    for point, roots in exponents.items():
+        assert indicial_exponents(rational, point) == indicial_exponents(twin, point) == roots
+        for rho in roots:
+            series = frobenius_expand(twin, point, rho, 30)
+            assert frobenius_expand(rational, point, rho, 30) is series
+            assert series.coefficients == reference_frobenius_expand(rational, point, rho, 30)
+    assert frobenius_expand.cache_info().currsize == 4
+    assert crossing.fusing_matrix(rational, 30) is crossing.fusing_matrix(twin, 30)
+    assert crossing.fusing_matrix.cache_info().misses == 1
 
 
 def test_eps_reduction_matches_hand_derivation():
@@ -589,7 +615,7 @@ def test_reduced_ode_matches_ratz_oracle():
     assert {ode.order for _, _, ode, _ in pool} == {1, 2, 3, 4, 6}
     for spec, route, ode, oracle in pool:
         assert ode.coefficients == oracle.coefficients, (spec, route)
-        assert all(type(c) is Fraction for poly in ode.coefficients for c in poly)
+        assert all(type(c) is int for poly in ode.coefficients for c in poly)
 
 
 def test_indicial_polynomial_matches_reference():

@@ -249,7 +249,8 @@ def test_gram_cache_file_format_is_stable(tmp_path):
 
 def test_memos_are_keyed_by_value_not_by_spelling():
     """The README sequence, fusing_matrix(ode) and then a residual at the
-    default order, fits the basis change once."""
+    default order, fits the basis change once; every spelling of the
+    default reduced_ode call derives the ODE once."""
     crossing.correlator.cache_clear()
     crossing.fusing_matrix.cache_clear()
     ode = reduced_ode(SIGMA_SPEC)[0]
@@ -259,6 +260,12 @@ def test_memos_are_keyed_by_value_not_by_spelling():
     assert crossing.fusing_matrix(ode, order=60) is fm
     assert crossing.correlator(SIGMA_SPEC) is crossing.correlator(SIGMA_SPEC, order=60)
     assert crossing.correlator.cache_info().misses == 1
+    reduced_ode.cache_clear()
+    first = reduced_ode(SIGMA_SPEC)
+    assert reduced_ode(SIGMA_SPEC, None, "slot3") is first
+    assert reduced_ode(SIGMA_SPEC, route="slot3") is first
+    assert reduced_ode(SIGMA_SPEC, anchor_channel=None) is first
+    assert reduced_ode.cache_info().misses == 1
 
 
 def test_kacdet_record_file_format_is_stable(tmp_path):

@@ -1,9 +1,13 @@
 """The verify suites against the scalar calls they replace: the tensor
-suite's array comparison with an injected fault, and one transport per
-state in the monodromy and commutativity suites."""
+suite's array comparison with an injected fault, one transport per
+state in the monodromy and commutativity suites, and a NaN injected
+into each suite's residuals, which must fail it."""
 
+import dataclasses
+import math
 from itertools import product
 
+import numpy as np
 import pytest
 
 from virmin import crossing, verify
@@ -114,3 +118,71 @@ def test_suites_are_the_module_functions_and_report_seven_keys():
         report = verify.run_suite(name)
         assert set(report) == keys
         assert report["suite"] == name and report["passed"]
+
+
+@pytest.mark.parametrize("waypoint", [0, 1, 2])
+def test_a_nan_state_at_a_target_fails_commutativity(waypoint, monkeypatch):
+    """A NaN in the transported states at any one target waypoint is the
+    commutativity residual, for both flips, and fails the suite."""
+    real = crossing.states_along
+
+    def nan_at_target(ode, start, state, path):
+        states = real(ode, start, state, path)
+        targets = len(crossing.COMMUTATIVITY_TARGETS)
+        states[len(states) - targets + waypoint] = np.full_like(states[-1], np.nan)
+        return states
+
+    monkeypatch.setattr(crossing, "states_along", nan_at_target)
+    spec = verify._ising_spec(1, 2)
+    assert all(map(math.isnan, commutativity_residuals(spec, 60, (False, True))))
+    assert math.isnan(commutativity_residual(spec, 60))
+    report = verify.suite_commutativity()
+    assert not report["passed"] and math.isnan(report["max_residual"])
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["residual", "negative-control"])
+def test_a_nan_monodromy_residual_fails_the_suite(which, monkeypatch):
+    real = verify.monodromy_residuals
+    calls = []
+
+    def nan_first(basis, offsets):
+        out = list(real(basis, offsets))
+        if not calls:
+            out[which] = math.nan
+        calls.append(basis)
+        return tuple(out)
+
+    monkeypatch.setattr(verify, "monodromy_residuals", nan_first)
+    report = verify.suite_monodromy()
+    assert len(calls) == 7 and not report["passed"]
+    field = report["max_residual"] if which == 0 else report["details"]["negative_control_min"]
+    assert math.isnan(field)
+
+
+def test_a_nan_block_fails_the_blocks_and_tensor_suites(monkeypatch):
+    real = verify.block
+
+    def nan_block(*args):
+        return dataclasses.replace(real(*args), value=complex(math.nan, math.nan))
+
+    monkeypatch.setattr(verify, "block", nan_block)
+    report = verify.suite_blocks()
+    assert not report["passed"] and math.isnan(report["max_residual"])
+    assert not verify.suite_tensor()["passed"]
+
+
+def test_a_nan_residual_of_the_second_correlator_fails_ising_crossing(monkeypatch):
+    real = verify.associativity_residual
+    specs = []
+
+    def nan_second(spec, z1, z2, order):
+        out = np.array(real(spec, z1, z2, order))
+        specs.append(spec)
+        if len(specs) == 2:
+            out[2, 3] = math.nan
+        return out
+
+    monkeypatch.setattr(verify, "associativity_residual", nan_second)
+    report = verify.suite_ising_crossing()
+    assert specs == [verify._ising_spec(1, 2), verify._ising_spec(2, 1)]
+    assert not report["passed"] and math.isnan(report["max_residual"])
