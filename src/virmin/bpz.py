@@ -663,16 +663,18 @@ def reduced_ode(
     the anchor defaulting to the first allowed channel.  The ODE carries
     the exponents of `fusion_exponents`.
     """
+    if anchor_channel is None:
+        channels = allowed_channels(spec)
+        if not channels:
+            raise FusionError("correlator admits no intermediate channel")
+        anchor_channel = channels[0]
     return _reduced_ode(spec, anchor_channel, route)
 
 
 @lru_cache(maxsize=256)
-def _reduced_ode(spec, anchor_channel, route):
-    """`reduced_ode`, every argument positional."""
-    channels = allowed_channels(spec)
-    if not channels:
-        raise FusionError("correlator admits no intermediate channel")
-    channel = anchor_channel if anchor_channel is not None else channels[0]
+def _reduced_ode(spec, channel, route):
+    """`reduced_ode` with the anchor channel resolved, every argument
+    positional."""
     anchor = channel_exponents(spec, channel)
     exponents = {  # checks the route
         point: [rho for rho, _ in pairs]

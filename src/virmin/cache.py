@@ -1,15 +1,16 @@
 """On-disk cache of Gram matrices and Kac determinants.
 
 One file per (c, h, level) key and record kind: `gram-<digest>.json`
-holds a Gram matrix, `kacdet-<digest>.json` its determinant, which costs
-more to compute than the matrix itself.  Files are content-addressed by
-a stable hash of the operation name and the exact parameters; rationals
-are serialized as "numerator/denominator" strings so nothing ever
-passes through floating point.  A record whose schema_version differs,
-or that does not parse, is a miss, and the recomputed value replaces
-it.  Writes go to a temporary file in the same directory followed by
-an atomic rename, so concurrent writers are safe and a cache entry is
-either absent or complete.
+holds a Gram matrix, `kacdet-<digest>.json` its determinant.  The
+determinant comes from the Kac product formula and costs far less than
+the matrix, but a cold one still writes the Gram record.  Files are
+content-addressed by a stable hash of the operation name and the exact
+parameters; rationals are serialized as "numerator/denominator"
+strings so nothing ever passes through floating point.  A record whose
+schema_version differs, or that does not parse, is a miss, and the
+recomputed value replaces it.  Writes go to a temporary file in the
+same directory followed by an atomic rename, so concurrent writers are
+safe and a cache entry is either absent or complete.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class GramCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
+                fh.write(json.dumps(payload))  # the C encoder; json.dump streams in Python
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

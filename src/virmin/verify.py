@@ -37,6 +37,7 @@ from .crossing import (
     tensor_block,
 )
 from .fusion import fusion_rule, fusion_table, verify_ring_axioms
+from .linalg import det
 from .models import (
     KacLabel,
     MinimalModel,
@@ -46,7 +47,14 @@ from .models import (
     kac_table,
     null_level,
 )
-from .verma import PBWVector, VermaParams, kac_determinant, singular_vectors, verify_singular
+from .verma import (
+    PBWVector,
+    VermaParams,
+    gram_matrix,
+    kac_determinant,
+    singular_vectors,
+    verify_singular,
+)
 
 SUITES: dict = {}  # name -> suite, in definition order
 
@@ -124,12 +132,21 @@ def suite_fusion_ring() -> tuple:
 
 @_suite(
     "kac-determinant",
-    "Gram determinant vanishes exactly at level m*n and not below the orbit's first null level",
+    "Kac product formula equals the Bareiss determinant of the Gram matrix, vanishes "
+    "exactly at level m*n and not below the orbit's first null level",
 )
 def suite_kac_determinant(cache=None) -> tuple:
     failures = []
     zero_checks = 0
     nonzero_checks = 0
+
+    def checked(params, level, label):
+        """kac_determinant, failing unless the Gram's Bareiss determinant agrees."""
+        value = kac_determinant(params, level, cache)
+        if value != det([list(row) for row in gram_matrix(params, level, cache).entries]):
+            failures.append(f"product formula != Bareiss for {label} at level {level}")
+        return value
+
     for model in (MinimalModel(3, 4), MinimalModel(2, 5), MinimalModel(4, 5)):
         c = central_charge(model)
         for m in range(1, model.p):
@@ -138,7 +155,7 @@ def suite_kac_determinant(cache=None) -> tuple:
                     continue
                 label = KacLabel(m, n)
                 params = VermaParams(c, conformal_weight(model, label))
-                if kac_determinant(params, m * n, cache) != 0:
+                if checked(params, m * n, f"{model} {label}") != 0:
                     failures.append(f"det != 0 at first null level for {model} {label}")
                 zero_checks += 1
         # below the first degeneracy level (orbit representatives) dets are nonzero
@@ -146,7 +163,7 @@ def suite_kac_determinant(cache=None) -> tuple:
             level = null_level(model, label)
             params = VermaParams(c, h)
             for lower in range(1, level):
-                if kac_determinant(params, lower, cache) == 0:
+                if checked(params, lower, f"{model} {label}") == 0:
                     failures.append(f"det = 0 below null level for {model} {label} at {lower}")
                 nonzero_checks += 1
     details = {"zero_checks": zero_checks, "nonzero_checks": nonzero_checks, "failures": failures}
@@ -315,6 +332,7 @@ def suite_monodromy() -> tuple:
 def suite_tensor() -> tuple:
     tol = 1e-12
     failures = []
+    errors = []  # relative mismatches: factor product, then factor reordering, per point
     spec = _ising_spec(1, 2)
     tmodel = TensorModel((spec.model, spec.model))
     for z in (0.2, 0.3, 0.45):
@@ -325,8 +343,11 @@ def suite_tensor() -> tuple:
         if not rel <= tol:
             failures.append(f"tensor block differs from factor product by {rel:.2e}")
         swapped = tensor_block(tmodel, [spec, spec], [KacLabel(2, 1), KacLabel(1, 1)], z)
-        if not abs(pair.value - swapped.value) <= tol * abs(pair.value):
+        moved = abs(pair.value - swapped.value) / abs(pair.value)
+        if not moved <= tol:
             failures.append("factor reordering changed the tensor block")
+        errors += [rel, moved]
+    worst = float(np.max(errors))
 
     triples = mismatches = 0
     pairs = ((MinimalModel(3, 4), MinimalModel(2, 5)), (MinimalModel(4, 5), MinimalModel(3, 5)))
@@ -349,7 +370,7 @@ def suite_tensor() -> tuple:
             failures.append(f"tensor fusion mismatch at {at}")
     details = {"block_points": 3, "order": BLOCK_ORDER, "fusion_triples": triples,
                "fusion_mismatches": mismatches, "failures": failures[:5]}
-    return not failures, None, tol, details
+    return not failures, worst, tol, details
 
 
 def run_suite(name: str, cache=None) -> dict:

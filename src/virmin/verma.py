@@ -8,8 +8,9 @@ indexed here by partitions of N.  Everything is driven by the bracket
 
 together with L(n)|h> = 0 for n > 0, L(0)|h> = h|h>.  The module
 provides the contravariant (Shapovalov) Gram matrices, their exact
-determinants, and the two primitive singular vectors of a minimal-model
-weight, each the exact kernel of L(1) and L(2) at its own level.
+determinants by the Kac product formula, and the two primitive singular
+vectors of a minimal-model weight, each the exact kernel of L(1) and
+L(2) at its own level.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import factorial, lcm
 
 from .errors import ModelViolationError, RangeError
-from .linalg import det, nullspace
+from .linalg import nullspace
 from .models import KacLabel, MinimalModel, central_charge, check_label, conformal_weight
 
 Partition = tuple[int, ...]
@@ -238,19 +239,70 @@ def gram_matrix(params: VermaParams, level: int, cache=None) -> GramMatrix:
     return gram
 
 
+def _kac_product(params: VermaParams, level: int) -> Fraction:
+    """The Kac product formula (Kac 1979; Feigin-Fuchs 1984),
+
+        det G_N = K_N prod_{rs <= N} (h - h_{r,s})^P(N - rs),
+        K_N = prod_{rs <= N} ((2r)^s s!)^(P(N - rs) - P(N - r(s+1))),
+
+    with c = 13 - 6u, u = t + 1/t and h_{r,s} = ((r^2-1) t + (s^2-1)/t)/4
+    - (rs-1)/2, in rationals however irrational t is: h_{r,r} =
+    (r^2-1)(u-2)/4, and for r < s the factors of h_{r,s} and h_{s,r},
+    which share their exponent, multiply to the rational
+
+        a^2 - a (R+S) u/4 + (RS (u^2-2) + R^2 + S^2)/16,
+
+    a = h + (rs-1)/2, R = r^2-1, S = s^2-1.  With h = hn/hd and u =
+    un/ud each factor is an integer over 4 hd ud (r = s) or over
+    64 hd^2 ud^2 (r < s), so the product is taken in integers and
+    reduced once.  Zero at the first vanishing factor.
+    """
+    hn, hd = params.h.numerator, params.h.denominator
+    u = (13 - params.c) / 6
+    un, ud = u.numerator, u.denominator
+    P = [len(pbw_basis(n)) for n in range(level + 1)]
+    numerator, denominator = 1, 1
+    for r in range(1, level + 1):
+        R = r * r - 1
+        for s in range(1, level // r + 1):
+            power = P[level - r * s]
+            above = P[level - r * (s + 1)] if r * (s + 1) <= level else 0
+            numerator *= ((2 * r) ** s * factorial(s)) ** (power - above)
+            if s < r:
+                continue  # (r, s) was taken with (s, r)
+            if s == r:
+                top, bottom = 4 * hn * ud - R * (un - 2 * ud) * hd, 4 * hd * ud
+            else:
+                S = s * s - 1
+                an = 2 * hn + (r * s - 1) * hd  # a = an / (2 hd)
+                top = (16 * an * an * ud * ud - 8 * an * (R + S) * un * hd * ud
+                       + 4 * hd * hd * (R * S * (un * un - 2 * ud * ud) + (R * R + S * S) * ud * ud))
+                bottom = 64 * hd * hd * ud * ud
+            if top == 0:
+                return Fraction(0)
+            numerator *= top**power
+            denominator *= bottom**power
+    return Fraction(numerator, denominator)
+
+
 def kac_determinant(params: VermaParams, level: int, cache=None) -> Fraction:
-    """Exact determinant of the level-`level` Gram matrix.
+    """Exact determinant of the level-`level` Gram matrix, by the Kac
+    product formula.
 
     With a cache the determinant is read from its own record first; on
-    a miss the Gram goes through gram_matrix (and its record) and the
-    determinant is stored.
+    a miss the Gram still goes through gram_matrix, which loads or
+    writes its record, so a cold call leaves one Gram and one
+    determinant record as the cache always has, and the determinant is
+    stored.
     """
+    if level < 0:
+        raise RangeError("level must be nonnegative")
     if cache is not None:
         hit = cache.load_determinant(params, level)
         if hit is not None:
             return hit
-    gram = gram_matrix(params, level, cache)
-    value = det([list(row) for row in gram.entries])
+        gram_matrix(params, level, cache)
+    value = _kac_product(params, level)
     if cache is not None:
         cache.store_determinant(params, level, value)
     return value

@@ -14,6 +14,7 @@ from virmin import blocks, bpz, crossing, linalg, verma
 from virmin.blocks import frobenius_expand
 from virmin.bpz import CorrelatorSpec, indicial_exponents, indicial_polynomial, reduced_ode
 from virmin.cache import GramCache
+from virmin.errors import FusionError
 from virmin.models import KacLabel, MinimalModel, reflect
 from virmin.verma import VermaParams, gram_matrix, kac_determinant
 
@@ -268,6 +269,23 @@ def test_memos_are_keyed_by_value_not_by_spelling():
     assert reduced_ode.cache_info().misses == 1
 
 
+def test_the_default_anchor_and_the_first_channel_share_one_memo_entry():
+    """reduced_ode(spec) resolves its anchor to the first allowed channel
+    before the memo, so spelling that channel out derives nothing again;
+    a correlator with no allowed channel still raises FusionError."""
+    for spec in (SIGMA_SPEC, ORDER4_SPEC):
+        reduced_ode.cache_clear()
+        first = reduced_ode(spec)
+        assert reduced_ode(spec, bpz.allowed_channels(spec)[0]) is first
+        assert first[2] == bpz.allowed_channels(spec)[0]
+        assert reduced_ode.cache_info().misses == 1
+    sigma, eps = KacLabel(1, 2), KacLabel(2, 1)
+    closed = CorrelatorSpec(MinimalModel(3, 4), eps, sigma, sigma, sigma)
+    assert bpz.allowed_channels(closed) == []
+    with pytest.raises(FusionError):
+        reduced_ode(closed)
+
+
 def test_kacdet_record_file_format_is_stable(tmp_path):
     params = VermaParams(Fraction(-22, 5), Fraction(1, 3))
     assert kac_determinant(params, 3, cache=GramCache(tmp_path)) == Fraction(22528, 81)
@@ -289,18 +307,21 @@ def test_warm_kac_determinant_reads_only_its_record(tmp_path, monkeypatch):
     params = VermaParams(Fraction(7, 3), Fraction(-2, 5))
     cold = kac_determinant(params, 6, GramCache(tmp_path))
     assert cold != 0
-    for owner in (linalg, verma):
-        monkeypatch.setattr(owner, "det", refuse)
+    monkeypatch.setattr(linalg, "det", refuse)
+    monkeypatch.setattr(verma, "_kac_product", refuse)
     monkeypatch.setattr(verma, "_gram_entries", refuse)
     monkeypatch.setattr(GramCache, "load", refuse)
     assert kac_determinant(params, 6, GramCache(tmp_path)) == cold
 
 
-def test_kac_determinant_eliminates_a_cached_gram_without_rebuilding_it(tmp_path, monkeypatch):
+def test_kac_determinant_over_a_cached_gram_neither_rebuilds_nor_eliminates_it(
+    tmp_path, monkeypatch
+):
     # a directory that holds only the Gram, as earlier versions of the cache left it
     params = VermaParams(Fraction(1, 2), Fraction(1, 16))
     gram_matrix(params, 4, GramCache(tmp_path))
     monkeypatch.setattr(verma, "_gram_entries", refuse)
+    monkeypatch.setattr(linalg, "det", refuse)
     assert kac_determinant(params, 4, GramCache(tmp_path)) == 0
     assert len(list(tmp_path.glob("kacdet-*.json"))) == 1
 

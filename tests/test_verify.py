@@ -186,3 +186,26 @@ def test_a_nan_residual_of_the_second_correlator_fails_ising_crossing(monkeypatc
     report = verify.suite_ising_crossing()
     assert specs == [verify._ising_spec(1, 2), verify._ising_spec(2, 1)]
     assert not report["passed"] and math.isnan(report["max_residual"])
+
+
+def test_the_kac_determinant_suite_fails_when_bareiss_disagrees(monkeypatch):
+    """The suite checks every product-formula determinant against the
+    Bareiss determinant of the Gram matrix at its 32 points: one
+    disagreeing elimination fails it, and names the point."""
+    real = verify.det
+    calls = []
+
+    def off_at_level_3(matrix):
+        calls.append(len(matrix))
+        value = real(matrix)
+        return value + 1 if len(matrix) == 3 else value
+
+    monkeypatch.setattr(verify, "det", off_at_level_3)
+    report = verify.suite_kac_determinant()
+    details = report["details"]
+    assert len(calls) == details["zero_checks"] + details["nonzero_checks"] == 32
+    assert not report["passed"]
+    assert any("product formula != Bareiss" in f and f.endswith("level 3")
+               for f in details["failures"])
+    monkeypatch.setattr(verify, "det", real)
+    assert verify.suite_kac_determinant()["passed"]

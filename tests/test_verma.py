@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from virmin import verma
+from virmin import linalg, verma
 from virmin.bpz import CorrelatorSpec, reduced_ode
 from virmin.cache import GramCache
 from virmin.cli import main
 from virmin.errors import ModelViolationError, RangeError
 from exact_oracles import apply_lowering, gauss_det, rank, reference_singular_vectors
-from virmin.linalg import nullspace
+from virmin.linalg import det, nullspace
 from virmin.models import KacLabel, MinimalModel, central_charge, conformal_weight, kac_table
 from virmin.serialize import frac_str
 from virmin.verma import (
@@ -244,6 +245,98 @@ def test_kac_determinant_matches_the_product_formula(t):
             assert (det == 0) == (h == h12 and level >= 2)
             if h != h12 and level >= 2:
                 assert det != _kac_product(t, h, level, shifted=(1, 2))
+
+
+@dataclass(frozen=True)
+class Quadratic:
+    """x + y sqrt(d) with rational x, y and a fixed non-square rational d:
+    just the arithmetic _kac_product does, so the oracle runs at an
+    irrational t."""
+
+    x: Fraction
+    y: Fraction
+    d: Fraction
+
+    def _lift(self, other):
+        if isinstance(other, Quadratic):
+            return other
+        return Quadratic(F(other), F(0), self.d)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return Quadratic(self.x + other.x, self.y + other.y, self.d)
+
+    def __neg__(self):
+        return Quadratic(-self.x, -self.y, self.d)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return Quadratic(self.x * o.x + self.d * self.y * o.y, self.x * o.y + self.y * o.x, self.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        norm = o.x * o.x - self.d * o.y * o.y
+        return self * Quadratic(o.x / norm, -o.y / norm, self.d)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __pow__(self, n: int):
+        out = self._lift(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        o = self._lift(other)
+        return (self.x, self.y) == (o.x, o.y)
+
+
+@pytest.mark.parametrize("c", [F(1, 3), F(-7, 2)])
+def test_kac_determinant_matches_bareiss_at_an_irrational_t(c):
+    """At c = 1/3 and -7/2, t + 1/t = (13 - c)/6 has irrational roots
+    t = (u + sqrt(u^2 - 4))/2.  Through level 8, kac_determinant equals
+    the Bareiss determinant of the Gram matrix and the t-parametrised
+    oracle evaluated in Q(sqrt(u^2 - 4)), at two generic weights and at
+    the rational h_{2,2} = 3(u - 2)/4, where all three vanish from level
+    4 on.  The oracle with h_{1,2} moved by 1 differs from Bareiss."""
+    u = (13 - c) / 6
+    t = Quadratic(u / 2, F(1, 2), u * u - 4)
+    assert t + 1 / t == u and t.y != 0
+    h22 = 3 * (u - 2) / 4
+    for h in (F(1, 3), F(-5, 7), h22):
+        for level in range(9):
+            params = VermaParams(c, h)
+            bareiss = det([list(row) for row in gram_matrix(params, level).entries])
+            assert kac_determinant(params, level) == bareiss, (h, level)
+            assert _kac_product(t, h, level) == bareiss, (h, level)
+            assert (bareiss == 0) == (h == h22 and level >= 4)
+            if level >= 2 and bareiss != 0:
+                assert _kac_product(t, h, level, shifted=(1, 2)) != bareiss
+
+
+def test_kac_determinant_eliminates_nothing_and_builds_no_gram(monkeypatch):
+    """Without a cache the determinant is the product formula alone."""
+
+    def refuse(*args):
+        raise AssertionError("the determinant path built or eliminated a Gram matrix")
+
+    monkeypatch.setattr(linalg, "det", refuse)
+    monkeypatch.setattr(verma, "_gram_entries", refuse)
+    model = MinimalModel(5, 6)
+    c, h = central_charge(model), conformal_weight(model, KacLabel(2, 2))
+    assert kac_determinant(VermaParams(c, h), 11) == 0
+    assert kac_determinant(VermaParams(c, h + F(1, 3)), 11) != 0
+    with pytest.raises(RangeError):
+        kac_determinant(VermaParams(c, h), -1)
 
 
 # sha256 prefixes of "n/d" of the level-11 determinants at
