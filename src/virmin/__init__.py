@@ -66,7 +66,6 @@ from .crossing import (
     monodromy_residuals,
     tensor_block,
 )
-from .cache import GramCache
 
 __all__ = [
     "KacLabel",
@@ -121,7 +120,6 @@ __all__ = [
     "fusing_matrix",
     "monodromy_residuals",
     "tensor_block",
-    "GramCache",
 ]
 
 __version__ = "0.1.0"

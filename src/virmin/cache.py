@@ -1,4 +1,5 @@
-"""On-disk cache of Gram matrices and Kac determinants.
+"""On-disk cache of Gram matrices and Kac determinants, read and written
+by `verma.kac_determinant(params, level, cache)` only.
 
 One file per (c, h, level) key and record kind: `gram-<digest>.json`
 holds a Gram matrix, `kacdet-<digest>.json` its determinant.  The

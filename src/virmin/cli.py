@@ -9,9 +9,7 @@ out-of-region points, disallowed channels), 4 ill-conditioned solve,
 
 The argument parser is built once per process (`build_parser` is a
 one-entry lru_cache), so in-process callers such as a test suite or a
-harness calling `main` per command pay for it once.  The one default
-read from the environment, VIRMIN_CACHE_DIR, is set again on every
-`main` call.
+harness calling `main` per command pay for it once.
 """
 
 from __future__ import annotations
@@ -19,13 +17,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-from pathlib import Path
 
 from .blocks import BLOCK_ORDER, block
 from .bpz import CorrelatorSpec, channel_exponents, indicial_exponents, reduced_ode
-from .cache import GramCache
 from .crossing import (
     GRID_TOL,
     GRID_Z,
@@ -70,14 +65,6 @@ def _model(args) -> MinimalModel:
 def float_list(s: str) -> list[float]:
     """A comma-separated list of floats, as in --grid-z 0.52,0.54."""
     return [float(x) for x in s.split(",")]
-
-
-def cache_dir(s: str) -> str:
-    """A cache directory, or a path whose nearest existing ancestor is one."""
-    existing = next(p for p in (Path(s), *Path(s).parents) if p.exists())
-    if not existing.is_dir():
-        raise argparse.ArgumentTypeError(f"cannot use {s}: {existing} is not a directory")
-    return s
 
 
 def cmd_kac_table(args) -> int:
@@ -254,11 +241,8 @@ def cmd_crossing(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cache = GramCache(args.cache_dir) if args.cache_dir else None
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    reports = []
-    for name in names:
-        reports.append(run_suite(name, cache))
+    reports = [run_suite(name) for name in names]
     payload = {"command": "verify", "reports": reports}
     lines = []
     for r in reports:
@@ -271,8 +255,7 @@ def cmd_verify(args) -> int:
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process; `main`
-    sets the verify subcommand's --cache-dir default per call."""
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="virmin",
         description="exact and numeric toolkit for minimal Virasoro models",
@@ -336,22 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named acceptance suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument(
-        "--cache-dir",
-        type=cache_dir,
-        help="directory for the Gram and Kac-determinant cache (env VIRMIN_CACHE_DIR)",
-    )
     p.set_defaults(fn=cmd_verify)
-    parser.verify_parser = p
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    # argparse runs a string default through cache_dir, so a file exits 2
-    parser.verify_parser.set_defaults(cache_dir=os.environ.get("VIRMIN_CACHE_DIR"))
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConditioningError as exc:

@@ -47,6 +47,7 @@ from .models import (
     kac_table,
     null_level,
 )
+from .serialize import frac_str
 from .verma import (
     PBWVector,
     VermaParams,
@@ -133,17 +134,20 @@ def suite_fusion_ring() -> tuple:
 @_suite(
     "kac-determinant",
     "Kac product formula equals the Bareiss determinant of the Gram matrix, vanishes "
-    "exactly at level m*n and not below the orbit's first null level",
+    "exactly at level m*n and not below the orbit's first null level; at the Ising "
+    "energy weight shifted by 1/1000 it differs from the vanishing Bareiss value",
 )
-def suite_kac_determinant(cache=None) -> tuple:
+def suite_kac_determinant() -> tuple:
     failures = []
     zero_checks = 0
     nonzero_checks = 0
+    bareiss = {}  # (params, level) -> Bareiss determinant of the Gram matrix
 
     def checked(params, level, label):
         """kac_determinant, failing unless the Gram's Bareiss determinant agrees."""
-        value = kac_determinant(params, level, cache)
-        if value != det([list(row) for row in gram_matrix(params, level, cache).entries]):
+        value = kac_determinant(params, level)
+        bareiss[params, level] = det([list(row) for row in gram_matrix(params, level).entries])
+        if value != bareiss[params, level]:
             failures.append(f"product formula != Bareiss for {label} at level {level}")
         return value
 
@@ -166,7 +170,14 @@ def suite_kac_determinant(cache=None) -> tuple:
                 if checked(params, lower, f"{model} {label}") == 0:
                     failures.append(f"det = 0 below null level for {model} {label} at {lower}")
                 nonzero_checks += 1
-    details = {"zero_checks": zero_checks, "nonzero_checks": nonzero_checks, "failures": failures}
+    # negative control: off a null weight the formula must not reproduce a zero
+    ising = MinimalModel(3, 4)
+    energy = VermaParams(central_charge(ising), conformal_weight(ising, KacLabel(2, 1)))
+    control = kac_determinant(VermaParams(energy.c, energy.h + Fraction(1, 1000)), 2)
+    if control == bareiss[energy, 2]:
+        failures.append("formula at h_(2,1) + 1/1000 of (3,4) equals the level-2 Bareiss zero")
+    details = {"zero_checks": zero_checks, "nonzero_checks": nonzero_checks,
+               "negative_control": frac_str(control), "failures": failures}
     return not failures, None, "exact", details
 
 
@@ -232,6 +243,16 @@ def _ising_spec(m: int, n: int) -> CorrelatorSpec:
     return CorrelatorSpec(MinimalModel(3, 4), label, label, label, label)
 
 
+def closed_identity(z: float) -> float:
+    """Ising <ssss> identity-channel block in closed form."""
+    return z ** -0.125 * (1 - z) ** -0.125 * math.sqrt((1 + math.sqrt(1 - z)) / 2)
+
+
+def closed_eps(z: float) -> float:
+    """Ising <ssss> energy-channel block in closed form."""
+    return 2 * z ** -0.125 * (1 - z) ** -0.125 * math.sqrt((1 - math.sqrt(1 - z)) / 2)
+
+
 @_suite(
     "blocks",
     "Frobenius blocks match the closed-form solutions to 1e-10 and the exact "
@@ -242,13 +263,6 @@ def suite_blocks() -> tuple:
     spec = _ising_spec(1, 2)
     errors = []
     failures = []
-
-    def closed_identity(z):
-        return z ** -0.125 * (1 - z) ** -0.125 * math.sqrt((1 + math.sqrt(1 - z)) / 2)
-
-    def closed_eps(z):
-        return 2 * z ** -0.125 * (1 - z) ** -0.125 * math.sqrt((1 - math.sqrt(1 - z)) / 2)
-
     for z in (0.1, 0.3, 0.5):
         for channel, ref in ((KacLabel(1, 1), closed_identity(z)), (KacLabel(2, 1), closed_eps(z))):
             got = block(spec, channel, z, BLOCK_ORDER).value
@@ -326,22 +340,21 @@ def suite_monodromy() -> tuple:
 
 @_suite(
     "tensor",
-    "tensor blocks factor into products of single-model blocks and tensor "
+    "tensor blocks equal products of the closed-form Ising blocks and tensor "
     "fusion multiplicities are products of factor multiplicities",
 )
 def suite_tensor() -> tuple:
     tol = 1e-12
     failures = []
-    errors = []  # relative mismatches: factor product, then factor reordering, per point
+    errors = []  # relative mismatches: closed-form product, then factor reordering, per point
     spec = _ising_spec(1, 2)
     tmodel = TensorModel((spec.model, spec.model))
     for z in (0.2, 0.3, 0.45):
         pair = tensor_block(tmodel, [spec, spec], [KacLabel(1, 1), KacLabel(2, 1)], z)
-        single1 = block(spec, KacLabel(1, 1), z, BLOCK_ORDER).value
-        single2 = block(spec, KacLabel(2, 1), z, BLOCK_ORDER).value
-        rel = abs(pair.value - single1 * single2) / abs(single1 * single2)
+        closed = closed_identity(z) * closed_eps(z)
+        rel = abs(pair.value - closed) / abs(closed)
         if not rel <= tol:
-            failures.append(f"tensor block differs from factor product by {rel:.2e}")
+            failures.append(f"tensor block differs from the closed-form product by {rel:.2e}")
         swapped = tensor_block(tmodel, [spec, spec], [KacLabel(2, 1), KacLabel(1, 1)], z)
         moved = abs(pair.value - swapped.value) / abs(pair.value)
         if not moved <= tol:
@@ -373,7 +386,5 @@ def suite_tensor() -> tuple:
     return not failures, worst, tol, details
 
 
-def run_suite(name: str, cache=None) -> dict:
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}")
-    return SUITES[name](cache) if name == "kac-determinant" else SUITES[name]()
+def run_suite(name: str) -> dict:
+    return SUITES[name]()

@@ -225,18 +225,11 @@ def _gram_entries(params: VermaParams, level: int) -> tuple[tuple[Fraction, ...]
     )
 
 
-def gram_matrix(params: VermaParams, level: int, cache=None) -> GramMatrix:
+def gram_matrix(params: VermaParams, level: int) -> GramMatrix:
     """Exact Gram matrix; entry (i, j) pairs basis monomials i and j."""
     if level < 0:
         raise RangeError("level must be nonnegative")
-    if cache is not None:
-        hit = cache.load(params, level)
-        if hit is not None:
-            return hit
-    gram = GramMatrix(params, level, pbw_basis(level), _gram_entries(params, level))
-    if cache is not None:
-        cache.store(gram)
-    return gram
+    return GramMatrix(params, level, pbw_basis(level), _gram_entries(params, level))
 
 
 def _kac_product(params: VermaParams, level: int) -> Fraction:
@@ -289,11 +282,10 @@ def kac_determinant(params: VermaParams, level: int, cache=None) -> Fraction:
     """Exact determinant of the level-`level` Gram matrix, by the Kac
     product formula.
 
-    With a cache the determinant is read from its own record first; on
-    a miss the Gram still goes through gram_matrix, which loads or
-    writes its record, so a cold call leaves one Gram and one
-    determinant record as the cache always has, and the determinant is
-    stored.
+    With a cache (a cache.GramCache) the determinant is read from its
+    own record first; on a miss the Gram record is written unless one
+    loads, so a cold call leaves one Gram and one determinant record as
+    the cache always has, and the determinant is stored.
     """
     if level < 0:
         raise RangeError("level must be nonnegative")
@@ -301,7 +293,8 @@ def kac_determinant(params: VermaParams, level: int, cache=None) -> Fraction:
         hit = cache.load_determinant(params, level)
         if hit is not None:
             return hit
-        gram_matrix(params, level, cache)
+        if cache.load(params, level) is None:
+            cache.store(gram_matrix(params, level))
     value = _kac_product(params, level)
     if cache is not None:
         cache.store_determinant(params, level, value)

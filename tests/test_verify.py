@@ -5,6 +5,7 @@ into each suite's residuals, which must fail it."""
 
 import dataclasses
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -20,6 +21,7 @@ from virmin.crossing import (
 )
 from virmin.fusion import fusion_table
 from virmin.models import KacLabel, MinimalModel
+from virmin.verma import VermaParams
 
 M45 = MinimalModel(4, 5)
 M35 = MinimalModel(3, 5)
@@ -166,9 +168,51 @@ def test_a_nan_block_fails_the_blocks_and_tensor_suites(monkeypatch):
         return dataclasses.replace(real(*args), value=complex(math.nan, math.nan))
 
     monkeypatch.setattr(verify, "block", nan_block)
+    monkeypatch.setattr(crossing, "block", nan_block)  # what tensor_block calls
     report = verify.suite_blocks()
     assert not report["passed"] and math.isnan(report["max_residual"])
     assert not verify.suite_tensor()["passed"]
+
+
+def test_a_block_off_by_one_part_in_1e9_fails_the_tensor_suite(monkeypatch):
+    """The tensor suite's reference is the closed-form Ising blocks, so a
+    block scaled wherever it is bound cannot cancel against itself."""
+    real = verify.block
+
+    def scaled(*args):
+        result = real(*args)
+        return dataclasses.replace(result, value=result.value * (1 + 1e-9))
+
+    assert verify.suite_tensor()["max_residual"] <= 1e-15
+    monkeypatch.setattr(verify, "block", scaled)
+    monkeypatch.setattr(crossing, "block", scaled)
+    report = verify.suite_tensor()
+    assert not report["passed"] and report["max_residual"] > 1e-9
+    assert report["details"]["failures"][0].startswith(
+        "tensor block differs from the closed-form product"
+    )
+
+
+def test_the_kac_determinant_negative_control_rejects_a_formula_blind_to_h(monkeypatch):
+    """Shifted off the Ising energy weight by 1/1000, the level-2 formula
+    is nonzero and reported; a formula that vanishes there anyway fails
+    the suite, though it agrees with Bareiss at every checked point."""
+    report = verify.suite_kac_determinant()
+    assert report["passed"]
+    assert report["details"]["negative_control"] == "439377/62500000"
+    real = verify.kac_determinant
+    shifted = VermaParams(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 1000))
+
+    def blind(params, level):
+        return Fraction(0) if (params, level) == (shifted, 2) else real(params, level)
+
+    monkeypatch.setattr(verify, "kac_determinant", blind)
+    report = verify.suite_kac_determinant()
+    assert not report["passed"]
+    assert report["details"]["negative_control"] == "0/1"
+    assert report["details"]["failures"] == [
+        "formula at h_(2,1) + 1/1000 of (3,4) equals the level-2 Bareiss zero"
+    ]
 
 
 def test_a_nan_residual_of_the_second_correlator_fails_ising_crossing(monkeypatch):
