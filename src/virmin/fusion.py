@@ -160,12 +160,17 @@ def verify_ring_axioms(model: MinimalModel) -> RingReport:
 
     Failures are collected and reported, not raised.
     """
-    ft = fusion_table(model)
+    failures = _ring_failures(fusion_table(model))
+    return RingReport(model=model, passed=not failures, failures=failures)
+
+
+def _ring_failures(ft: FusionTable) -> tuple[str, ...]:
+    """The failures verify_ring_axioms reports for the table ft."""
     k = len(ft.labels)
     t = ft.table
     failures: list[str] = []
 
-    vac = ft.labels.index(canonicalize(model, KacLabel(1, 1)))
+    vac = ft.labels.index(canonicalize(ft.model, KacLabel(1, 1)))
     if not np.array_equal(t[vac], np.eye(k, dtype=t.dtype)):
         failures.append("vacuum row is not the identity pattern")
 
@@ -176,20 +181,38 @@ def verify_ring_axioms(model: MinimalModel) -> RingReport:
             failures.append(f"slot permutation {perm} changes the multiplicity")
             break
 
-    # Associativity: sum_e N_ab^e N_ec^d = sum_x N_ac^x N_bx^d for all a,b,c,d.
-    # With matrices (M_a)_c^d = N_ac^d this is M_a M_b = sum_e N_ab^e M_e;
-    # one a at a time both sides are (k, k, k) arrays indexed [b, c, d].
-    # float32 is exact here: every sum is an integer of at most k.
-    tf = t.astype(np.float32)
-    flat = tf.reshape(k, k * k)
-    for i in range(k):
-        lhs = tf[i] @ tf
-        rhs = (tf[i] @ flat).reshape(k, k, k)
-        bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+    # Associativity: sum_e N_ab^e N_ec^d = sum_x N_ac^x N_bx^d for all a,b,c,d,
+    # with both sides packed along d: digit group j = d // g holds
+    # sum_d side[d] B^(d mod g).  Multiplicities are nonnegative and at
+    # most M, so every entry of either side is an integer in [0, B - 1]
+    # for B = k M^2 + 1, and a group is an integer below B^g <= 2^53 that
+    # determines its g entries.  Every product and partial sum is a
+    # nonnegative integer no larger, which float64 holds exactly in any
+    # summation order, so packed equality is exact equality.  With
+    # W[e, j, c] = N_ec^d packed along d, the sides are
+    # sum_e N_ab^e W[e, j, c] and sum_x W[b, j, x] N_ac^x: two products per
+    # four rows a, both laid out [a, b, j, c].  That is k^4 ceil(k/g) work
+    # in all, and no (k, k, k, k) array is built.
+    base = k * max(int(t.max()), 1) ** 2 + 1
+    g = 1
+    while base ** (g + 1) <= 2**53:
+        g += 1
+    pack = np.zeros((k, -(-k // g)))
+    for d in range(k):
+        pack[d, d // g] = base ** (d % g)
+    tf = t.astype(np.float64)
+    w = np.ascontiguousarray((tf @ pack).transpose(0, 2, 1))
+    w_e, w_bj = w.reshape(k, -1), w.reshape(-1, k)  # rows e; rows (b, j)
+    for a0 in range(0, k, 4):
+        rows = tf[a0 : a0 + 4]
+        lhs = rows @ w_e
+        rhs = (w_bj @ rows.transpose(0, 2, 1)).reshape(lhs.shape)
+        bad = np.argwhere((lhs != rhs).any(axis=2))
         if bad.size:
+            a, b = bad[0]
             failures.append(
-                f"associativity fails for a={ft.labels[i]}, b={ft.labels[bad[0]]}"
+                f"associativity fails for a={ft.labels[a0 + a]}, b={ft.labels[b]}"
             )
             break
 
-    return RingReport(model=model, passed=not failures, failures=tuple(failures))
+    return tuple(failures)

@@ -17,7 +17,7 @@ import functools
 import math
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 import numpy as np
@@ -36,7 +36,7 @@ from .crossing import (
     monodromy_residuals,
     tensor_block,
 )
-from .fusion import fusion_rule, fusion_table, verify_ring_axioms
+from .fusion import FusionTable, _ring_failures, fusion_rule, fusion_table, verify_ring_axioms
 from .linalg import det
 from .models import (
     KacLabel,
@@ -128,7 +128,18 @@ def suite_fusion_ring() -> tuple:
         checked += 1
         if not report.passed:
             failures.append(f"{model}: {report.failures}")
-    return not failures, None, "exact", {"models": checked, "failures": failures}
+    # negative control: the flipped table stays symmetric with the vacuum
+    # row intact, so only associativity can reject it
+    good = fusion_table(MinimalModel(4, 5))
+    table = good.table.copy()
+    triple = [good.index(KacLabel(*mn)) for mn in ((1, 2), (1, 2), (1, 3))]
+    for cell in set(permutations(triple)):
+        table[cell] = 1 - table[cell]
+    control = _ring_failures(FusionTable(good.model, good.labels, table))
+    if not any(f.startswith("associativity fails") for f in control):
+        failures.append("associativity holds on (4,5) with N_(1,2)(1,2)^(1,3) flipped")
+    details = {"models": checked, "negative_control": "; ".join(control), "failures": failures}
+    return not failures, None, "exact", details
 
 
 @_suite(

@@ -30,7 +30,9 @@ Fractions, with no table.  `reference_fusion_rule` is the earlier rule
 that builds each reflected representative as a KacLabel and tries the
 eight choices in turn; `reference_fusion_table` is the earlier table,
 the rule evaluated on the whole label grid for each of the eight
-choices and ORed.
+choices and ORed.  `pairwise_ring_failures` is the earlier ring check:
+the same vacuum and symmetry tests, then associativity compared in
+integers pair by pair.
 
 `reference_kac_table` is the earlier Kac-table construction: every
 (m, n) canonicalized, duplicates dropped through a set, the rows sorted.
@@ -676,6 +678,30 @@ def reference_fusion_table(model: MinimalModel) -> np.ndarray:
             (mc[None, None, :], nc[None, None, :]),
         )
     return table.astype(np.int8)
+
+
+def pairwise_ring_failures(ft):
+    """Reference ring check: vacuum, symmetry, then associativity
+    M_a M_b = sum_e N_ab^e M_e tested pair by pair in row-major order."""
+    k = len(ft.labels)
+    t = ft.table.astype(np.int64)
+    failures = []
+    vac = ft.labels.index(canonicalize(ft.model, KacLabel(1, 1)))
+    if not np.array_equal(t[vac], np.eye(k, dtype=np.int64)):
+        failures.append("vacuum row is not the identity pattern")
+    if not np.array_equal(t, t.transpose(1, 0, 2)):
+        failures.append("commutativity N_ab^c = N_ba^c fails")
+    for perm in [(0, 2, 1), (2, 1, 0)]:
+        if not np.array_equal(t, t.transpose(*perm)):
+            failures.append(f"slot permutation {perm} changes the multiplicity")
+            break
+    for i, j in product(range(k), repeat=2):
+        lhs = t[i] @ t[j]
+        rhs = sum(int(t[i, j, e]) * t[e] for e in range(k))
+        if not np.array_equal(lhs, rhs):
+            failures.append(f"associativity fails for a={ft.labels[i]}, b={ft.labels[j]}")
+            break
+    return tuple(failures)
 
 
 def reference_kac_table(model: MinimalModel) -> list[tuple[KacLabel, Fraction]]:

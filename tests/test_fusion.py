@@ -1,10 +1,11 @@
+import tracemalloc
 from itertools import permutations, product
 from math import gcd
 
 import numpy as np
 import pytest
 
-from exact_oracles import reference_fusion_rule, reference_fusion_table
+from exact_oracles import pairwise_ring_failures, reference_fusion_rule, reference_fusion_table
 from virmin import fusion
 from virmin.errors import RangeError, ShapeError
 from virmin.fusion import (
@@ -228,28 +229,39 @@ def test_fusion_rule_matches_reflect_loop_oracle(model):
             )
 
 
-def pairwise_ring_failures(ft):
-    """Reference ring check: vacuum, symmetry, then associativity
-    M_a M_b = sum_e N_ab^e M_e tested pair by pair in row-major order."""
-    k = len(ft.labels)
+def _flipped(good: FusionTable, *cells) -> FusionTable:
+    """good with the multiplicity at each (a, b, c) cell flipped."""
+    table = good.table.copy()
+    for cell in cells:
+        table[cell] = 1 - table[cell]
+    return FusionTable(good.model, good.labels, table)
+
+
+def _symmetric_flip(good: FusionTable, triple) -> FusionTable:
+    """good with one multiplicity flipped in all six slot orders."""
+    return _flipped(good, *set(permutations(triple)))
+
+
+def _ring_report_as_reference(bad: FusionTable, monkeypatch):
+    """verify_ring_axioms on the table bad, asserted equal to the
+    pairwise reference."""
+    monkeypatch.setattr(fusion, "fusion_table", lambda m: bad)
+    report = verify_ring_axioms(bad.model)
+    want = pairwise_ring_failures(bad)
+    assert report.failures == want
+    assert report.passed == (not want)
+    return report
+
+
+def _first_associativity_mismatch(ft: FusionTable):
+    """(a, b, c, d) of the first entry, in row-major order, where
+    sum_e N_ab^e N_ec^d and sum_x N_ac^x N_bx^d differ; None if none does."""
     t = ft.table.astype(np.int64)
-    failures = []
-    vac = ft.labels.index(canonicalize(ft.model, KacLabel(1, 1)))
-    if not np.array_equal(t[vac], np.eye(k, dtype=np.int64)):
-        failures.append("vacuum row is not the identity pattern")
-    if not np.array_equal(t, t.transpose(1, 0, 2)):
-        failures.append("commutativity N_ab^c = N_ba^c fails")
-    for perm in [(0, 2, 1), (2, 1, 0)]:
-        if not np.array_equal(t, t.transpose(*perm)):
-            failures.append(f"slot permutation {perm} changes the multiplicity")
-            break
-    for i, j in product(range(k), repeat=2):
-        lhs = t[i] @ t[j]
-        rhs = sum(int(t[i, j, e]) * t[e] for e in range(k))
-        if not np.array_equal(lhs, rhs):
-            failures.append(f"associativity fails for a={ft.labels[i]}, b={ft.labels[j]}")
-            break
-    return tuple(failures)
+    for a in range(len(ft.labels)):
+        diff = np.einsum("be,ecd->bcd", t[a], t) != np.einsum("cx,bxd->bcd", t[a], t)
+        if diff.any():
+            return (a, *np.argwhere(diff)[0])
+    return None
 
 
 @pytest.mark.parametrize("model", [MinimalModel(4, 5), MinimalModel(5, 6)])
@@ -263,14 +275,84 @@ def test_ring_check_names_first_failing_pair(model, monkeypatch):
     for triple in product(range(k), repeat=3):
         if vac in triple or list(triple) != sorted(triple):
             continue
-        table = good.table.copy()
-        for perm in set(permutations(triple)):
-            table[perm] = 1 - table[perm]
-        bad = FusionTable(model, good.labels, table)
-        monkeypatch.setattr(fusion, "fusion_table", lambda m, bad=bad: bad)
-        report = verify_ring_axioms(model)
-        want = pairwise_ring_failures(bad)
-        assert report.failures == want, triple
-        assert report.passed == (not want)
+        report = _ring_report_as_reference(_symmetric_flip(good, triple), monkeypatch)
         caught += not report.passed
     assert caught > 0
+
+
+# (model, digits g per packed group, groups): B = k + 1 for a 0/1 table,
+# and g is the largest with B^g <= 2^53
+@pytest.mark.parametrize(
+    "model, g, groups", [(MinimalModel(7, 9), 11, 3), (MinimalModel(9, 10), 10, 4)], ids=repr
+)
+def test_ring_check_matches_reference_on_flips_across_digit_groups(
+    model, g, groups, monkeypatch
+):
+    good = fusion_table(model)
+    k = len(good.labels)
+    assert (k + 1) ** g <= 2**53 < (k + 1) ** (g + 1) and -(-k // g) == groups
+    vac = good.index(KacLabel(1, 1))
+    rng = np.random.default_rng(9027)
+    groups = set()
+    for _ in range(10):
+        triple = tuple(int(x) for x in rng.choice([i for i in range(k) if i != vac], 3))
+        bad = _symmetric_flip(good, triple)
+        report = _ring_report_as_reference(bad, monkeypatch)
+        assert not report.passed, triple
+        groups.add(_first_associativity_mismatch(bad)[3] // g)
+        cell = tuple(int(x) for x in rng.integers(0, k, 3))
+        assert not _ring_report_as_reference(_flipped(good, cell), monkeypatch).passed, cell
+    assert max(groups) >= 1
+
+
+def test_ring_check_on_the_saturated_table(monkeypatch):
+    # Every multiplicity 1, so every entry of both sides is k = B - 1, the
+    # largest digit, and a packed group nearly reaches 2^53: associativity
+    # holds.  Flipping the triple (11, 11, 22) breaks it.  d = 11 and 22
+    # would be a group's lowest digit with 11 digits a group, one too
+    # many, where float64 rounding above 2^53 would lose a difference of 1.
+    model = MinimalModel(9, 10)
+    labels = fusion_table(model).labels
+    k = len(labels)
+    ones = FusionTable(model, labels, np.ones((k, k, k), dtype=np.int8))
+    report = _ring_report_as_reference(ones, monkeypatch)
+    assert report.failures == ("vacuum row is not the identity pattern",)
+    bad = _symmetric_flip(ones, (11, 11, 22))
+    report = _ring_report_as_reference(bad, monkeypatch)
+    assert report.failures[-1] == f"associativity fails for a={labels[0]}, b={labels[0]}"
+
+
+def test_ring_check_keeps_a_difference_that_base_k_would_carry(monkeypatch):
+    # k = 3, M = 1: at (a, b, c) = (0, 0, 2) the sides differ by (0, 3, -1)
+    # along d, which packs to 3 * 3 - 9 = 0 in base k M^2 = 3, and to
+    # 3 * 4 - 16 != 0 in base B = 4; no other entry of the pair differs
+    t = np.array(
+        [
+            [[1, 1, 1], [1, 0, 1], [0, 1, 0]],
+            [[1, 1, 1], [0, 1, 0], [1, 1, 0]],
+            [[0, 0, 0], [0, 1, 0], [0, 1, 0]],
+        ],
+        dtype=np.int8,
+    )
+    bad = FusionTable(M34, fusion_table(M34).labels, t)
+    ti = t.astype(int)
+    lhs = np.einsum("e,ecd->cd", ti[0, 0], ti)
+    rhs = ti[0] @ ti[0]
+    assert (lhs - rhs).tolist() == [[0, 0, 0], [0, 0, 0], [0, 3, -1]]
+    report = _ring_report_as_reference(bad, monkeypatch)
+    label = bad.labels[0]
+    assert report.failures[-1] == f"associativity fails for a={label}, b={label}"
+
+
+def test_ring_check_never_holds_a_k4_array():
+    # one (k, k, k, k) float32 array at k = 36 would be 6.7 MB
+    model = MinimalModel(7, 13)
+    assert len(fusion_table(model).labels) == 36
+    verify_ring_axioms(model)
+    tracemalloc.start()
+    try:
+        verify_ring_axioms(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

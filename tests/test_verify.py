@@ -6,11 +6,12 @@ into each suite's residuals, which must fail it."""
 import dataclasses
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
+from exact_oracles import pairwise_ring_failures
 from virmin import crossing, verify
 from virmin.bpz import CorrelatorSpec, reduced_ode
 from virmin.crossing import (
@@ -19,7 +20,7 @@ from virmin.crossing import (
     commutativity_residuals,
     monodromy_residuals,
 )
-from virmin.fusion import fusion_table
+from virmin.fusion import FusionTable, fusion_table
 from virmin.models import KacLabel, MinimalModel
 from virmin.verma import VermaParams
 
@@ -212,6 +213,35 @@ def test_the_kac_determinant_negative_control_rejects_a_formula_blind_to_h(monke
     assert report["details"]["negative_control"] == "0/1"
     assert report["details"]["failures"] == [
         "formula at h_(2,1) + 1/1000 of (3,4) equals the level-2 Bareiss zero"
+    ]
+
+
+def test_the_fusion_ring_negative_control_rejects_a_check_blind_to_associativity(monkeypatch):
+    """With N_(1,2)(1,2)^(1,3) of (4,5) flipped in all slot orders, the
+    pairwise reference names the pair the suite reports; a ring check
+    that never reports associativity fails the suite, though every
+    model's table passes it."""
+    good = fusion_table(M45)
+    table = good.table.copy()
+    triple = [good.index(KacLabel(*mn)) for mn in ((1, 2), (1, 2), (1, 3))]
+    for cell in set(permutations(triple)):
+        table[cell] = 1 - table[cell]
+    want = pairwise_ring_failures(FusionTable(M45, good.labels, table))
+    assert want == ("associativity fails for a=KacLabel(1, 2), b=KacLabel(1, 2)",)
+    report = verify.suite_fusion_ring()
+    assert report["passed"]
+    assert report["details"]["negative_control"] == want[0]
+    real = verify._ring_failures
+
+    def blind(ft):
+        return tuple(f for f in real(ft) if not f.startswith("associativity"))
+
+    monkeypatch.setattr(verify, "_ring_failures", blind)
+    report = verify.suite_fusion_ring()
+    assert not report["passed"]
+    assert report["details"]["negative_control"] == ""
+    assert report["details"]["failures"] == [
+        "associativity holds on (4,5) with N_(1,2)(1,2)^(1,3) flipped"
     ]
 
 
