@@ -84,9 +84,16 @@ class GramCache:
         return self._read("gram", params, level, parse)
 
     def store(self, gram: GramMatrix) -> None:
+        entries = gram.entries
+        text: list[list[str]] = []
+        for i, row in enumerate(entries):  # an entry held at (j, i) too is written once
+            text.append([
+                text[j][i] if j < i and x is entries[j][i] else frac_str(x)
+                for j, x in enumerate(row)
+            ])
         self._write("gram", gram.params, gram.level, {
             "basis": [list(parts) for parts in gram.basis],
-            "entries": [[frac_str(x) for x in row] for row in gram.entries],
+            "entries": text,
         })
 
     def load_determinant(self, params: VermaParams, level: int) -> Fraction | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .poly import integer_form
 
@@ -119,22 +120,34 @@ def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:
     echelon-canonical.
 
     Each basis vector carries a 1 in "its" free column and 0 in the other
-    free columns, so the result is deterministic.
+    free columns, so the result is deterministic.  It is back-substituted
+    in integers over one running denominator s: a pivot a meeting the sum
+    t scales the vector by |a| / gcd(t, a), and each entry becomes a
+    Fraction once, at the end.
     """
     if not matrix:
         if n_cols is None:
             raise ValueError("need n_cols for an empty matrix")
         return [[Fraction(i == j) for j in range(n_cols)] for i in range(n_cols)]
+    if n_cols is not None and n_cols != len(matrix[0]):
+        raise ValueError(f"n_cols is {n_cols}, but the rows have {len(matrix[0])} entries")
     n_cols = len(matrix[0])
     ech, pivots, _ = ff_echelon(_integer_rows(matrix))
-    free = [c for c in range(n_cols) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v: Vector = [Fraction(0)] * n_cols
-        v[f] = Fraction(1)
+    for f in (c for c in range(n_cols) if c not in pivot_set):
+        v = [0] * n_cols  # numerators over s
+        v[f] = s = 1
         for i in range(len(pivots) - 1, -1, -1):
-            p = pivots[i]
-            s = sum((Fraction(ech[i][c]) * v[c] for c in range(p + 1, n_cols)), Fraction(0))
-            v[p] = -s / ech[i][p]
-        basis.append(v)
+            p, row = pivots[i], ech[i]
+            t = sum(map(mul, row[p + 1:], v[p + 1:]))
+            if t:
+                a = row[p]
+                g = gcd(t, a)
+                k = abs(a) // g
+                if k != 1:
+                    v = [x * k for x in v]
+                    s *= k
+                v[p] = -t // g if a > 0 else t // g
+        basis.append([Fraction(x, s) for x in v])
     return basis

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
+from operator import mul
 
 from .errors import ModelViolationError, RangeError
 from .linalg import nullspace
@@ -171,15 +172,15 @@ class GramMatrix:
 
 
 def _raising_rows(
-    params: VermaParams, m: int, level: int
+    params: VermaParams, m: int, level: int, first: int = 0
 ) -> list[tuple[tuple[int, ...], list[int]]]:
-    """L(m) on each monomial of pbw_basis(level), 1 <= m <= level, as the
-    positions in pbw_basis(level - m) it reaches and d times its
+    """L(m) on each monomial of pbw_basis(level)[first:], 1 <= m <= level,
+    as the positions in pbw_basis(level - m) it reaches and d times its
     coefficients there, integers (d as in _integer_weight)."""
     d, dh, dc = _integer_weight(params)
     index = {parts: i for i, parts in enumerate(pbw_basis(level - m))}
     rows = []
-    for parts in pbw_basis(level):
+    for parts in pbw_basis(level)[first:]:
         image = _raise_monomial(m, parts)
         rows.append((
             tuple(index[word] for word, _ in image),
@@ -197,31 +198,44 @@ def _gram_entries(params: VermaParams, level: int) -> tuple[tuple[Fraction, ...]
         G_N[lam, mu] = sum_nu R_{l_1}[mu -> nu] G_{N - l_1}[lam[1:], nu].
 
     Only the rows lam[1:], lam[2:], ... that the level-N rows reach are
-    built, each once, and all are dropped on return.  The raising rows
-    are d times their coefficients (see _raising_rows), so a level-n row
-    times d^n is integral: rows are kept as those integers and divided
-    by d^N once at the end.
+    built, each once and in full, and all are dropped on return.  The
+    raising rows are d times their coefficients (see _raising_rows), so
+    the row of a k-part tail times d^k is integral: rows are kept as
+    those integers, and only the level-N entries are divided, by
+    d^len(lam).  The form is symmetric, so each level-N row is built
+    from its diagonal on, with the L(m) rows of the monomials from the
+    first one that starts with m; the entry of each unordered pair is one
+    Fraction, held in both mirror positions.
     """
+    if level == 0:
+        return ((Fraction(1),),)
     d = _integer_weight(params)[0]
     tables: dict[tuple[int, int], list[tuple[tuple[int, ...], list[int]]]] = {}
     rows: dict[Partition, list[int]] = {(): [1]}
-    for lam in pbw_basis(level):
-        for start in reversed(range(len(lam))):  # shortest tail first
+
+    def recur(tail: Partition, table) -> list[int]:
+        below = rows[tail[1:]]
+        return [
+            sum(map(mul, coefficients, map(below.__getitem__, positions)))
+            for positions, coefficients in table
+        ]
+
+    upper: list[list[Fraction]] = []  # upper[i][k] is entry (i, i + k)
+    m_top = first = 0
+    for i, lam in enumerate(pbw_basis(level)):
+        for start in reversed(range(1, len(lam))):  # proper tails, shortest first
             tail = lam[start:]
-            if tail in rows:
-                continue
-            m, n = tail[0], sum(tail)
-            if (m, n) not in tables:
-                tables[m, n] = _raising_rows(params, m, n)
-            below = rows[tail[1:]]
-            scale = d ** (m - 1)
-            rows[tail] = [
-                scale * sum(cf * below[j] for j, cf in zip(positions, coefficients))
-                for positions, coefficients in tables[m, n]
-            ]
-    denominator = d**level
+            if tail not in rows:
+                key = tail[0], sum(tail)
+                if key not in tables:
+                    tables[key] = _raising_rows(params, *key)
+                rows[tail] = recur(tail, tables[key])
+        if lam[0] != m_top:  # the monomials that start with m are contiguous
+            m_top, first, top = lam[0], i, _raising_rows(params, lam[0], level, i)
+        denominator = d ** len(lam)
+        upper.append([Fraction(x, denominator) for x in recur(lam, top[i - first:])])
     return tuple(
-        tuple(Fraction(x, denominator) for x in rows[lam]) for lam in pbw_basis(level)
+        tuple(upper[j][i - j] for j in range(i)) + tuple(upper[i]) for i in range(len(upper))
     )
 
 

@@ -2,6 +2,9 @@
 
 `padd`, `pscale`, `pmul`, `proportional` and `rank` are the plain
 polynomial, ODE and matrix helpers the tests compare against.
+`fraction_nullspace` is the earlier kernel: the same fraction-free
+echelon form as `virmin.linalg.nullspace`, back-substituted entry by
+entry in Fractions.
 `ratz_reduce_to_ode` reduces a two-variable operator to its ODE in the
 coordinates (w, z) = (z1, z2/z1), term by term, with coefficients in the
 rational-function family RatZ = P(z) / (z^a (1-z)^b), and normalizes
@@ -91,6 +94,7 @@ from virmin.errors import (
     StructureError,
 )
 from virmin.fusion import _triple_ok
+from virmin.linalg import ff_echelon
 from virmin.models import (
     KacLabel,
     MinimalModel,
@@ -166,6 +170,25 @@ def rank(matrix) -> int:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def fraction_nullspace(matrix, n_cols: int | None = None) -> list[list[Fraction]]:
+    """Echelon-canonical kernel basis, back-substituted in Fractions: a 1
+    in each vector's free column, 0 in the other free columns."""
+    if not matrix:
+        return [[Fraction(i == j) for j in range(n_cols)] for i in range(n_cols)]
+    n_cols = len(matrix[0])
+    ech, pivots, _ = ff_echelon(integer_form(*matrix)[1])
+    basis = []
+    for f in (c for c in range(n_cols) if c not in pivots):
+        v = [Fraction(0)] * n_cols
+        v[f] = Fraction(1)
+        for i in range(len(pivots) - 1, -1, -1):
+            p = pivots[i]
+            s = sum((Fraction(ech[i][c]) * v[c] for c in range(p + 1, n_cols)), Fraction(0))
+            v[p] = -s / ech[i][p]
+        basis.append(v)
+    return basis
 
 
 def gauss_det(matrix) -> Fraction:

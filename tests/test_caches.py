@@ -1,6 +1,7 @@
 """The in-process memos: bounded, visible as module-level lru_caches,
 and safe to share between callers."""
 
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -246,6 +247,30 @@ def test_gram_cache_file_format_is_stable(tmp_path):
     )
     loaded = GramCache(tmp_path).load(VermaParams(Fraction(-22, 5), Fraction(-1, 5)), 3)
     assert loaded.entries[2][2] == Fraction(-288, 125)
+
+
+M56_C = Fraction(4, 5)
+LEVEL_11_RECORDS = [  # name, size and sha256 of the records written before the mirrored build
+    (Fraction(1, 40), "gram-2faad3a68ea1ae678c8430fc136ad734.json", 45003,
+     "b67f96c24e65ae017c7589fa382dd2605cb7d7b15902cfd0bf9ff5f672a43264"),
+    (Fraction(38, 1515), "gram-9db37157e68159af6d7f4fb3756649b4.json", 88472,
+     "e7518faa4c391b209417f2d3c75f383f0a9743948d3ac8d2c27c414b2e8af150"),
+]
+
+
+@pytest.mark.parametrize("h, name, size, digest", LEVEL_11_RECORDS, ids=["h_2,2", "off-table"])
+def test_level_11_gram_records_are_byte_identical(tmp_path, h, name, size, digest):
+    """The level-11 Gram records of a cold kac_determinant at the M(5,6)
+    weights of the exact-algebra benchmark, h_(2,2) and h_(2,2) + 1/12120;
+    a loaded record, whose mirror entries are distinct objects, is written
+    back to the same bytes."""
+    params = VermaParams(M56_C, h)
+    kac_determinant(params, 11, GramCache(tmp_path / "cold"))
+    (path,) = (tmp_path / "cold").glob("gram-*.json")
+    data = path.read_bytes()
+    assert (path.name, len(data), hashlib.sha256(data).hexdigest()) == (name, size, digest)
+    GramCache(tmp_path / "again").store(GramCache(tmp_path / "cold").load(params, 11))
+    assert (tmp_path / "again" / name).read_bytes() == data
 
 
 def test_memos_are_keyed_by_value_not_by_spelling():

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import RowSpace, rank, rowspace_contains, rowspace_dim
+from exact_oracles import RowSpace, fraction_nullspace, rank, rowspace_contains, rowspace_dim
 from virmin import linalg
 from virmin.linalg import det, ff_echelon, nullspace
 
@@ -183,3 +184,66 @@ def test_rank_and_kernel_are_exact_where_the_prime_is_unlucky(m, want_rank, want
     the elimination over Z gives the exact rank and kernel."""
     assert rank(m) == len(ff_echelon(m)[1]) == want_rank
     assert nullspace(m) == want_kernel
+
+
+def seeded_matrix(rng, n_rows, n_cols, rank_at_most, fractions):
+    """An n_rows x n_cols product of integer factors of inner size
+    rank_at_most, so of at most that rank, with a zero row now and then;
+    with fractions each row is scaled by its own rational, or its entries
+    get denominators of their own."""
+    left = [[rng.randint(-4, 4) for _ in range(rank_at_most)] for _ in range(n_rows)]
+    right = [[rng.randint(-5, 5) for _ in range(n_cols)] for _ in range(rank_at_most)]
+    m = [[sum(a * b[j] for a, b in zip(row, right)) for j in range(n_cols)] for row in left]
+    if rng.random() < 0.3:
+        m[rng.randrange(n_rows)] = [0] * n_cols
+    if fractions and rng.random() < 0.5:
+        m = [[F(x, rng.randint(1, 6)) for x in row] for row in m]
+    elif fractions:
+        m = [[x * F(rng.choice((-7, -3, 1, 2, 5)), rng.randint(1, 9)) for x in row] for row in m]
+    return m
+
+
+SHAPES = {"wide": (3, 7), "tall": (7, 3), "square": (5, 5), "row": (1, 4), "column": (4, 1)}
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "Fraction"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_nullspace_matches_the_fraction_back_substitution(shape, fractions):
+    """Seeded matrices of every rank from 0 to full: the integer
+    back-substitution gives the oracle's kernel, entry for entry."""
+    n_rows, n_cols = SHAPES[shape]
+    rng = random.Random(f"{shape}-{fractions}")
+    negative_pivot = False
+    for rank_at_most in range(min(n_rows, n_cols) + 1):
+        for _ in range(12):
+            m = seeded_matrix(rng, n_rows, n_cols, rank_at_most, fractions)
+            want = fraction_nullspace([row[:] for row in m])
+            got = nullspace(m)
+            assert got == want
+            assert all(type(x) is F for v in got for x in v)
+            assert len(got) == n_cols - rank(m)
+            ech, pivots, _ = ff_echelon(linalg._integer_rows(m))
+            negative_pivot |= any(ech[i][p] < 0 for i, p in enumerate(pivots))
+    assert negative_pivot
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[-3, 1, 2], [0, 0, 0]],  # a negative pivot and a zero row
+        [[0, 0, 0], [0, 0, 0]],  # every column free
+        [[2, -4, 0, 6], [0, 0, -9, 3], [0, 0, 0, 0]],  # pivots that do not divide the sums
+        [[F(1, 3), F(-2, 5)], [F(7), F(1, 2)]],  # full rank
+        [[1, 2], [3, 4], [5, 6], [7, 9]],  # tall, full column rank
+        [[6, 10, 15, 0, -1]],  # wide, one row
+    ],
+)
+def test_nullspace_equals_the_oracle_on_edge_cases(m):
+    assert nullspace(m) == fraction_nullspace(m)
+
+
+def test_nullspace_rejects_an_n_cols_that_disagrees_with_the_rows():
+    m = [[1, 2, 3], [2, 4, 6]]
+    with pytest.raises(ValueError, match="n_cols"):
+        nullspace(m, n_cols=4)
+    assert nullspace(m, n_cols=3) == nullspace(m)
