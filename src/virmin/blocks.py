@@ -16,11 +16,12 @@ ODE, also in integers from the same shift polynomials, but by Horner at
 every point rather than by the recursion's forward differences, so that
 the check stays independent of the recursion it checks.
 
-A block reads its channel's series at 0, with the anchor's t2 as a
-float, from one bounded memo keyed by (spec, channel, order), so a warm
-block does float work only: no Fraction is hashed, compared or built.
-Each series keeps |a_k| and its last nonzero order for the tail
-estimate, and the block takes one log of z for both of its powers.
+A block reads its channel's series at 0 and its own exponent
+h_c - h2 - h3 as a float from one bounded memo keyed by (spec, channel,
+order), so a warm block does float work only: no Fraction is hashed,
+compared or built.  Each series keeps |a_k| and its last nonzero order
+for the tail estimate.  `eval_local`, `evaluate_series` and `block`
+share one kernel, `_scaled_sum`.
 """
 
 from __future__ import annotations
@@ -218,6 +219,12 @@ def residual_orders(series: FrobeniusSeries) -> list[int]:
     ]
 
 
+def _scaled_sum(series: FrobeniusSeries, u: complex, exponent: float) -> tuple[complex, float]:
+    """(u^exponent * sum_k a_k u^k, |u^exponent|) for u != 0, principal branch."""
+    power = cmath.exp(exponent * cmath.log(u))
+    return peval(series.complex_coefficients, u) * power, abs(power)
+
+
 def eval_local(series: FrobeniusSeries, u: complex) -> complex:
     """Value at local coordinate u, principal branch of u^exponent."""
     if u == 0:
@@ -226,7 +233,7 @@ def eval_local(series: FrobeniusSeries, u: complex) -> complex:
         if series.exponent == 0:
             return series.complex_coefficients[0]
         raise DomainError("series with negative exponent diverges at its base point")
-    return peval(series.complex_coefficients, u) * cmath.exp(series.float_exponent * cmath.log(u))
+    return _scaled_sum(series, u, series.float_exponent)[0]
 
 
 def eval_local_derivatives(series: FrobeniusSeries, u: complex, count: int) -> list[complex]:
@@ -280,16 +287,15 @@ def evaluate_series(series: FrobeniusSeries, z: complex) -> EvaluationResult:
         )
     if u == 0:
         return EvaluationResult(eval_local(series, u), 0.0, order)
-    power = cmath.exp(series.float_exponent * cmath.log(u))
-    value = peval(series.complex_coefficients, u) * power
-    return EvaluationResult(value, _tail_bound(series, u) * abs(power), order)
+    value, scale = _scaled_sum(series, u, series.float_exponent)
+    return EvaluationResult(value, _tail_bound(series, u) * scale, order)
 
 
 @lru_cache(maxsize=128)
 def _block_series(spec, channel: KacLabel, order: int) -> tuple[FrobeniusSeries, float]:
-    """The channel's series at 0 and float(t2) of the anchor, read once
-    per (spec, channel, order).  A typed error is not cached, so every
-    call raises it again."""
+    """The channel's series at 0 and float(h_c - h2 - h3), its power of
+    z in the block, read once per (spec, channel, order).  A typed error
+    is not cached, so every call raises it again."""
     ode, anchor, _ = reduced_ode(spec)
     rho = series_exponent(spec, channel, anchor)  # validates the channel
     try:
@@ -298,7 +304,7 @@ def _block_series(spec, channel: KacLabel, order: int) -> tuple[FrobeniusSeries,
         if order < 0:
             raise
         raise ModelViolationError(f"channel {channel}: {exc}") from exc
-    return series, anchor.floats[1]
+    return series, float(rho + anchor.t2)
 
 
 def block(spec, channel: KacLabel, z: complex, order: int = BLOCK_ORDER) -> EvaluationResult:
@@ -314,13 +320,8 @@ def block(spec, channel: KacLabel, z: complex, order: int = BLOCK_ORDER) -> Eval
     zc = complex(z)
     if zc == 0:
         raise DomainError("z = 0 is the branch point of z^t2; blocks need |z1| > |z2| > 0")
-    series, t2 = _block_series(spec, channel, order)
-    # evaluate_series(series, z) scaled by z^t2, with one log of z
+    series, exponent = _block_series(spec, channel, order)
     if not abs(zc) < 1:  # a NaN z fails every comparison
         raise DomainError(f"{z} lies outside the convergence disk of the expansion at 0")
-    log_z = cmath.log(zc)
-    power = cmath.exp(series.float_exponent * log_z)
-    pref = cmath.exp(t2 * log_z)
-    value = peval(series.complex_coefficients, zc) * power * pref
-    tail = _tail_bound(series, zc) * abs(power) * abs(pref)
-    return EvaluationResult(value, tail, series.order)
+    value, scale = _scaled_sum(series, zc, exponent)
+    return EvaluationResult(value, _tail_bound(series, zc) * scale, series.order)

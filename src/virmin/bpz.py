@@ -83,7 +83,7 @@ from .models import (
     null_level,
     reflect,
 )
-from .poly import Poly, degree, divide_by_root, falling, integer_form, normalize_system, ord0
+from .poly import Poly, degree, divide_by_one_minus_z, falling, integer_form, normalize_system, ord0
 from .verma import PBWVector, singular_vectors
 
 # Operator term key: exponents of z1, z2, (z1 - z2), then d/dz1, d/dz2 orders.
@@ -273,11 +273,6 @@ class ExponentPair:
     t1: Fraction
     t2: Fraction
 
-    @cached_property
-    def floats(self) -> tuple[float, float]:
-        """(float(t1), float(t2)), converted once."""
-        return float(self.t1), float(self.t2)
-
 
 def channel_exponents(spec: CorrelatorSpec, channel: KacLabel) -> ExponentPair:
     """Anchor exponents for an intermediate channel: t2 = h5 - h2 - h3,
@@ -372,7 +367,7 @@ class ODESpec:
         if degree(ck) > at0 + at1:
             rest = ck[at0:]
             for _ in range(at1):
-                rest, _ = divide_by_root(rest, Fraction(1))
+                rest = divide_by_one_minus_z(rest)
             out.extend(np.roots([complex(c) for c in reversed(rest)]))
         out = np.array(out, dtype=complex)
         out.setflags(write=False)

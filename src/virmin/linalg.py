@@ -132,6 +132,8 @@ def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:
     if n_cols is not None and n_cols != len(matrix[0]):
         raise ValueError(f"n_cols is {n_cols}, but the rows have {len(matrix[0])} entries")
     n_cols = len(matrix[0])
+    if any(len(row) != n_cols for row in matrix):
+        raise ValueError("nullspace needs rows of equal length")
     ech, pivots, _ = ff_echelon(_integer_rows(matrix))
     pivot_set = set(pivots)
     basis = []

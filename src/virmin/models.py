@@ -74,11 +74,10 @@ class TensorLabel:
 
 
 def check_label(model: MinimalModel, label: KacLabel) -> None:
-    """Raise RangeError unless 0 < m < p and 0 < n < q."""
-    if not (0 < label.m < model.p and 0 < label.n < model.q):
-        raise RangeError(
-            f"label ({label.m}, {label.n}) outside Kac table of model ({model.p}, {model.q})"
-        )
+    """Raise RangeError unless m and n are integers, 0 < m < p and 0 < n < q."""
+    m, n = label.m, label.n
+    if not (isinstance(m, int) and isinstance(n, int) and 0 < m < model.p and 0 < n < model.q):
+        raise RangeError(f"label ({m}, {n}) outside Kac table of model ({model.p}, {model.q})")
 
 
 def check_tensor_label(tmodel: TensorModel, tlabel: TensorLabel) -> None:

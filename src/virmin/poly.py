@@ -86,6 +86,16 @@ def divide_by_root(a: Poly, r: Fraction) -> tuple[Poly, Fraction]:
     return poly(q), rem
 
 
+def divide_by_one_minus_z(p: Poly) -> list[int] | None:
+    """p / (1 - z) for a nonzero integer p, or None when 1 is not a root."""
+    q = [0] * (len(p) - 1)
+    acc = 0
+    for i in range(len(p) - 1, 0, -1):
+        acc += p[i]
+        q[i - 1] = -acc
+    return q if acc + p[0] == 0 else None
+
+
 def rational_roots(a: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     """All rational roots with multiplicities, sorted, plus the unfactored part.
 
@@ -189,15 +199,6 @@ def normalize_system(polys: list[Poly]) -> tuple[Poly, ...]:
     nz = [p for p in ints if p]
     a = min(ord0(p) for p in nz)
     ints = [p[a:] for p in ints]
-
-    def divide_by_one_minus_z(p: list[int]) -> list[int] | None:
-        """p / (1 - z), or None when 1 is not a root of p."""
-        q = [0] * (len(p) - 1)
-        acc = 0
-        for i in range(len(p) - 1, 0, -1):
-            acc += p[i]
-            q[i - 1] = -acc
-        return q if acc + p[0] == 0 else None
 
     while True:
         divided = [divide_by_one_minus_z(p) if p else p for p in ints]

@@ -274,6 +274,9 @@ def test_leading_roots():
     assert sorted(roots.tolist(), key=abs) == [0, 1]
     roots = ODESpec(((F(1),), (F(1), F(0), F(1)))).leading_roots  # 1 + z^2
     assert np.allclose(sorted(roots.tolist(), key=lambda r: r.imag), [-1j, 1j])
+    roots = ODESpec(((1,), (0, 1, -2, 2, -2, 1))).leading_roots  # z (1 - z)^2 (1 + z^2)
+    assert roots.size == 4 and roots[:2].tolist() == [0, 1]
+    assert np.allclose(sorted(roots[2:].tolist(), key=lambda r: r.imag), [-1j, 1j])
 
 
 @pytest.mark.parametrize("k", range(1, 7))

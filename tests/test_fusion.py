@@ -55,8 +55,9 @@ def test_fusion_rule_reflection_invariance():
 
 
 def test_fusion_rule_range_error():
-    with pytest.raises(RangeError):
-        fusion_rule(M34, KacLabel(3, 1), SIGMA, SIGMA)
+    for label in (KacLabel(3, 1), KacLabel(1.5, 2), KacLabel(1, 2.0)):
+        with pytest.raises(RangeError):
+            fusion_rule(M34, label, SIGMA, SIGMA)
 
 
 def test_fuse_examples():

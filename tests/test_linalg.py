@@ -247,3 +247,9 @@ def test_nullspace_rejects_an_n_cols_that_disagrees_with_the_rows():
     with pytest.raises(ValueError, match="n_cols"):
         nullspace(m, n_cols=4)
     assert nullspace(m, n_cols=3) == nullspace(m)
+
+
+def test_nullspace_rejects_ragged_rows():
+    for m in ([[1, 2, 3], [4, 5]], [[1, 2], [3, 4, 5]]):
+        with pytest.raises(ValueError, match="equal length"):
+            nullspace(m)

@@ -55,10 +55,9 @@ def test_conformal_weights():
 
 
 def test_weight_range_error():
-    with pytest.raises(RangeError):
-        conformal_weight(M34, KacLabel(3, 1))
-    with pytest.raises(RangeError):
-        conformal_weight(M34, KacLabel(0, 2))
+    for label in (KacLabel(3, 1), KacLabel(0, 2), KacLabel(1.5, 2), KacLabel(1, 2.0)):
+        with pytest.raises(RangeError):
+            conformal_weight(M34, label)
 
 
 def test_model_invariants_enforced():
