@@ -4,7 +4,10 @@ Determinants and kernels are computed by fraction-free (Bareiss)
 elimination on denominator-cleared integer matrices; rank decisions are
 therefore exact, which is what the degenerate Verma-module weights
 require.  `ff_echelon` is the one elimination over Z: the determinant
-and the kernel both read its echelon form.
+and the kernel both read its echelon form.  It rescales lazily: a row
+with a zero entry in the pivot column is not touched, and the skipped
+rescalings are applied, exactly, only when the row is next updated,
+becomes the pivot row, or the elimination ends.
 """
 
 from __future__ import annotations
@@ -28,11 +31,19 @@ def ff_echelon(
     exact; entries stay integers of controlled size.  With stop_at_gap
     the elimination ends at the first column without a pivot, which
     already decides that a square matrix is singular.
+
+    A row whose entry in the pivot column is 0 would only be rescaled by
+    lead / prev, so it is left as it is; the rescalings it skipped
+    multiply out to prev / seen, with seen the lead of the step that last
+    updated it.  Its next update divides by seen instead of prev, and it is
+    brought up to date, x * prev // seen, when it becomes the pivot row
+    or the elimination ends.
     """
     m = [row[:] for row in m]
     if not m:
         return m, [], 1
     n_rows, n_cols = len(m), len(m[0])
+    seen = [1] * n_rows  # row i holds its up-to-date entries times seen[i] / prev
     pivots: list[int] = []
     sign = 1
     prev = 1
@@ -45,22 +56,28 @@ def ff_echelon(
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            seen[r], seen[piv] = seen[piv], seen[r]
             sign = -sign
+        if seen[r] != prev:
+            m[r] = [x * prev // seen[r] for x in m[r]]
         top = m[r][col + 1:]
         lead = m[r][col]
         for i in range(r + 1, n_rows):
             row = m[i]
             head = row[col]
             if head:
-                row[col + 1:] = [(lead * a - head * b) // prev for a, b in zip(row[col + 1:], top)]
+                s = seen[i]
+                row[col + 1:] = [(lead * a - head * b) // s for a, b in zip(row[col + 1:], top)]
                 row[col] = 0
-            elif lead != prev:
-                row[col + 1:] = [lead * a // prev for a in row[col + 1:]]
+                seen[i] = lead
         prev = lead
         pivots.append(col)
         r += 1
         if r == n_rows:
             break
+    for i in range(r, n_rows):
+        if seen[i] != prev:
+            m[i] = [x * prev // seen[i] for x in m[i]]
     return m, pivots, sign
 
 

@@ -36,7 +36,7 @@ from .crossing import (
     monodromy_residuals,
     tensor_block,
 )
-from .fusion import FusionTable, _ring_failures, fusion_rule, fusion_table, verify_ring_axioms
+from .fusion import FusionTable, _ring_failures, _rule, fusion_table, verify_ring_axioms
 from .linalg import det
 from .models import (
     KacLabel,
@@ -378,9 +378,10 @@ def suite_tensor() -> tuple:
     for pair in pairs:
         tables = [fusion_table(f) for f in pair]
         # The scalar rule on each factor's canonical labels is the independent
-        # path; both sides are int8 outer products, axes (a1, b1, c1, a2, b2, c2).
+        # path, unchecked because kac_table gave the labels; both sides are
+        # int8 outer products, axes (a1, b1, c1, a2, b2, c2).
         scalar = [
-            np.array([fusion_rule(f, *abc) for abc in product(t.labels, repeat=3)], np.int8)
+            np.array([_rule(f, *abc) for abc in product(t.labels, repeat=3)], np.int8)
             .reshape(t.table.shape)
             for f, t in zip(pair, tables)
         ]

@@ -68,19 +68,19 @@ class PBWVector:
 
 @lru_cache(maxsize=64)
 def pbw_basis(level: int) -> tuple[Partition, ...]:
-    """All partitions of `level` in descending lexicographic order."""
+    """All partitions of `level` in descending lexicographic order: each
+    first part, from `level` down, followed by the partitions of the rest
+    whose parts are no larger, read from the lower levels."""
     if level < 0:
         raise RangeError("level must be nonnegative")
-
-    def gen(n: int, max_part: int):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, max_part), 0, -1):
-            for rest in gen(n - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(level, level))
+    if level == 0:
+        return ((),)
+    return tuple(
+        (first,) + rest
+        for first in range(level, 0, -1)
+        for rest in pbw_basis(level - first)
+        if not rest or rest[0] <= first
+    )
 
 
 @lru_cache(maxsize=2**15)
@@ -112,32 +112,46 @@ def _raise_monomial(m: int, parts: Partition) -> tuple[tuple[Partition, Affine],
     """Normal-ordered L(m) . (L(-parts)|h>) for m >= 1.
 
     Every coefficient is affine in the weight, a + b h + e c/2 with
-    integers a, b, e, so the table is built once for all (c, h).
+    integers a, b, e, so the table is built once for all (c, h).  A mode
+    above the level of the tail it would act on gives 0, so it is not
+    recursed into; L(-mu) in front of a partition with no part above mu
+    is already normal-ordered.
     """
     if not parts:
         return ()
     mu, rest = parts[0], parts[1:]
-    out: dict[Partition, Affine] = {}
-
-    def add(word, a, b, e):
-        a0, b0, e0 = out.get(word, (0, 0, 0))
-        out[word] = (a0 + a, b0 + b, e0 + e)
-
-    # [L(m), L(-mu)] = (m + mu) L(m - mu) + (m^3 - m)/12 delta_{m,mu} c
+    below = sum(rest)
+    out: dict[Partition, list[int]] = {}
+    # [L(m), L(-mu)] = (m + mu) L(m - mu) + (m^3 - m)/12 delta_{m,mu} c;
+    # each word below is reached once, so it is stored, not added
     k, f = m - mu, m + mu
     if k > 0:
-        for word, (a, b, e) in _raise_monomial(k, rest):
-            add(word, f * a, f * b, f * e)
+        if k <= below:
+            for word, (a, b, e) in _raise_monomial(k, rest):
+                out[word] = [f * a, f * b, f * e]
     elif k == 0:
-        add(rest, f * sum(rest), f, (m**3 - m) // 6)
+        out[rest] = [f * below, f, (m**3 - m) // 6]
+    elif not rest or rest[0] <= -k:
+        out[(-k,) + rest] = [f, 0, 0]
     else:
         for word, cf in _normal_order((-k,) + rest):
-            add(word, f * cf, 0, 0)
+            out[word] = [f * cf, 0, 0]
     # plus L(-mu) L(m) acting on the tail
-    for word, (a, b, e) in _raise_monomial(m, rest):
-        for ordered, cf in _normal_order((mu,) + word):
-            add(ordered, cf * a, cf * b, cf * e)
-    return tuple((p, abe) for p, abe in out.items() if any(abe))
+    if m <= below:
+        for word, (a, b, e) in _raise_monomial(m, rest):
+            if not word or word[0] <= mu:
+                terms = (((mu,) + word, 1),)
+            else:
+                terms = _normal_order((mu,) + word)
+            for ordered, cf in terms:
+                acc = out.get(ordered)
+                if acc is None:
+                    out[ordered] = [cf * a, cf * b, cf * e]
+                else:
+                    acc[0] += cf * a
+                    acc[1] += cf * b
+                    acc[2] += cf * e
+    return tuple([(p, (a, b, e)) for p, (a, b, e) in out.items() if a or b or e])
 
 
 def _integer_weight(params: VermaParams) -> tuple[int, int, int]:
@@ -183,7 +197,7 @@ def _raising_rows(
     for parts in pbw_basis(level)[first:]:
         image = _raise_monomial(m, parts)
         rows.append((
-            tuple(index[word] for word, _ in image),
+            tuple([index[word] for word, _ in image]),
             [a * d + b * dh + e * dc for _, (a, b, e) in image],
         ))
     return rows

@@ -2,9 +2,8 @@
 
 `padd`, `pscale`, `pmul`, `proportional` and `rank` are the plain
 polynomial, ODE and matrix helpers the tests compare against.
-`fraction_nullspace` is the earlier kernel: the same fraction-free
-echelon form as `virmin.linalg.nullspace`, back-substituted entry by
-entry in Fractions.
+`fraction_nullspace` is the earlier kernel: the fraction-free echelon
+form, back-substituted entry by entry in Fractions.
 `ratz_reduce_to_ode` reduces a two-variable operator to its ODE in the
 coordinates (w, z) = (z1, z2/z1), term by term, with coefficients in the
 rational-function family RatZ = P(z) / (z^a (1-z)^b), and normalizes
@@ -39,6 +38,18 @@ integers pair by pair.
 
 `reference_kac_table` is the earlier Kac-table construction: every
 (m, n) canonicalized, duplicates dropped through a set, the rows sorted.
+
+`eager_ff_echelon` is the earlier fraction-free elimination, which
+rescales every row below the pivot at every step, including the rows
+whose entry in the pivot column is already 0; `fraction_nullspace`
+reads its echelon form.  `inequality_triple_ok` is the earlier fusion
+triple test, the eight inequalities and two parities written out, which
+the two fusion references use.
+
+`reference_pbw_basis` is a plain recursive partition generator, and
+`reference_raise_monomial` the earlier L(m) table: it recurses into
+every mode, however far above the tail's level, and normal-orders every
+word it builds.
 
 `pbw_from_jsonable` and `ode_from_jsonable` are the inverse serializers
 that only the tests use.  `RowSpace` is the earlier incremental
@@ -93,8 +104,6 @@ from virmin.errors import (
     ReductionError,
     StructureError,
 )
-from virmin.fusion import _triple_ok
-from virmin.linalg import ff_echelon
 from virmin.models import (
     KacLabel,
     MinimalModel,
@@ -155,6 +164,47 @@ def proportional(a: ODESpec, b: ODESpec) -> bool:
     )
 
 
+def eager_ff_echelon(
+    m: list[list[int]], stop_at_gap: bool = False
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) row echelon form, (echelon, pivot_columns,
+    sign), with every row below the pivot updated at every step: a row
+    whose entry in the pivot column is 0 is rescaled by lead / prev."""
+    m = [row[:] for row in m]
+    if not m:
+        return m, [], 1
+    n_rows, n_cols = len(m), len(m[0])
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for col in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
+        if piv is None:
+            if stop_at_gap:
+                break
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top = m[r][col + 1:]
+        lead = m[r][col]
+        for i in range(r + 1, n_rows):
+            row = m[i]
+            head = row[col]
+            if head:
+                row[col + 1:] = [(lead * a - head * b) // prev for a, b in zip(row[col + 1:], top)]
+                row[col] = 0
+            elif lead != prev:
+                row[col + 1:] = [lead * a // prev for a in row[col + 1:]]
+        prev = lead
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots, sign
+
+
 def rank(matrix) -> int:
     """Rank by Gauss-Jordan elimination in Fractions."""
     rows = [[Fraction(x) for x in row] for row in matrix]
@@ -178,7 +228,7 @@ def fraction_nullspace(matrix, n_cols: int | None = None) -> list[list[Fraction]
     if not matrix:
         return [[Fraction(i == j) for j in range(n_cols)] for i in range(n_cols)]
     n_cols = len(matrix[0])
-    ech, pivots, _ = ff_echelon(integer_form(*matrix)[1])
+    ech, pivots, _ = eager_ff_echelon(integer_form(*matrix)[1])
     basis = []
     for f in (c for c in range(n_cols) if c not in pivots):
         v = [Fraction(0)] * n_cols
@@ -671,6 +721,20 @@ def reference_allowed_channels(spec: CorrelatorSpec) -> list[KacLabel]:
     return out
 
 
+def inequality_triple_ok(p: int, q: int, a, b, c):
+    """The single-representative rule for Kac pairs a, b, c = (m, n),
+    as the eight strict inequalities and the two parities; entries may
+    be ints or broadcastable integer arrays."""
+    (m1, n1), (m2, n2), (m3, n3) = a, b, c
+    sm = m1 + m2 + m3
+    sn = n1 + n2 + n3
+    return (
+        (sm % 2 == 1) & (sn % 2 == 1) & (sm < 2 * p) & (sn < 2 * q)
+        & (m1 < m2 + m3) & (m2 < m3 + m1) & (m3 < m1 + m2)
+        & (n1 < n2 + n3) & (n2 < n3 + n1) & (n3 < n1 + n2)
+    )
+
+
 def reference_fusion_rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacLabel) -> int:
     """Multiplicity N_{ab}^c, either 0 or 1, trying every choice of
     reflection representatives."""
@@ -679,7 +743,9 @@ def reference_fusion_rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacL
     for ra in (a, reflect(model, a)):
         for rb in (b, reflect(model, b)):
             for rc in (c, reflect(model, c)):
-                if _triple_ok(model.p, model.q, ra.as_tuple(), rb.as_tuple(), rc.as_tuple()):
+                if inequality_triple_ok(
+                    model.p, model.q, ra.as_tuple(), rb.as_tuple(), rc.as_tuple()
+                ):
                     return 1
     return 0
 
@@ -693,7 +759,7 @@ def reference_fusion_table(model: MinimalModel) -> np.ndarray:
     reps = ((m, n), (model.p - m, model.q - n))
     table = np.zeros((len(labels),) * 3, dtype=bool)
     for (ma, na), (mb, nb), (mc, nc) in product(reps, repeat=3):
-        table |= _triple_ok(
+        table |= inequality_triple_ok(
             model.p,
             model.q,
             (ma[:, None, None], na[:, None, None]),
@@ -754,6 +820,52 @@ def ode_from_jsonable(data: dict) -> ODESpec:
     return ODESpec(
         tuple(tuple(parse_frac(c) for c in poly) for poly in data["coefficients"])
     )
+
+
+def reference_pbw_basis(level: int) -> tuple[tuple[int, ...], ...]:
+    """All partitions of `level` in descending lexicographic order, from
+    a plain recursive generator."""
+
+    def gen(n: int, max_part: int):
+        if n == 0:
+            yield ()
+            return
+        for first in range(min(n, max_part), 0, -1):
+            for rest in gen(n - first, first):
+                yield (first,) + rest
+
+    return tuple(gen(level, level))
+
+
+@lru_cache(maxsize=None)
+def reference_raise_monomial(m: int, parts: tuple[int, ...]):
+    """Normal-ordered L(m) . (L(-parts)|h>) for m >= 1 as (partition,
+    (a, b, e)) pairs, a + b h + e c/2: the earlier recursion, which
+    recurses into every mode and normal-orders every word it builds."""
+    if not parts:
+        return ()
+    mu, rest = parts[0], parts[1:]
+    out = {}
+
+    def add(word, a, b, e):
+        a0, b0, e0 = out.get(word, (0, 0, 0))
+        out[word] = (a0 + a, b0 + b, e0 + e)
+
+    # [L(m), L(-mu)] = (m + mu) L(m - mu) + (m^3 - m)/12 delta_{m,mu} c
+    k, f = m - mu, m + mu
+    if k > 0:
+        for word, (a, b, e) in reference_raise_monomial(k, rest):
+            add(word, f * a, f * b, f * e)
+    elif k == 0:
+        add(rest, f * sum(rest), f, (m**3 - m) // 6)
+    else:
+        for word, cf in _normal_order((-k,) + rest):
+            add(word, f * cf, 0, 0)
+    # plus L(-mu) L(m) acting on the tail
+    for word, (a, b, e) in reference_raise_monomial(m, rest):
+        for ordered, cf in _normal_order((mu,) + word):
+            add(ordered, cf * a, cf * b, cf * e)
+    return tuple((p, abe) for p, abe in out.items() if any(abe))
 
 
 class RowSpace:

@@ -16,7 +16,7 @@ from virmin.blocks import frobenius_expand
 from virmin.bpz import CorrelatorSpec, indicial_exponents, indicial_polynomial, reduced_ode
 from virmin.cache import GramCache
 from virmin.errors import FusionError
-from virmin.models import KacLabel, MinimalModel, reflect
+from virmin.models import KacLabel, MinimalModel, central_charge, conformal_weight, reflect
 from virmin.verma import VermaParams, gram_matrix, kac_determinant
 
 SIGMA_SPEC = CorrelatorSpec(MinimalModel(3, 4), *[KacLabel(1, 2)] * 4)
@@ -52,6 +52,19 @@ def test_exact_memos_are_bounded_module_lru_caches():
     for name, cached in caches.items():
         maxsize = cached.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, name
+
+
+def test_a_cold_gram_matrix_rebuilds_the_verma_tables():
+    """With every module lru_cache emptied, as in a fresh process (and a
+    cold benchmark op), a level-11 Gram matrix refills the raising,
+    normal-ordering and basis tables: none is set up ahead of use."""
+    caches = module_lru_caches()
+    for cached in caches.values():
+        cached.cache_clear()
+    m56 = MinimalModel(5, 6)
+    gram_matrix(VermaParams(central_charge(m56), conformal_weight(m56, KacLabel(2, 2))), 11)
+    for name in ("_raise_monomial", "_normal_order", "pbw_basis"):
+        assert caches[f"virmin.verma.{name}"].cache_info().misses > 0, name
 
 
 def test_one_certification_builds_the_bases_once(monkeypatch):

@@ -281,6 +281,30 @@ def test_ring_check_names_first_failing_pair(model, monkeypatch):
     assert caught > 0
 
 
+@pytest.mark.parametrize(
+    "cells, symmetry_failures",
+    [
+        # (0, 2, 1) holds and commutativity fails: the (2, 1, 0) comparison reports
+        ([(2, 1, 1)], ["commutativity N_ab^c = N_ba^c fails",
+                       "slot permutation (2, 1, 0) changes the multiplicity"]),
+        ([(1, 2, 3), (1, 3, 2)], ["commutativity N_ab^c = N_ba^c fails",
+                                  "slot permutation (2, 1, 0) changes the multiplicity"]),
+        ([(1, 2, 3)], ["commutativity N_ab^c = N_ba^c fails",
+                       "slot permutation (0, 2, 1) changes the multiplicity"]),
+        ([(1, 2, 3), (2, 1, 3)], ["slot permutation (0, 2, 1) changes the multiplicity"]),
+        (set(permutations((1, 2, 3))), []),
+    ],
+    ids=["commutativity-single-cell", "last-two-slots", "single-cell", "first-two-slots",
+         "symmetric"],
+)
+def test_ring_check_symmetry_failures_match_the_reference(cells, symmetry_failures, monkeypatch):
+    good = fusion_table(MinimalModel(5, 6))
+    assert good.index(KacLabel(1, 1)) == 0  # no flipped cell is in the vacuum row
+    report = _ring_report_as_reference(_flipped(good, *cells), monkeypatch)
+    symmetry = [f for f in report.failures if "commutativity" in f or "permutation" in f]
+    assert symmetry == symmetry_failures
+
+
 # (model, digits g per packed group, groups): B = k + 1 for a 0/1 table,
 # and g is the largest with B^g <= 2^53
 @pytest.mark.parametrize(

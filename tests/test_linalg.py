@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import RowSpace, fraction_nullspace, rank, rowspace_contains, rowspace_dim
-from virmin import linalg
+from exact_oracles import (
+    RowSpace,
+    eager_ff_echelon,
+    fraction_nullspace,
+    rank,
+    rowspace_contains,
+    rowspace_dim,
+)
+from virmin import linalg, verma
 from virmin.linalg import det, ff_echelon, nullspace
+from virmin.models import KacLabel, MinimalModel
 
 F = Fraction
 
@@ -116,6 +124,59 @@ def test_ff_echelon_can_stop_at_the_first_column_without_pivot():
     assert ff_echelon(m)[1] == [1, 2]
     ech, pivots, sign = ff_echelon(m, stop_at_gap=True)
     assert pivots == [] and ech == m and sign == 1
+
+
+def sparse_matrix(rng, n_rows, n_cols):
+    """A seeded integer matrix, at least half of its entries 0, with a
+    zero row, and with 0 in the top left corner above a nonzero entry,
+    so that the first pivot needs a row swap."""
+    m = [[0] * n_cols for _ in range(n_rows)]
+    for cell in rng.sample(range(n_rows * n_cols), n_rows * n_cols * 2 // 5):
+        m[cell // n_cols][cell % n_cols] = rng.choice((-9, -4, -2, -1, 1, 2, 3, 6, 8))
+    m[rng.randrange(n_rows)] = [0] * n_cols
+    if n_rows > 1:
+        m[0][0] = 0
+        m[rng.randrange(1, n_rows)][0] = rng.choice((-3, 2, 7))
+    return m
+
+
+@pytest.mark.parametrize("shape", ["wide", "tall", "square"])
+def test_ff_echelon_equals_the_eager_elimination(shape):
+    """The lazy rescale leaves echelon, pivots and sign as the
+    elimination that rescales every row at every step gives them."""
+    n_rows, n_cols = {"wide": (5, 9), "tall": (9, 5), "square": (7, 7)}[shape]
+    rng = random.Random(f"echelon-{shape}")
+    swaps = stopped = 0
+    for _ in range(150):
+        m = sparse_matrix(rng, n_rows, n_cols)
+        assert sum(x == 0 for row in m for x in row) >= n_rows * n_cols / 2
+        for stop_at_gap in (False, True):
+            got = ff_echelon(m, stop_at_gap)
+            assert got == eager_ff_echelon(m, stop_at_gap), (m, stop_at_gap)
+            swaps += got[2] == -1
+            stopped += stop_at_gap and len(got[1]) < len(eager_ff_echelon(m)[1])
+    assert swaps and stopped
+
+
+def test_ff_echelon_equals_the_eager_elimination_on_the_singular_vector_matrices(
+    monkeypatch,
+):
+    """The L(1)/L(2) matrices the singular vectors of the exact-algebra
+    benchmark labels are extracted from, through level 10."""
+    matrices = []
+
+    def recording(matrix, n_cols=None):
+        matrices.append([row[:] for row in matrix])
+        return nullspace(matrix, n_cols)
+
+    monkeypatch.setattr(verma, "nullspace", recording)
+    for p in (4, 5, 6):
+        for m, n in ((2, 2), (2, 3), (3, 2)):
+            verma.singular_vectors(MinimalModel(p, p + 1), KacLabel(m, n), 10)
+    assert len(matrices) == 14
+    for m in matrices:
+        for stop_at_gap in (False, True):
+            assert ff_echelon(m, stop_at_gap) == eager_ff_echelon(m, stop_at_gap)
 
 
 def test_rowspace():

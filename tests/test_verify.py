@@ -32,13 +32,13 @@ M35 = MinimalModel(3, 5)
 def test_tensor_suite_names_a_flipped_factor_triple(flipped, monkeypatch):
     pair = (M45, M35)
     target = (pair[flipped], KacLabel(1, 2), KacLabel(1, 2), KacLabel(1, 1))
-    real = verify.fusion_rule
+    real = verify._rule
 
     def faulty(model, a, b, c):
         n = real(model, a, b, c)
         return 1 - n if (model, a, b, c) == target else n
 
-    monkeypatch.setattr(verify, "fusion_rule", faulty)
+    monkeypatch.setattr(verify, "_rule", faulty)
     report = verify.suite_tensor()
     assert not report["passed"]
     assert report["details"]["fusion_triples"] == 14040

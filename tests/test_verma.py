@@ -17,6 +17,8 @@ from exact_oracles import (
     fraction_nullspace,
     gauss_det,
     rank,
+    reference_pbw_basis,
+    reference_raise_monomial,
     reference_singular_vectors,
 )
 from virmin.linalg import det
@@ -83,6 +85,21 @@ def test_pbw_basis():
     assert len(pbw_basis(5)) == 7
     with pytest.raises(RangeError):
         pbw_basis(-1)
+
+
+def test_pbw_basis_equals_the_partition_generator():
+    for level in range(16):
+        assert pbw_basis(level) == reference_pbw_basis(level), level
+
+
+def test_raising_tables_equal_the_full_recursion():
+    """Tuple-equal L(m) tables, terms in the same order, for every
+    monomial of every level through 11 and every mode up to one above
+    the level (where both are empty)."""
+    for level in range(1, 12):
+        for m in range(1, level + 2):
+            for parts in pbw_basis(level):
+                assert verma._raise_monomial(m, parts) == reference_raise_monomial(m, parts)
 
 
 def test_apply_raising_examples():
