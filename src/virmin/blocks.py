@@ -240,8 +240,11 @@ def eval_local_derivatives(series: FrobeniusSeries, u: complex, count: int) -> l
     """[f(u), f'(u), ..., f^(count-1)(u)] w.r.t. the local coordinate.
 
     f^(t)(u) = u^(rho - t) sum_k a_k (rho + k)(rho + k - 1)...(rho + k - t + 1) u^k,
-    evaluated in complex floats on the principal branch.
+    evaluated in complex floats on the principal branch.  Raises
+    DomainError at the base point u = 0, where u^(rho - t) has no logarithm.
     """
+    if u == 0:
+        raise DomainError("derivatives are not evaluated at the base point of the series")
     coeffs = series.complex_coefficients
     rho = series.float_exponent
     shifted = rho + np.arange(len(coeffs))

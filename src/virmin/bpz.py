@@ -80,10 +80,11 @@ from .models import (
     check_label,
     conformal_weight,
     kac_table,
+    kac_weight,
     null_level,
     reflect,
 )
-from .poly import Poly, degree, divide_by_one_minus_z, falling, integer_form, normalize_system, ord0
+from .poly import Poly, degree, divide_linear, falling, integer_form, normalize_system, ord0
 from .verma import PBWVector, singular_vectors
 
 # Operator term key: exponents of z1, z2, (z1 - z2), then d/dz1, d/dz2 orders.
@@ -367,7 +368,7 @@ class ODESpec:
         if degree(ck) > at0 + at1:
             rest = ck[at0:]
             for _ in range(at1):
-                rest = divide_by_one_minus_z(rest)
+                rest = divide_linear(rest, 1, 1)
             out.extend(np.roots([complex(c) for c in reversed(rest)]))
         out = np.array(out, dtype=complex)
         out.setflags(write=False)
@@ -469,9 +470,8 @@ def indicial_exponents(ode: ODESpec, point) -> list[Fraction]:
     the minimal-model equations never trigger the latter, so an
     occurrence points at a derivation bug rather than being silently
     accepted.  Each carried copy of an exponent p/q divides out one factor
-    q x - p of the integer indicial polynomial, by exact integer synthetic
-    division in place; `crossing.fusing_matrix` memoises the bases built
-    from them.
+    q x - p of the integer indicial polynomial (`poly.divide_linear`);
+    `crossing.fusing_matrix` memoises the bases built from them.
     """
     ind = indicial_polynomial(ode, point)
     if not ind or degree(ind) < ode.order:
@@ -482,22 +482,13 @@ def indicial_exponents(ode: ODESpec, point) -> list[Fraction]:
     carried = ode.exponents.get(point)
     if carried is None:
         raise StructureError(f"the ODE carries no indicial exponents at {point}")
-    work = list(ind)
+    work = ind
     for rho in carried:
-        p, q = rho.numerator, rho.denominator
-        # work = (q x - p) g from the top: a_n = q g_(n-1), a_k = q g_(k-1) - p g_k,
-        # and the remainder a_0 + p g_0 must vanish; g_(k-1) overwrites a_k
-        carry = rem = 0
-        for k in range(len(work) - 1, 0, -1):
-            carry, rem = divmod(work[k] + p * carry, q)
-            if rem:
-                break
-            work[k] = carry
-        if rem or work[0] + p * carry:
+        work = divide_linear(work, rho.numerator, rho.denominator)
+        if work is None:
             raise ModelViolationError(
                 f"{rho} is not an indicial root at {point} as often as the ODE carries it"
             )
-        del work[0]
     if len(work) > 1:
         raise ModelViolationError(
             f"indicial polynomial at {point} keeps a factor of degree {len(work) - 1} "
@@ -613,9 +604,9 @@ def fusion_exponents(
     the insertion it meets at a point, of label (m, n), into the r s
     labels (m + i, n + j), i in {1-r, 3-r, ..., r-1} and j in
     {1-s, ..., s-1} (Belavin-Polyakov-Zamolodchikov 1984;
-    Dotsenko-Fateev 1984).  With h(a, b) = ((b p - a q)^2 - (p - q)^2)
-    / (4 p q), the Kac weight extended to all integers, each exponent is
-    h(m + i, n + j) plus the point's offset: -h2 - h3 - t2 at 0, -h1 - h2
+    Dotsenko-Fateev 1984).  With h(a, b) the Kac weight extended to all
+    integers (`models.kac_weight`), each exponent is h(m + i, n + j) plus
+    the point's offset: -h2 - h3 - t2 at 0, -h1 - h2
     at 1 and h2 - h4 + t2 at infinity, t2 the anchor's.  The partner is
     w2, w4, w1 at 0, 1, infinity on route 'slot3' and w3, w1, w4 on
     'slot2'.  A label may lie outside the Kac table; either
@@ -627,7 +618,6 @@ def fusion_exponents(
         null, partners = spec.w2, (spec.w3, spec.w1, spec.w4)
     else:
         raise RangeError(f"route must be 'slot3' or 'slot2', got {route!r}")
-    p, q = spec.model.p, spec.model.q
     r, s = canonicalize(spec.model, null).as_tuple()
     offsets = (
         -spec.h2 - spec.h3 - anchor.t2,
@@ -637,10 +627,7 @@ def fusion_exponents(
     out = {}
     for point, partner, offset in zip((0, 1, "inf"), partners, offsets):
         out[point] = sorted(
-            (
-                Fraction((b * p - a * q) ** 2 - (p - q) ** 2, 4 * p * q) + offset,
-                KacLabel(a, b),
-            )
+            (kac_weight(spec.model, a, b) + offset, KacLabel(a, b))
             for a in range(partner.m + 1 - r, partner.m + r, 2)
             for b in range(partner.n + 1 - s, partner.n + s, 2)
         )

@@ -51,9 +51,16 @@ INTERNAL_EXIT = 5
 
 
 def _emit(args, payload: dict, human: str) -> None:
+    """Print the human text, or the JSON payload inside the envelope every
+    subcommand shares: schema version, command, and the model and
+    correlator labels when the subcommand takes them."""
     if args.format == "json":
-        payload = {"schema_version": SCHEMA_VERSION, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        envelope = {"schema_version": SCHEMA_VERSION, "command": args.command}
+        if hasattr(args, "p"):
+            envelope["model"] = {"p": args.p, "q": args.q}
+        if hasattr(args, "labels"):
+            envelope["labels"] = [label_str(l) for l in args.labels]
+        print(json.dumps({**envelope, **payload}, indent=2, sort_keys=True))
     else:
         print(human)
 
@@ -71,8 +78,6 @@ def cmd_kac_table(args) -> int:
     model = _model(args)
     rows = kac_table(model)
     payload = {
-        "command": "kac-table",
-        "model": {"p": model.p, "q": model.q},
         "central_charge": frac_str(central_charge(model)),
         "entries": [
             {"label": label_str(lab), "weight": frac_str(h)} for lab, h in rows
@@ -89,8 +94,6 @@ def cmd_fuse(args) -> int:
     a, b = args.a, args.b
     out = sorted(fuse(model, a, b), key=lambda l: l.as_tuple())
     payload = {
-        "command": "fuse",
-        "model": {"p": model.p, "q": model.q},
         "a": label_str(a),
         "b": label_str(b),
         "channels": [label_str(c) for c in out],
@@ -119,11 +122,7 @@ def cmd_fusion_table(args) -> int:
                 f"  ({a.m},{a.n}) x ({b.m},{b.n}) = "
                 + " + ".join(f"({c.m},{c.n})" for c in chans)
             )
-    payload = {
-        "command": "fusion-table",
-        "model": {"p": model.p, "q": model.q},
-        "products": entries,
-    }
+    payload = {"products": entries}
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -133,8 +132,6 @@ def cmd_singular(args) -> int:
     label = KacLabel(args.m, args.n)
     found = singular_vectors(model, label, args.max_level)
     payload = {
-        "command": "singular",
-        "model": {"p": model.p, "q": model.q},
         "label": label_str(label),
         "max_level": args.max_level,
         "vectors": [
@@ -161,9 +158,6 @@ def cmd_bpz(args) -> int:
         for point in (0, 1, "inf")
     }
     payload = {
-        "command": "bpz",
-        "model": {"p": spec.model.p, "q": spec.model.q},
-        "labels": [label_str(l) for l in (spec.w4, spec.w1, spec.w2, spec.w3)],
         "route": args.route,
         "anchor_channel": label_str(channel),
         "anchor": {"t1": frac_str(anchor.t1), "t2": frac_str(anchor.t2)},
@@ -190,9 +184,6 @@ def cmd_block(args) -> int:
     result = block(spec, channel, args.z, args.order)
     exps = channel_exponents(spec, channel)
     payload = {
-        "command": "block",
-        "model": {"p": spec.model.p, "q": spec.model.q},
-        "labels": [label_str(l) for l in (spec.w4, spec.w1, spec.w2, spec.w3)],
         "channel": label_str(channel),
         "z": args.z,
         "order": args.order,
@@ -218,10 +209,7 @@ def cmd_crossing(args) -> int:
     z2s = [[z * z1 for z in grid_z] for z1 in grid_z1]
     worst = float(associativity_residual(spec, z1s, z2s, args.order).max())
     payload = {
-        "command": "crossing",
         "claim": "product equals fused iterate on the sampled grid",
-        "model": {"p": spec.model.p, "q": spec.model.q},
-        "labels": [label_str(l) for l in (spec.w4, spec.w1, spec.w2, spec.w3)],
         "region": "|z1| > |z2| > |z1 - z2| > 0",
         "grid": {"z1": grid_z1, "z2_over_z1": grid_z},
         "order": args.order,
@@ -243,7 +231,7 @@ def cmd_crossing(args) -> int:
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     reports = [run_suite(name) for name in names]
-    payload = {"command": "verify", "reports": reports}
+    payload = {"reports": reports}
     lines = []
     for r in reports:
         status = "PASS" if r["passed"] else "FAIL"

@@ -94,11 +94,17 @@ def central_charge(model: MinimalModel) -> Fraction:
     return 1 - Fraction(6 * (model.p - model.q) ** 2, model.p * model.q)
 
 
+def kac_weight(model: MinimalModel, m: int, n: int) -> Fraction:
+    """Kac weight ((n p - m q)^2 - (p - q)^2) / (4 p q), at any integers
+    m, n, inside the Kac table or not."""
+    p, q = model.p, model.q
+    return Fraction((n * p - m * q) ** 2 - (p - q) ** 2, 4 * p * q)
+
+
 def conformal_weight(model: MinimalModel, label: KacLabel) -> Fraction:
-    """Kac weight ((n p - m q)^2 - (p - q)^2) / (4 p q)."""
+    """Kac weight of a label in the Kac table."""
     check_label(model, label)
-    num = (label.n * model.p - label.m * model.q) ** 2 - (model.p - model.q) ** 2
-    return Fraction(num, 4 * model.p * model.q)
+    return kac_weight(model, label.m, label.n)
 
 
 def reflect(model: MinimalModel, label: KacLabel) -> KacLabel:
@@ -139,8 +145,7 @@ def kac_table(model: MinimalModel) -> list[tuple[KacLabel, Fraction]]:
     for m in range(1, p):
         for n in range(1, q):
             if m * n <= (p - m) * (q - n):
-                label = KacLabel(m, n)
-                rows.append((label, conformal_weight(model, label)))
+                rows.append((KacLabel(m, n), kac_weight(model, m, n)))
     return rows
 
 

@@ -1,35 +1,27 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials in integer arithmetic.
 
-A polynomial is a tuple of ints (the ODE layer) or Fractions in
-ascending power order with no trailing zeros; () is the zero polynomial.
-Includes the canonical form of an ODE coefficient list, in ints, and a
-search for rational roots; the package reads its indicial exponents
-from the fusion rules instead (see `bpz.fusion_exponents`), so the
-search serves as the tests' reference.
+A polynomial is a tuple (or list) of ints in ascending power order with
+no trailing zeros; () is the zero polynomial.  `integer_form`,
+`normalize_system` and `rational_roots` also take Fraction coefficients
+and clear their denominators first.  Includes the canonical form of an
+ODE coefficient list and a search for rational roots; the package reads
+its indicial exponents from the fusion rules instead (see
+`bpz.fusion_exponents`), so the search serves as the tests' reference.
 
 This module owns the exact primitives the rest of the package shares:
-`integer_form` clears denominators, `peval` is the one Horner loop and
-`falling` gives the coefficients of the falling factorial.
+`integer_form` clears denominators, `peval` is the one Horner loop,
+`falling` gives the coefficients of the falling factorial and
+`divide_linear` is the one exact division by a linear factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isfinite, lcm
+from math import gcd, isfinite, lcm, prod
 
 import numpy as np
 
 Poly = tuple[int | Fraction, ...]
-
-ZERO: Poly = ()
-
-
-def poly(coeffs) -> Poly:
-    """Ascending coefficients as a Poly; Fractions are kept as they are."""
-    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def integer_form(*rows) -> tuple[int, list[list[int]]]:
@@ -73,27 +65,22 @@ def degree(a: Poly) -> int:
     return len(a) - 1
 
 
-def divide_by_root(a: Poly, r: Fraction) -> tuple[Poly, Fraction]:
-    """Synthetic division: a = (z - r) q + rem."""
-    if not a:
-        return ZERO, Fraction(0)
-    q = [Fraction(0)] * (len(a) - 1)
-    acc = Fraction(0)
-    for i in range(len(a) - 1, 0, -1):
-        acc = a[i] + r * acc
-        q[i - 1] = acc
-    rem = a[0] + r * acc if len(a) > 1 else a[0]
-    return poly(q), rem
+def divide_linear(a, p: int, q: int) -> list[int] | None:
+    """The nonzero integer polynomial a divided by q z - p (p and q
+    coprime, q != 0), or None when the division is not exact.
 
-
-def divide_by_one_minus_z(p: Poly) -> list[int] | None:
-    """p / (1 - z) for a nonzero integer p, or None when 1 is not a root."""
-    q = [0] * (len(p) - 1)
-    acc = 0
-    for i in range(len(p) - 1, 0, -1):
-        acc += p[i]
-        q[i - 1] = -acc
-    return q if acc + p[0] == 0 else None
+    By Gauss's lemma an exact quotient g has integer coefficients, so
+    each step from the top, a_n = q g_(n-1) and a_k = q g_(k-1) - p g_k,
+    is an exact divmod, and the remainder a_0 + p g_0 must vanish.
+    """
+    out = [0] * (len(a) - 1)
+    carry = 0
+    for k in range(len(a) - 1, 0, -1):
+        carry, rem = divmod(a[k] + p * carry, q)
+        if rem:
+            return None
+        out[k - 1] = carry
+    return out if a[0] + p * carry == 0 else None
 
 
 def rational_roots(a: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
@@ -110,8 +97,9 @@ def rational_roots(a: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     terms by trial division; that costs O(sqrt|c_0|), and indicial
     polynomials of order-6 correlator ODEs have 30-bit constant terms.
     The result does not depend on the floating-point stage: the roots
-    are all rational roots and the leftover is the integer form divided
-    by their linear factors.
+    are all rational roots, each p/q divided out as the primitive factor
+    q z - p, and the leftover is the quotient times the product of q^m,
+    which is the primitive form divided by the monic factors (z - p/q)^m.
     """
     if not a:
         raise ValueError("zero polynomial")
@@ -123,15 +111,12 @@ def rational_roots(a: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
     _, (ints,) = integer_form(a)
     g = gcd(*ints)
     ints = [c // g for c in ints]
-    work = poly(ints)
+    work = ints
     lead = ints[-1]
 
-    def divide_out(work: Poly, r: Fraction) -> Poly:
+    def divide_out(work: list[int], r: Fraction) -> list[int]:
         mult = 0
-        while True:
-            q, rem = divide_by_root(work, r)
-            if rem != 0:
-                break
+        while (q := divide_linear(work, r.numerator, r.denominator)) is not None:
             work = q
             mult += 1
         if mult:
@@ -156,8 +141,8 @@ def rational_roots(a: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
 
     while degree(work) > 0:
         found = None
-        for pnum in divisors(int(work[0])):
-            for qden in divisors(int(work[-1])):
+        for pnum in divisors(work[0]):
+            for qden in divisors(work[-1]):
                 for cand in (Fraction(pnum, qden), Fraction(-pnum, qden)):
                     if peval(work, cand) == 0:
                         found = cand
@@ -169,7 +154,8 @@ def rational_roots(a: Poly) -> tuple[list[tuple[Fraction, int]], Poly]:
         if found is None:
             break
         work = divide_out(work, found)
-    leftover = work if degree(work) > 0 else ZERO
+    scale = prod(r.denominator ** m for r, m in roots)
+    leftover = tuple(c * scale for c in work) if degree(work) > 0 else ()
     return sorted(roots), leftover
 
 
@@ -199,9 +185,9 @@ def normalize_system(polys: list[Poly]) -> tuple[Poly, ...]:
     nz = [p for p in ints if p]
     a = min(ord0(p) for p in nz)
     ints = [p[a:] for p in ints]
-
+    # each division by z - 1 flips every sign, which the sign step fixes
     while True:
-        divided = [divide_by_one_minus_z(p) if p else p for p in ints]
+        divided = [divide_linear(p, 1, 1) if p else p for p in ints]
         if any(q is None for q in divided):
             break
         ints = divided

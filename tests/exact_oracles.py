@@ -1,5 +1,10 @@
 """Earlier exact implementations, kept as independent test oracles.
 
+`poly` (a Fraction polynomial, trailing zeros dropped), `ZERO` and
+`divide_by_root` (synthetic division by z - r in Fractions) are the
+earlier Fraction polynomial primitives; `root_multiplicity`,
+`fraction_normalize_system` and `fraction_validate_minimal_form` divide
+with them, so they share no division with `virmin.poly.divide_linear`.
 `padd`, `pscale`, `pmul`, `proportional` and `rank` are the plain
 polynomial, ODE and matrix helpers the tests compare against.
 `fraction_nullspace` is the earlier kernel: the fraction-free echelon
@@ -114,7 +119,7 @@ from virmin.models import (
     kac_table,
     reflect,
 )
-from virmin.poly import ZERO, Poly, degree, divide_by_root, integer_form, ord0, peval, poly
+from virmin.poly import Poly, degree, integer_form, ord0, peval
 from virmin.serialize import parse_frac
 from virmin.verma import (
     PBWVector,
@@ -126,7 +131,30 @@ from virmin.verma import (
     pbw_basis,
 )
 
+ZERO: Poly = ()
 ONE: Poly = (Fraction(1),)
+
+
+def poly(coeffs) -> Poly:
+    """Ascending coefficients as a Fraction Poly, trailing zeros dropped;
+    Fractions are kept as they are."""
+    out = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def divide_by_root(a: Poly, r: Fraction) -> tuple[Poly, Fraction]:
+    """Synthetic division in Fractions: a = (z - r) q + rem."""
+    if not a:
+        return ZERO, Fraction(0)
+    q = [Fraction(0)] * (len(a) - 1)
+    acc = Fraction(0)
+    for i in range(len(a) - 1, 0, -1):
+        acc = a[i] + r * acc
+        q[i - 1] = acc
+    rem = a[0] + r * acc if len(a) > 1 else a[0]
+    return poly(q), rem
 
 
 def padd(a: Poly, b: Poly) -> Poly:

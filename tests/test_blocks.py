@@ -469,6 +469,19 @@ def test_eval_local_derivatives_consistency():
     assert abs(fd - dval) < 1e-7 * max(1.0, abs(dval))
 
 
+def test_eval_local_derivatives_at_the_base_point_is_a_domain_error():
+    # DomainError, as eval_local gives, not cmath's ValueError from log(0);
+    # the nonzero points the other tests use are evaluated as before
+    ode = sigma_ode()
+    for rho in indicial_exponents(ode, 0):
+        s = frobenius_expand(ode, 0, rho, 20)
+        for u in (0, 0j):
+            with pytest.raises(DomainError, match="base point"):
+                eval_local_derivatives(s, u, 2)
+        val, _ = eval_local_derivatives(s, 0.3 + 0j, 2)
+        assert abs(val - eval_local(s, 0.3 + 0j)) <= 1e-14 * abs(val)
+
+
 def exact_local_derivatives(series, u: complex, count: int) -> list[complex]:
     """Reference for eval_local_derivatives: each term a_k times the
     falling factorial of rho + k formed as a Fraction, rounded once."""

@@ -130,6 +130,36 @@ def test_bpz_json_roundtrip(capsys):
     assert data["anchor"] == {"t1": "0/1", "t2": "-1/8"}
 
 
+LABELS = ["--labels", "2,1", "1,2", "1,2", "2,1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kac-table", "3", "4"],
+        ["fuse", "3", "4", "2,2", "2,2"],
+        ["fusion-table", "3", "4"],
+        ["singular", "3", "4", "2", "1"],
+        ["bpz", "3", "4", *LABELS],
+        ["block", "3", "4", *LABELS, "--channel", "1,2", "--z", "0.3"],
+        ["crossing", "3", "4", *LABELS],
+        ["verify", "kac-data"],
+    ],
+)
+def test_json_envelope(argv, capsys):
+    # every subcommand names itself, and the model and correlator labels
+    # when it takes them, in the labels' command-line order
+    _, out, _ = run_cli(capsys, *argv, "--format", "json")
+    data = json.loads(out)
+    assert data["schema_version"] == 1
+    assert data["command"] == argv[0]
+    if argv[0] == "verify":
+        assert "model" not in data and "labels" not in data
+    else:
+        assert data["model"] == {"p": 3, "q": 4}
+        assert data.get("labels") == (LABELS[1:] if "--labels" in argv else None)
+
+
 def test_block_value(capsys):
     import math
 

@@ -15,6 +15,7 @@ from virmin.models import (
     central_charge,
     conformal_weight,
     kac_table,
+    kac_weight,
     null_level,
     reflect,
     tensor_central_charge,
@@ -125,6 +126,22 @@ def test_weight_reflection_symmetry(p, q, m, n):
     model = MinimalModel(p, q)
     lab = KacLabel(m, n)
     assert conformal_weight(model, lab) == conformal_weight(model, reflect(model, lab))
+
+
+@given(p=st.integers(2, 9), q=st.integers(2, 9), m=st.integers(-20, 20), n=st.integers(-20, 20))
+@settings(max_examples=200)
+def test_kac_weight_at_any_integers(p, q, m, n):
+    # the formula extended to all integers keeps both symmetries of the
+    # Kac weight, and is conformal_weight inside the table
+    from math import gcd
+
+    if p == q or gcd(p, q) != 1:
+        return
+    model = MinimalModel(p, q)
+    h = kac_weight(model, m, n)
+    assert h == kac_weight(model, p - m, q - n) == kac_weight(model, -m, -n)
+    if 0 < m < p and 0 < n < q:
+        assert h == conformal_weight(model, KacLabel(m, n))
 
 
 def test_null_level():

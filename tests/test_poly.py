@@ -8,23 +8,24 @@ from hypothesis import strategies as st
 
 from exact_oracles import (
     RatZ,
+    divide_by_root,
     fraction_normalize_system,
     pcompose_affine,
     padd,
     pderiv,
     pmul,
+    poly,
     pscale,
     root_multiplicity,
 )
 from virmin.poly import (
     _float_roots,
-    divide_by_root,
+    divide_linear,
     falling,
     integer_form,
     normalize_system,
     ord0,
     peval,
-    poly,
     rational_roots,
 )
 
@@ -56,6 +57,37 @@ def test_divide_by_root():
     assert rem == 0 and q == (F(2), F(1))
     assert root_multiplicity(poly([0, 0, 1]), F(0)) == 2
     assert root_multiplicity(poly([1, -2, 1]), F(1)) == 2
+
+
+def test_divide_linear():
+    assert divide_linear((-2, 1, 1), 1, 1) == [2, 1]  # (z - 1)(z + 2)
+    assert divide_linear((2, -1, -1), 1, 1) == [-2, -1]
+    assert divide_linear((-1, -1, 6), -1, 3) == [-1, 2]  # (3z + 1)(2z - 1)
+    assert divide_linear((-2, 1, 1), -1, 1) is None
+    assert divide_linear((5,), 1, 1) is None
+
+
+def _coprime_pair(pair):
+    p, q = pair
+    return q != 0 and gcd(p, q) == 1
+
+
+@given(
+    g=st.lists(st.integers(-(10**400), 10**400), min_size=1, max_size=6).filter(lambda g: g[-1]),
+    pq=st.tuples(st.integers(-50, 50), st.sampled_from([1, -1]) | st.integers(-30, 30))
+    .filter(_coprime_pair),
+)
+@settings(max_examples=150, deadline=None)
+def test_divide_linear_matches_fraction_division(g, pq):
+    # a = (q z - p) g: the exact quotient is g, as the Fraction synthetic
+    # division by z - p/q finds up to the factor q; a_0 +- 1 is not divisible
+    p, q = pq
+    a = [q * (g[k - 1] if k else 0) - p * (g[k] if k < len(g) else 0) for k in range(len(g) + 1)]
+    assert divide_linear(a, p, q) == g
+    quot, rem = divide_by_root(poly(a), F(p, q))
+    assert rem == 0 and quot == tuple(F(q * c) for c in g)
+    for bump in (1, -1):
+        assert divide_linear([a[0] + bump] + a[1:], p, q) is None
 
 
 def test_rational_roots():
