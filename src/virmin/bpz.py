@@ -47,10 +47,10 @@ closed form with the shifted Kac label it comes from; the reduced ODE
 carries them, and `indicial_exponents` confirms them by exact integer
 division of the indicial polynomial.
 
-Both steps run in Python integers over one scale each.  The PDE
-carries delta^N, delta the lcm of the insertion operators' denominators
-and N the level of the singular vector, and forms its Fractions at the
-end; the ODE carries eps^top, eps the lcm of the anchor exponents'
+Both steps run in Python integers over one scale each.  The PDE is
+summed at delta^N, delta the lcm of the insertion operators'
+denominators and N the level of the singular vector, and returned
+primitive; the ODE carries eps^top, eps the lcm of the anchor exponents'
 denominators and top the highest derivative order of the PDE, which its
 canonical form divides out, and all its data are tuples of ints.
 """
@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -89,9 +89,9 @@ from .verma import PBWVector, singular_vectors
 
 # Operator term key: exponents of z1, z2, (z1 - z2), then d/dz1, d/dz2 orders.
 TermKey = tuple[int, int, int, int, int]
-# A two-variable operator: a finite sum of monomial-times-derivative terms,
-# {term key: coefficient}, holding nonzero coefficients only.
-Operator = dict[TermKey, Fraction]
+# A two-variable operator {term key: nonzero coefficient}: Fractions in an
+# insertion operator, ints in a derived one.
+Operator = dict[TermKey, Fraction | int]
 
 
 def _add(out: Operator, key: TermKey, val: Fraction) -> None:
@@ -229,12 +229,13 @@ def _derive_pde(chains: dict[tuple[int, ...], Fraction], insertion) -> Operator:
     once, and each D_m is built once and scaled by delta, the lcm of the
     denominators of every D_m's coefficients.  A tail sum of level n is
     carried at delta^n, so the composition with a leftmost mode m is
-    lifted by delta^(m-1); every chain ends at the common delta^N, which
-    is divided out once with the vector's denominator.
+    lifted by delta^(m-1).  The sum is returned divided by the gcd of its
+    coefficients: the primitive integer operator, the rational one times
+    a positive integer, so every coefficient keeps its sign.
     """
     if not chains:
         raise ShapeError("singular vector must be nonzero")
-    den, (ints,) = integer_form(chains.values())
+    _, (ints,) = integer_form(chains.values())
     ops = {m: insertion(m) for m in {m for parts in chains for m in parts}}
     delta, rows = integer_form(*(op.values() for op in ops.values()))
     steps = {m: dict(zip(op, row)) for (m, op), row in zip(ops.items(), rows)}
@@ -253,8 +254,9 @@ def _derive_pde(chains: dict[tuple[int, ...], Fraction], insertion) -> Operator:
                 _add(out, key, val * lift)
         return out
 
-    total = den * delta ** sum(next(iter(chains)))
-    return {key: Fraction(val, total) for key, val in horner(dict(zip(chains, ints))).items()}
+    out = horner(dict(zip(chains, ints)))
+    content = gcd(*out.values())
+    return {key: val // content for key, val in out.items()}
 
 
 def derive_pde_slot3(spec: CorrelatorSpec, P: PBWVector) -> Operator:
@@ -544,10 +546,10 @@ def reduce_to_ode(op: Operator, anchor: ExponentPair, exponents: dict | None = N
     An operator that is not scaling-homogeneous cannot cancel the z1
     dependence and is rejected.
 
-    The sum runs in integers: the operator's coefficients are cleared
-    once, eps^(r+s) P_rs is integral (see _euler_factors) and is lifted
-    by eps^(top-r-s), top the largest r + s, so every term carries the
-    one scale eps^top; the canonical form does not depend on it.
+    The sum runs in integers: rational coefficients are cleared once (a
+    derived operator is integral already), eps^(r+s) P_rs is integral
+    (see _euler_factors) and is lifted by eps^(top-r-s), top the largest
+    r + s, so every term carries eps^top; the canonical form drops it.
     The ODE carries `exponents` (see ODESpec).
     """
     if not op:

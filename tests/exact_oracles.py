@@ -20,9 +20,11 @@ Operators are the plain dicts of virmin.bpz, {term key: coefficient}.
 
 `reference_derive_pde` is the earlier PDE derivation: each monomial's
 chain of insertion operators composed from the identity on its own with
-`virmin.bpz.compose`, then scaled and summed.  It checks the Horner
-grouping of `virmin.bpz`, not the product rule, which the hand-derived
-equations and `ratz_reduce_to_ode` check.
+`virmin.bpz.compose`, then scaled and summed in Fractions.  It checks the
+Horner grouping of `virmin.bpz`, not the product rule, which the
+hand-derived equations and `ratz_reduce_to_ode` check.
+`primitive_operator` brings a rational operator to the primitive integer
+form the derivation returns: denominators cleared, content divided out.
 
 The float-evaluation oracles are the earlier scalar paths: `tail_bound`
 over every term, `partial_sum` in Fractions, and the fusing fit and
@@ -531,6 +533,15 @@ def reference_derive_pde(P: PBWVector, insertion) -> Operator:
         for key, val in chain.items():
             out[key] = out.get(key, 0) + coef * val
     return {key: val for key, val in out.items() if val}
+
+
+def primitive_operator(op: Operator) -> Operator:
+    """The operator times the positive rational that makes its
+    coefficients coprime integers."""
+    d = lcm(*(Fraction(v).denominator for v in op.values()))
+    ints = {key: int(v * d) for key, v in op.items()}
+    g = gcd(*ints.values())
+    return {key: v // g for key, v in ints.items()}
 
 
 def composed_at_one(ode: ODESpec) -> ODESpec:

@@ -5,8 +5,6 @@ runtime so the whole gate reads as a report under `pytest -s`.
 Tolerances and runtime budgets live here and in virmin.verify only.
 """
 
-import pytest
-
 from virmin.verify import (
     suite_blocks,
     suite_bpz_indicial,

@@ -15,7 +15,6 @@ from exact_oracles import (
     tail_bound,
 )
 from virmin.blocks import (
-    EvaluationResult,
     block,
     eval_local,
     eval_local_derivatives,

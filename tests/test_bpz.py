@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from exact_oracles import (
     composed_at_one,
     padd,
+    primitive_operator,
     proportional,
     pscale,
     ratz_reduce_to_ode,
@@ -162,10 +163,12 @@ def test_slot2_m1_is_translation():
 
 
 def test_derive_pde_linearity():
+    """The derived operator is primitive, so scaling the vector leaves it
+    unchanged."""
     p = ising_null(SIGMA)
     op = derive_pde_slot3(SIGMA_SPEC, p)
-    op5 = derive_pde_slot3(SIGMA_SPEC, p.scaled(F(5)))
-    assert op5 == {key: 5 * coef for key, coef in op.items()}
+    assert derive_pde_slot3(SIGMA_SPEC, p.scaled(F(5))) == op
+    assert op == primitive_operator(op)
 
 
 def test_derive_pde_zero_vector_rejected():
@@ -531,8 +534,9 @@ def test_mixed_label_reductions_match_both_oracles():
         else:
             op = derive_pde_slot2(spec, null)
             want = reference_derive_pde(null, lambda m: insertion_operator_slot2(m, h1, h3))
-        assert op == want, (spec, route)
-        assert all(type(c) is Fraction for c in op.values())
+        assert op == primitive_operator(want), (spec, route)
+        assert all(type(c) is int for c in op.values())
+        assert gcd(*op.values()) == 1
         ode, anchor, _ = reduced_ode(spec, None, route)
         assert ode.coefficients == ratz_reduce_to_ode(op, anchor).coefficients, (spec, route)
         orders.add(ode.order)
@@ -545,9 +549,10 @@ def test_mixed_label_reductions_match_both_oracles():
 
 
 def test_horner_sum_matches_the_chain_reference(monkeypatch):
-    """Both routes give the operator that composing each monomial's chain
-    on its own gives, for every singular vector of the pool; no insertion
-    operator, product or sum built on the way holds a zero coefficient."""
+    """Both routes give the primitive form of the operator that composing
+    each monomial's chain on its own gives, for every singular vector of
+    the pool; no insertion operator, product or sum built on the way
+    holds a zero coefficient."""
     built = []
 
     def recording(fn):
@@ -567,10 +572,33 @@ def test_horner_sum_matches_the_chain_reference(monkeypatch):
             (derive_pde_slot2, lambda m: insertion_operator_slot2(m, spec.h1, spec.h3)),
         ):
             op = derive(spec, null)
-            assert op == reference_derive_pde(null, insertion), (spec, derive.__name__)
+            want = primitive_operator(reference_derive_pde(null, insertion))
+            assert op == want, (spec, derive.__name__)
             built.append(op)
     assert levels == {1, 2, 3, 4, 6}
     assert all(all(op.values()) for op in built)
+
+
+def test_derivation_builds_no_fraction_per_term(monkeypatch):
+    """The Horner sum reaches the caller as integers: the only Fractions
+    the derivation constructs are the constants of its insertion
+    operators, two per mode, however many terms the operator has."""
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(bpz, "Fraction", Counting)
+    label = KacLabel(2, 3)
+    model = MinimalModel(5, 6)
+    ((_, null),) = singular_vectors(model, label, 6)
+    op = derive_pde_slot3(CorrelatorSpec(model, label, label, label, label), null)
+    modes = {m for parts in null.coefficients for m in parts}
+    assert len(op) > 2 * len(modes)
+    assert len(built) <= 2 * len(modes)
+    assert all(type(c) is int for c in op.values())
 
 
 def test_compose_drops_cancelled_terms():

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from exact_oracles import ode_from_jsonable, pbw_from_jsonable
-from virmin import crossing
+from virmin import cli, crossing
 from virmin.bpz import ODESpec
 from virmin.cli import build_parser, main
+from virmin.errors import ConditioningError
 from virmin.models import KacLabel
 from virmin.serialize import (
     frac_str,
@@ -60,6 +61,38 @@ def test_singular_output(capsys):
     code, out, _ = run_cli(capsys, "singular", "3", "4", "2", "1", "--max-level", "4")
     assert code == 0
     assert "level 2: L(-2) - 3/4 L(-1)^2" in out
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_singular_below_the_null_level_reports_no_vectors(fmt, capsys):
+    code, out, err = run_cli(
+        capsys, "singular", "3", "4", "2", "1", "--max-level", "1", "--format", fmt
+    )
+    assert code == 0 and err == ""
+    if fmt == "json":
+        assert json.loads(out)["vectors"] == []
+    else:
+        assert out == "no singular vectors through level 1\n"
+
+
+def test_an_ill_conditioned_solve_exits_4(capsys, monkeypatch):
+    def ill_conditioned(spec, order):
+        raise ConditioningError("condition number 1e13")
+
+    monkeypatch.setattr(cli, "correlator", ill_conditioned)
+    code, out, err = run_cli(capsys, "crossing", "3", "4", "--labels", "1,2", "1,2", "1,2", "1,2")
+    assert code == 4
+    assert out == "" and err == "error: condition number 1e13\n"
+
+
+def test_a_non_virmin_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(model):
+        raise RuntimeError("table lost")
+
+    monkeypatch.setattr(cli, "kac_table", broken)
+    code, out, err = run_cli(capsys, "kac-table", "3", "4")
+    assert code == 5
+    assert out == "" and err == "internal error: table lost\n"
 
 
 def test_gcd_error_exit_code(capsys):

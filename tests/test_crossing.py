@@ -15,6 +15,7 @@ from exact_oracles import (
 from virmin import crossing
 from virmin.blocks import BLOCK_ORDER, block, eval_local_derivatives, frobenius_expand
 from virmin.bpz import CorrelatorSpec, ODESpec, allowed_channels, reduced_ode, series_exponent
+from virmin.cli import main
 from virmin.continuation import continue_along, lower_arc_path
 from virmin.crossing import (
     _heldout_residual,
@@ -197,6 +198,31 @@ def test_associativity_residual_on_arrays_rejects_bad_input():
         associativity_residual(SIGMA_SPEC, 1.0, [0.55, 0.6])
     with pytest.raises(DomainError, match=r"\(1.0, 0.4\)"):
         associativity_residual(SIGMA_SPEC, [1.0, 1.0], [0.55, 0.4])
+
+
+def test_a_nan_in_one_channel_is_the_associativity_residual(monkeypatch, capsys):
+    """A NaN in the first channel's product value at z = 3/4 is the
+    residual there, though the second channel's finite ratio comes after
+    it: on the scalar path, at that point of the grid path, and in the
+    `virmin crossing` exit code."""
+    channel = correlator(SIGMA_SPEC).channel_indices[0]
+    real = crossing.ChannelBasis.values
+
+    def nan_at_three_quarters(basis, z):
+        out = real(basis, z)
+        if basis.point == 0:
+            out[channel, ...] = np.where(np.isclose(z, 0.75), np.nan, out[channel, ...])
+        return out
+
+    monkeypatch.setattr(crossing.ChannelBasis, "values", nan_at_three_quarters)
+    assert math.isnan(associativity_residual(SIGMA_SPEC, 1.0, 0.75))
+    assert associativity_residual(SIGMA_SPEC, 1.0, 0.6) < 1e-8
+    grid = associativity_residual(SIGMA_SPEC, [1.0, 1.0], [0.6, 0.75])
+    assert grid[0] < 1e-8 and math.isnan(grid[1])
+    labels = ("--labels", "1,2", "1,2", "1,2", "1,2")
+    for z, code in (("0.6", 0), ("0.6,0.75", 1)):
+        assert main(["crossing", "3", "4", *labels, "--grid-z1", "1.0", "--grid-z", z]) == code
+    assert capsys.readouterr().out.endswith("max associativity residual on grid: nan\n")
 
 
 def test_commutativity_residual_and_phase_control():

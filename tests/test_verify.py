@@ -106,6 +106,23 @@ def test_commutativity_suite_transports_each_leg_once(monkeypatch):
     assert report["details"]["negative_control"] == commutativity_residuals(spec, 60, (True,))[0]
 
 
+def test_point_one_exponents_off_by_a_seventh_fail_commutativity(monkeypatch):
+    """phases_exact compares the braiding phases with the exponents at 1
+    that the transport multiplies by, so exponents shifted by 1/7 there
+    fail the suite, though the transport residual does not see them."""
+    assert verify.suite_commutativity()["details"]["phases_exact"]
+    real = crossing.ChannelBasis.exponents
+
+    def shifted(basis):
+        exps = real.fget(basis)
+        return tuple(e + Fraction(1, 7) for e in exps) if basis.point == 1 else exps
+
+    monkeypatch.setattr(crossing.ChannelBasis, "exponents", property(shifted))
+    report = verify.suite_commutativity()
+    assert not report["passed"] and not report["details"]["phases_exact"]
+    assert report["max_residual"] < report["tolerance"]
+
+
 def test_suites_are_the_module_functions_and_report_seven_keys():
     """perfbench's tracer rebinds each suite through its module attribute
     and names its span after the suite, so SUITES holds, in definition
