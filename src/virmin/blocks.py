@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
+from math import gcd
 
 import numpy as np
 
@@ -159,7 +160,10 @@ def _terms(values: list[list[int]], exponent: Fraction):
 
     The recursion in integers: a_0..a_n are carried as integer
     numerators over one running denominator; only the last jmax
-    numerators are kept current.
+    numerators are kept current.  Each step multiplies the denominator
+    by the leading value over its gcd with the new numerator, which
+    keeps it near its reduced size (at order 60, hundreds of bits
+    against thousands).
     """
     jmax = len(values) - 1
     order = len(values[0]) - 1
@@ -175,6 +179,11 @@ def _terms(values: list[list[int]], exponent: Fraction):
             rhs -= values[j][n - j] * nums[n - j]
         lead = values[0][n]
         if lead != 0:
+            # a_n = rhs / (den lead); the common factor of rhs and lead
+            # would stay in den, and in every later term, for good
+            common = gcd(rhs, lead)
+            rhs //= common
+            lead //= common
             den *= lead
             for k in range(max(0, n + 1 - jmax), n):
                 nums[k] *= lead

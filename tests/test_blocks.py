@@ -420,6 +420,22 @@ def test_series_floats_are_the_rounded_exact_coefficients():
     assert expanded > 200 and raised > 0 and negative_zeros > 0
 
 
+def test_running_denominator_stays_near_its_reduced_size():
+    """At order 60 on every root at 0 and 1 of (5,6)<(2,3)^4>, the
+    recursion's running denominator ends under 600 bits, with the lowest
+    terms denominators at 226-426 bits; carrying the common factor of
+    each new numerator and leading value would end it at 2974-4511."""
+    ode = reduced_ode(CorrelatorSpec(MinimalModel(5, 6), *[KacLabel(2, 3)] * 4))[0]
+    count = 0
+    for point in (0, 1):
+        shifts = (ode if point == 0 else ode.shifted_to_one).frobenius_shifts
+        for rho in indicial_exponents(ode, point):
+            *_, (_, den) = blocks._terms(blocks._values(shifts, rho, 60), rho)
+            assert abs(den).bit_length() < 600, (point, rho)
+            count += 1
+    assert count == 12
+
+
 def test_exact_coefficients_are_built_only_when_asked_for():
     """A cold fusing matrix and a warm block build no Fraction
     coefficients; residual_orders builds them and gives the support of

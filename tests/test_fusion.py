@@ -381,3 +381,74 @@ def test_ring_check_never_holds_a_k4_array():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def _no_scan(*args):
+    raise AssertionError("the associativity scan ran")
+
+
+def _ring_failures_with_scan_count(monkeypatch) -> list:
+    """Patch the associativity scan to record each call; the list it
+    returns fills as the scan runs."""
+    calls = []
+    scan = fusion._associativity_scan
+
+    def counted(ft, *args):
+        calls.append(ft)
+        return scan(ft, *args)
+
+    monkeypatch.setattr(fusion, "_associativity_scan", counted)
+    return calls
+
+
+def test_ladder_reaches_every_label_and_the_generators_certify_every_table(monkeypatch):
+    monkeypatch.setattr(fusion, "_associativity_scan", _no_scan)
+    models = _coprime_models(13)
+    assert len(models) == 45
+    for model in models:
+        ft = fusion_table.__wrapped__(model)
+        rungs, rho = fusion._ladder(ft)
+        vac = ft.index(KacLabel(1, 1))
+        assert sorted(rungs[:, 2]) == [c for c in range(len(ft.labels)) if c != vac], model
+        p, q = model.p, model.q
+        assert rho.tolist() == [min(a.m + a.n, p + q - a.m - a.n) for a in ft.labels]
+        for g, b, c in rungs:
+            assert ft.labels[g] in (KacLabel(1, 2), KacLabel(2, 1))
+            assert ft.table[g, b, c] == 1 and rho[b] < rho[c]
+        monkeypatch.setattr(fusion, "fusion_table", lambda m: ft)
+        assert verify_ring_axioms(model).failures == (), model
+
+
+def test_ring_check_matches_reference_on_random_symmetric_flips(monkeypatch):
+    # one to three triples flipped in all slot orders, the vacuum row kept:
+    # the table stays a unital commutative candidate, so the generators
+    # decide whether the scan runs, and the report must not depend on it
+    calls = _ring_failures_with_scan_count(monkeypatch)
+    rng = np.random.default_rng(3607)
+    outcomes = set()
+    for model in _coprime_models(9):
+        good = fusion_table(model)
+        others = [i for i in range(len(good.labels)) if i != good.index(KacLabel(1, 1))]
+        for _ in range(4 if others else 0):
+            triples = rng.choice(others, (rng.integers(1, 4), 3))
+            bad = _flipped(good, *{cell for t in triples for cell in permutations(t.tolist())})
+            scanned = len(calls)
+            report = _ring_report_as_reference(bad, monkeypatch)
+            outcomes.add((len(calls) > scanned, report.passed))
+    # some flips keep the ring associative, and the generators certify them
+    assert outcomes == {(False, True), (True, False)}
+
+
+def test_relabelled_associative_table_takes_the_scan_and_passes(monkeypatch):
+    # the non-vacuum labels of (5,6) rotated by one: an isomorphic ring,
+    # so associative, whose labels no longer climb the Kac ladder
+    good = fusion_table(MinimalModel(5, 6))
+    k = len(good.labels)
+    assert good.index(KacLabel(1, 1)) == 0
+    perm = [0, *range(2, k), 1]
+    bad = FusionTable(good.model, good.labels, good.table[np.ix_(perm, perm, perm)])
+    # (ii) rejects it: the packed rows, which only (i) reads, are not needed
+    assert not fusion._generated_associatively(bad, bad.table.astype(np.float64), None)
+    calls = _ring_failures_with_scan_count(monkeypatch)
+    assert _ring_report_as_reference(bad, monkeypatch).failures == ()
+    assert calls == [bad]
