@@ -110,7 +110,7 @@ def cmd_fusion_table(args) -> int:
     for i, a in enumerate(ft.labels):
         for j in range(i, len(ft.labels)):
             b = ft.labels[j]
-            chans = [c for c in ft.labels if ft.multiplicity(a, b, c)]
+            chans = [c for c, n in zip(ft.labels, ft.table[i, j]) if n]
             entries.append(
                 {
                     "a": label_str(a),

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bpz import ODESpec
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 from .poly import falling, peval
 
 TAYLOR_ORDER = 40  # degree of the Taylor polynomial of each step
@@ -147,12 +147,17 @@ def states_along(ode: ODESpec, start: complex, state, path) -> list[np.ndarray]:
     Taylor steps, one array per waypoint; state is a (k,) vector or a
     (k, m) matrix whose columns are states, and each result has its shape.
 
-    Raises DomainError if a step starts at a singular point or reaches
-    as far as the nearest one.
+    Raises ShapeError for a state of any other shape, and DomainError if
+    a step starts at a singular point or reaches as far as the nearest one.
     """
+    state = np.asarray(state, dtype=complex)
+    if state.shape[:1] != (ode.order,) or state.ndim > 2:
+        raise ShapeError(
+            f"state has shape {state.shape}; an order-{ode.order} ODE needs "
+            f"({ode.order},) or ({ode.order}, m)"
+        )
     targets = np.fromiter(path, dtype=complex)
     starts = np.concatenate(([complex(start)], targets))[:-1]
-    state = np.asarray(state, dtype=complex)
     cur = state.reshape(ode.order, -1)
     out = []
     # einsum sums each column in the same order whatever the number of

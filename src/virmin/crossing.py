@@ -126,11 +126,11 @@ class ChannelBasis:
     def values(self, z) -> np.ndarray:
         """Every solution at z, in the local coordinate u = z at 0 and
         u = 1 - z at 1 (u nonzero), principal branch of u^exponent:
-        shape (k,) for a scalar z, (k, m) for a 1-D array of m points.
+        shape (k,) for a scalar z, (k, *z.shape) for an array of points.
 
         Each point's sum is one matrix-vector product, in the scalar
-        and the array call alike, so a column of an array call equals
-        the scalar call at that point."""
+        and the array call alike, so out[:, i, ...] of an array call
+        equals the scalar call at z[i, ...]."""
         if isinstance(z, _SCALARS):
             u = complex(1 - z if self.point == 1 else z)
             sums = self.coefficient_matrix @ u**self._degrees
@@ -139,7 +139,8 @@ class ChannelBasis:
         if self.point == 1:
             u = 1 - u
         powers = u[..., None] ** self._degrees
-        sums = (self.coefficient_matrix @ powers[..., None])[..., 0].T
+        sums = (self.coefficient_matrix @ powers[..., None])[..., 0]
+        sums = sums.transpose(-1, *range(u.ndim))  # (k, *u.shape), cheaper than np.moveaxis
         return sums * np.exp(np.multiply.outer(self._complex_exponents, np.log(u)))
 
 

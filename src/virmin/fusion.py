@@ -97,10 +97,8 @@ def fusion_rule(model: MinimalModel, a: KacLabel, b: KacLabel, c: KacLabel) -> i
 
 def fuse(model: MinimalModel, a: KacLabel, b: KacLabel) -> set[KacLabel]:
     """All canonical labels c with N_{ab}^c = 1."""
-    table = fusion_table(model)
-    a = canonicalize(model, a)
-    b = canonicalize(model, b)
-    return {c for c in table.labels if table.multiplicity(a, b, c) == 1}
+    ft = fusion_table(model)
+    return {c for c, n in zip(ft.labels, ft.table[ft.index(a), ft.index(b)]) if n}
 
 
 def tensor_fusion_rule(

@@ -3,8 +3,9 @@
 Determinants and kernels are computed by fraction-free (Bareiss)
 elimination on denominator-cleared integer matrices; rank decisions are
 therefore exact, which is what the degenerate Verma-module weights
-require.  `ff_echelon` is the one elimination over Z: the determinant
-and the kernel both read its echelon form.  It rescales lazily: a row
+require.  Denominators are cleared once, by `poly.integer_form`, and
+`ff_echelon` is the one elimination over Z: the determinant and the
+kernel both read its echelon form.  It rescales lazily: a row
 with a zero entry in the pivot column is not touched, and the skipped
 rescalings are applied, exactly, only when the row is next updated,
 becomes the pivot row, or the elimination ends.
@@ -81,20 +82,6 @@ def ff_echelon(
     return m, pivots, sign
 
 
-def _primitive_rows(matrix: Matrix) -> tuple[list[list[int]], Fraction]:
-    """Integer rows with coprime entries and the product of the rational
-    factors taken out of them (0 if a row is zero)."""
-    rows, content = [], Fraction(1)
-    for row in matrix:
-        den, (ints,) = integer_form(row)
-        g = gcd(*ints)
-        if g == 0:
-            return [], Fraction(0)
-        content *= Fraction(g, den)
-        rows.append([x // g for x in ints])
-    return rows, content
-
-
 def _integer_rows(matrix: Matrix) -> list[list[int]]:
     """The matrix itself when every entry is an int, else its rows with
     the denominators cleared (the same kernel and rank)."""
@@ -104,32 +91,23 @@ def _integer_rows(matrix: Matrix) -> list[list[int]]:
 
 
 def det(matrix: Matrix) -> Fraction:
-    """Exact determinant of a square matrix of Fractions.
+    """Exact determinant of a square matrix of Fractions or ints.
 
-    Each row's and then each column's content is divided out before the
-    fraction-free elimination and multiplied back into its result; the
-    elimination stops at the first column without a pivot (det 0).
+    The matrix is cleared of denominators once, d * matrix, and
+    eliminated fraction-free; the last pivot is det(d * matrix) up to the
+    sign of the row swaps, and the elimination stops at the first column
+    without a pivot (det 0).
     """
     n = len(matrix)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    ints, content = _primitive_rows(matrix)
-    if not content:  # a zero row
-        return Fraction(0)
-    for j in range(n):
-        g = gcd(*(row[j] for row in ints))
-        if g == 0:
-            return Fraction(0)
-        if g != 1:
-            content *= g
-            for row in ints:
-                row[j] //= g
+    d, ints = integer_form(*matrix)
     ech, pivots, sign = ff_echelon(ints, stop_at_gap=True)
     if len(pivots) < n:
         return Fraction(0)
-    return content * (sign * ech[n - 1][n - 1])
+    return Fraction(sign * ech[n - 1][n - 1], d**n)
 
 
 def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:

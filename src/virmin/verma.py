@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from operator import mul
+from operator import ge, mul
 
 from .errors import ModelViolationError, RangeError
 from .linalg import nullspace
@@ -42,7 +42,8 @@ class VermaParams:
 
 @dataclass(frozen=True)
 class PBWVector:
-    """Element of the level-`level` subspace: partition -> coefficient."""
+    """Element of the level-`level` subspace: partition -> coefficient.
+    A key that is not a partition of `level` raises RangeError."""
 
     level: int
     coefficients: dict[Partition, Fraction]
@@ -53,6 +54,8 @@ class PBWVector:
                 raise RangeError(
                     f"partition {parts} does not have level {self.level}"
                 )
+            if not all(map(ge, parts, parts[1:] + (1,))):  # non-increasing, last >= 1
+                raise RangeError(f"{parts} is not a partition into positive, non-increasing parts")
         object.__setattr__(
             self,
             "coefficients",

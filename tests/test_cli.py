@@ -12,7 +12,8 @@ from virmin import cli, crossing
 from virmin.bpz import ODESpec
 from virmin.cli import build_parser, main
 from virmin.errors import ConditioningError
-from virmin.models import KacLabel
+from virmin.fusion import fuse, fusion_table
+from virmin.models import KacLabel, MinimalModel
 from virmin.serialize import (
     frac_str,
     label_str,
@@ -55,6 +56,27 @@ def test_fuse_output(capsys):
     code, out, _ = run_cli(capsys, "fuse", "3", "4", "2,2", "2,2")
     assert code == 0
     assert out.strip() == "(1,1) (2,1)"
+
+
+def test_fusion_table_rows_agree_with_fuse_and_multiplicity(capsys):
+    """Every product the (9,10) table prints, in JSON and in text, lists
+    the channels fuse returns and multiplicity counts, in label order."""
+    model = MinimalModel(9, 10)
+    ft = fusion_table(model)
+    _, out, _ = run_cli(capsys, "fusion-table", "9", "10", "--format", "json")
+    products = json.loads(out)["products"]
+    _, text, _ = run_cli(capsys, "fusion-table", "9", "10")
+    lines = text.splitlines()[1:]
+    k = len(ft.labels)
+    assert len(products) == len(lines) == k * (k + 1) // 2
+    for entry, line in zip(products, lines):
+        a, b = parse_label(entry["a"]), parse_label(entry["b"])
+        want = [c for c in ft.labels if ft.multiplicity(a, b, c)]
+        assert set(want) == fuse(model, a, b)
+        assert entry["channels"] == [label_str(c) for c in want]
+        assert line == f"  ({a.m},{a.n}) x ({b.m},{b.n}) = " + " + ".join(
+            f"({c.m},{c.n})" for c in want
+        )
 
 
 def test_singular_output(capsys):

@@ -20,7 +20,7 @@ from virmin.continuation import (
     taylor_step,
 )
 from virmin.crossing import channel_basis, commutativity_residuals
-from virmin.errors import DomainError
+from virmin.errors import DomainError, ShapeError
 from virmin.models import KacLabel, MinimalModel
 
 F = Fraction
@@ -177,6 +177,20 @@ def test_vector_state_returns_vector():
     assert out.shape == (ode.order,)
     assert continue_along(ode, 0.5, states[:, 0], [0.6, 0.7]).shape == (ode.order,)
     assert np.array_equal(out, taylor_step(ode, 0.5, states[:, :1], 0.6)[:, 0])
+
+
+@pytest.mark.parametrize("shape", [(4,), (3,), (3, 2), (2, 2, 1), ()])
+def test_state_of_the_wrong_shape_is_rejected(shape):
+    """An order-2 state is (2,) or (2, m); reshaping any other shape to
+    (2, -1) would mix entries of different states, so it raises ShapeError."""
+    ode = ODESpec(((F(1),), (), (F(1),)))  # y'' + y = 0
+    state = np.ones(shape, dtype=complex)
+    with pytest.raises(ShapeError):
+        states_along(ode, 0.0, state, [0.4])
+    with pytest.raises(ShapeError):
+        continue_along(ode, 0.0, state, [])
+    with pytest.raises(ShapeError):
+        taylor_step(ode, 0.0, state, 0.4)
 
 
 def _chained_reference(ode, start, states, path):

@@ -378,14 +378,18 @@ def test_basis_values_match_exact_partial_sums(certifying_correlators):
 
 
 def test_basis_values_array_columns_match_scalar_calls(certifying_correlators):
-    points = np.array([float(z) for z in RATIONAL_Z] + [0.44, 0.56])
-    for basis in bases(certifying_correlators):
-        grid = basis.values(points)
-        assert grid.shape == (len(basis.solutions), len(points))
-        for col, x in enumerate(points):
-            one = basis.values(x)
-            scale = np.maximum(np.abs(one), 1e-300)
-            assert np.all(np.abs(grid[:, col] - one) <= 1e-15 * scale)
+    """An array of points of any shape gives (k, *shape), each point's
+    values those of the scalar call there: a row of points, and the
+    first four and six of them as 2x2 and 2x3 grids."""
+    row = np.array([float(z) for z in RATIONAL_Z] + [0.44, 0.56])
+    for points in (row, row[:4].reshape(2, 2), row[:6].reshape(2, 3)):
+        for basis in bases(certifying_correlators):
+            grid = basis.values(points)
+            assert grid.shape == (len(basis.solutions), *points.shape)
+            for idx in np.ndindex(points.shape):
+                one = basis.values(points[idx])
+                scale = np.maximum(np.abs(one), 1e-300)
+                assert np.all(np.abs(grid[(slice(None), *idx)] - one) <= 1e-15 * scale)
 
 
 def test_basis_float_data_is_read_only_and_built_once(certifying_correlators):

@@ -87,6 +87,16 @@ def test_pbw_basis():
         pbw_basis(-1)
 
 
+@pytest.mark.parametrize("parts", [(1, 2), (3, 0), (4, -1)])
+def test_pbw_vector_rejects_keys_that_are_not_partitions(parts):
+    """Each key has level 3 but is not a partition, which the serializers
+    would drop; the vector refuses it."""
+    with pytest.raises(RangeError):
+        PBWVector(3, {parts: F(1)})
+    assert PBWVector(3, {(2, 1): F(1), (1, 1, 1): F(0)}).coefficients == {(2, 1): F(1)}
+    assert PBWVector(0, {(): F(2)}).coefficients == {(): F(2)}
+
+
 def test_pbw_basis_equals_the_partition_generator():
     for level in range(16):
         assert pbw_basis(level) == reference_pbw_basis(level), level
