@@ -16,6 +16,7 @@ from .models import (
     canonicalize,
     central_charge,
     conformal_weight,
+    kac_labels,
     kac_table,
     tensor_central_charge,
     tensor_weight,
@@ -75,6 +76,7 @@ __all__ = [
     "canonicalize",
     "central_charge",
     "conformal_weight",
+    "kac_labels",
     "kac_table",
     "tensor_central_charge",
     "tensor_weight",

@@ -79,7 +79,7 @@ from .models import (
     canonicalize,
     check_label,
     conformal_weight,
-    kac_table,
+    kac_labels,
     kac_weight,
     null_level,
     reflect,
@@ -205,14 +205,16 @@ class CorrelatorSpec:
         """Every intermediate channel allowed in both pairings, under both
         Kac representatives, mapped to its anchor exponents; built once.
 
-        The canonical labels come first, in `kac_table` order, then their
+        The canonical labels come first, in `kac_labels` order, then their
         reflections (no label is its own reflection: p and q are coprime).
+        The weight h5 is built only for a label both fusion rules allow.
         """
         allowed = [
             (label, ExponentPair(t1=self.h4 - self.h1 - h5, t2=h5 - self.h2 - self.h3))
-            for label, h5 in kac_table(self.model)
+            for label in kac_labels(self.model)
             if fusion_rule(self.model, self.w2, self.w3, label)
             and fusion_rule(self.model, self.w1, label, self.w4)
+            for h5 in (kac_weight(self.model, label.m, label.n),)
         ]
         table = dict(allowed)
         table.update((reflect(self.model, label), exps) for label, exps in allowed)

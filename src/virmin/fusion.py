@@ -49,7 +49,7 @@ from .models import (
     canonicalize,
     check_label,
     check_tensor_label,
-    kac_table,
+    kac_labels,
 )
 
 
@@ -153,7 +153,7 @@ def fusion_table(model: MinimalModel) -> FusionTable:
     parities are (k, k) arrays over the pairs (a, b), compared with the
     k labels c for each of their two representatives.
     """
-    labels = tuple(lab for lab, _ in kac_table(model))
+    labels = tuple(kac_labels(model))
     m = np.array([lab.m for lab in labels], dtype=np.int16)
     n = np.array([lab.n for lab in labels], dtype=np.int16)
     table = _triple_ok(

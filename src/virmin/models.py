@@ -133,20 +133,27 @@ def null_level(model: MinimalModel, label: KacLabel) -> int:
     return label.m * label.n
 
 
-def kac_table(model: MinimalModel) -> list[tuple[KacLabel, Fraction]]:
-    """Canonical labels with their weights, one entry per reflection orbit.
+def kac_labels(model: MinimalModel) -> list[KacLabel]:
+    """Canonical labels, one per reflection orbit, sorted.
 
-    The list has (p-1)(q-1)/2 entries, sorted by label.  A label is kept
-    when it is its orbit's canonical member (the choice canonicalize
-    makes), so one pass over (m, n) in order yields each orbit once.
+    The list has (p-1)(q-1)/2 entries.  A label is kept when it is its
+    orbit's canonical member (the choice canonicalize makes), so one pass
+    over (m, n) in order yields each orbit once.
     """
     p, q = model.p, model.q
-    rows = []
-    for m in range(1, p):
-        for n in range(1, q):
-            if m * n <= (p - m) * (q - n):
-                rows.append((KacLabel(m, n), kac_weight(model, m, n)))
-    return rows
+    return [
+        KacLabel(m, n)
+        for m in range(1, p)
+        for n in range(1, q)
+        if m * n <= (p - m) * (q - n)
+    ]
+
+
+def kac_table(model: MinimalModel) -> list[tuple[KacLabel, Fraction]]:
+    """The labels of kac_labels, in its order, each with its Kac weight.
+    A caller that needs the labels only should call kac_labels: it
+    builds no weight."""
+    return [(lab, kac_weight(model, lab.m, lab.n)) for lab in kac_labels(model)]
 
 
 def tensor_central_charge(tmodel: TensorModel) -> Fraction:

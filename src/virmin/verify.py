@@ -45,6 +45,7 @@ from .models import (
     TensorModel,
     central_charge,
     conformal_weight,
+    kac_labels,
     kac_table,
     null_level,
 )
@@ -71,7 +72,7 @@ def models_up_to(bound: int) -> list[MinimalModel]:
 
 
 def level2_labels(model: MinimalModel) -> list[KacLabel]:
-    return [lab for lab, _ in kac_table(model) if null_level(model, lab) == 2]
+    return [lab for lab in kac_labels(model) if null_level(model, lab) == 2]
 
 
 def _suite(name: str, claim: str):
@@ -106,7 +107,7 @@ def suite_kac_data() -> tuple:
     models = models_up_to(13)
     for model in models:
         expect = (model.p - 1) * (model.q - 1) // 2
-        got = len(kac_table(model))
+        got = len(kac_labels(model))
         if got != expect:
             failures.append(f"table size {got} != {expect} for {model}")
     pins = [
@@ -376,7 +377,7 @@ def suite_tensor() -> tuple:
     for pair in pairs:
         tables = [fusion_table(f) for f in pair]
         # The scalar rule on each factor's canonical labels is the independent
-        # path, unchecked because kac_table gave the labels; both sides are
+        # path, unchecked because kac_labels gave the labels; both sides are
         # int8 outer products, axes (a1, b1, c1, a2, b2, c2).
         scalar = [
             np.array([_rule(f, *abc) for abc in product(t.labels, repeat=3)], np.int8)

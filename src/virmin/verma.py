@@ -43,7 +43,9 @@ class VermaParams:
 @dataclass(frozen=True)
 class PBWVector:
     """Element of the level-`level` subspace: partition -> coefficient.
-    A key that is not a partition of `level` raises RangeError."""
+    A key that is not a partition of `level` raises RangeError.  Vectors
+    the module builds from pbw_basis or the raising tables, whose keys
+    are partitions by construction, come from `_of` and skip that check."""
 
     level: int
     coefficients: dict[Partition, Fraction]
@@ -62,11 +64,21 @@ class PBWVector:
             {p: Fraction(v) for p, v in self.coefficients.items() if v != 0},
         )
 
+    @classmethod
+    def _of(cls, level: int, coefficients: dict[Partition, Fraction]) -> "PBWVector":
+        """The vector of Fraction coefficients on keys known to be
+        partitions of level, zeros dropped, with no key check."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "level", level)
+        object.__setattr__(v, "coefficients", {p: x for p, x in coefficients.items() if x})
+        return v
+
     def is_zero(self) -> bool:
         return not self.coefficients
 
     def scaled(self, factor: Fraction) -> "PBWVector":
-        return PBWVector(self.level, {p: v * factor for p, v in self.coefficients.items()})
+        factor = Fraction(factor)
+        return PBWVector._of(self.level, {p: v * factor for p, v in self.coefficients.items()})
 
 
 @lru_cache(maxsize=64)
@@ -175,7 +187,7 @@ def apply_raising(params: VermaParams, m: int, v: PBWVector) -> PBWVector:
     for parts, coef in v.coefficients.items():
         for word, (a, b, e) in _raise_monomial(m, parts):
             out[word] = out.get(word, 0) + coef * (a * d + b * dh + e * dc)
-    return PBWVector(new_level, {word: x / d for word, x in out.items()})
+    return PBWVector._of(new_level, {word: x / d for word, x in out.items()})
 
 
 @dataclass(frozen=True)
@@ -350,7 +362,7 @@ def _singular_space(params: VermaParams, level: int) -> list[PBWVector]:
         rows += block
     kernel = nullspace(rows, n_cols=len(basis))
     return [
-        PBWVector(level, {parts: coef for parts, coef in zip(basis, vec)})
+        PBWVector._of(level, dict(zip(basis, vec)))
         for vec in kernel
     ]
 

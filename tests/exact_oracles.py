@@ -35,7 +35,9 @@ through `eval_local` (`scalar_fusing_fit`, `scalar_heldout_residual`,
 The channel oracles `reference_channel_exponents` and
 `reference_allowed_channels` are the earlier validating paths: every call
 re-checks both fusion pairings and computes the Kac weights in
-Fractions, with no table.  `reference_fusion_rule` is the earlier rule
+Fractions, with no table.  `reference_channels` is the earlier channel
+table, which weighs every row of `kac_table` before the two pairings
+filter them.  `reference_fusion_rule` is the earlier rule
 that builds each reflected representative as a KacLabel and tries the
 eight choices in turn; `reference_fusion_table` is the earlier table,
 the rule evaluated on the whole label grid for each of the eight
@@ -758,6 +760,18 @@ def reference_allowed_channels(spec: CorrelatorSpec) -> list[KacLabel]:
         ) and reference_fusion_rule(spec.model, spec.w1, label, spec.w4):
             out.append(label)
     return out
+
+
+def reference_channels(spec: CorrelatorSpec) -> dict[KacLabel, ExponentPair]:
+    """Channel -> anchor exponents: the kac_table rows both pairings
+    allow, in table order, then their reflections."""
+    allowed = [
+        (label, ExponentPair(t1=spec.h4 - spec.h1 - h5, t2=h5 - spec.h2 - spec.h3))
+        for label, h5 in kac_table(spec.model)
+        if reference_fusion_rule(spec.model, spec.w2, spec.w3, label)
+        and reference_fusion_rule(spec.model, spec.w1, label, spec.w4)
+    ]
+    return dict(allowed + [(reflect(spec.model, label), exps) for label, exps in allowed])
 
 
 def inequality_triple_ok(p: int, q: int, a, b, c):

@@ -16,6 +16,7 @@ from exact_oracles import (
     recursion_shifts,
     reference_allowed_channels,
     reference_channel_exponents,
+    reference_channels,
     reference_derive_pde,
     reference_frobenius_expand,
     reference_indicial_polynomial,
@@ -51,7 +52,7 @@ from virmin.errors import (
     StructureError,
 )
 from virmin.cli import main
-from virmin.models import KacLabel, MinimalModel, kac_table, reflect
+from virmin.models import KacLabel, MinimalModel, kac_labels, kac_table, reflect
 from virmin.poly import normalize_system, rational_roots
 from virmin.verma import PBWVector, singular_vectors
 
@@ -244,6 +245,21 @@ def test_channel_table_matches_the_validating_oracle():
                 kinds.add("second pairing" if "into" in want[1] else "first pairing")
     assert kinds == {"allowed", "off-table", "first pairing", "second pairing"}
     assert not allowed_channels(specs[-1])
+
+
+def test_channel_table_equals_the_table_weighed_from_every_kac_row():
+    """spec.channels weighs only the labels both pairings allow, and is
+    still the dict of the table that weighed every kac_table row: the
+    same keys and exponents in the same order, for every diagonal spec
+    with q <= 7 and the orderings (a,a,b,b), (a,b,a,b), (a,b,b,a) of one
+    mixed pair."""
+    models = [MinimalModel(p, q) for q in range(3, 8) for p in range(2, q) if gcd(p, q) == 1]
+    specs = [CorrelatorSpec(model, *[label] * 4) for model in models for label in kac_labels(model)]
+    m56, a, b = MinimalModel(5, 6), KacLabel(2, 2), KacLabel(1, 3)
+    mixed = [CorrelatorSpec(m56, *order) for order in ((a, a, b, b), (a, b, a, b), (a, b, b, a))]
+    assert all(spec.channels for spec in mixed)
+    for spec in specs + mixed:
+        assert list(spec.channels.items()) == list(reference_channels(spec).items()), spec
 
 
 def test_allowed_channels_returns_a_fresh_list():

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from itertools import permutations, product
 from math import gcd
 
@@ -22,6 +23,7 @@ from virmin.models import (
     TensorLabel,
     TensorModel,
     canonicalize,
+    kac_labels,
     kac_table,
     reflect,
 )
@@ -52,6 +54,29 @@ def test_fusion_rule_reflection_invariance():
             assert base == fusion_rule(model, reflect(model, a), b, c)
             assert base == fusion_rule(model, a, reflect(model, b), c)
             assert base == fusion_rule(model, a, b, reflect(model, c))
+
+
+def test_fusion_table_indexes_the_label_enumeration():
+    models = _coprime_models(13)
+    assert len(models) == 45
+    for model in models:
+        assert fusion_table(model).labels == tuple(kac_labels(model)), model
+
+
+def test_fusion_table_builds_no_weight(monkeypatch):
+    """The table needs the labels only: a cold (12, 13) table constructs
+    no Fraction in models, where one weight per label (66) used to be."""
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr("virmin.models.Fraction", Counting)
+    fusion_table.cache_clear()
+    assert len(fusion_table(MinimalModel(12, 13)).labels) == 66
+    assert built == []
 
 
 def test_fusion_rule_range_error():

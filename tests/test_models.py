@@ -14,6 +14,7 @@ from virmin.models import (
     canonicalize,
     central_charge,
     conformal_weight,
+    kac_labels,
     kac_table,
     kac_weight,
     null_level,
@@ -104,6 +105,17 @@ def test_kac_table_examples():
 def test_kac_table_count_formula():
     for model in coprime_models(13):
         assert len(kac_table(model)) == (model.p - 1) * (model.q - 1) // 2
+
+
+def test_kac_table_is_the_label_enumeration_with_weights():
+    """kac_table is kac_labels, in its order, each label paired with its
+    Kac weight, for the 45 coprime models p < q <= 13."""
+    models = [model for model in coprime_models(13) if model.p < model.q]
+    assert len(models) == 45
+    for model in models:
+        labels = kac_labels(model)
+        assert len(labels) == (model.p - 1) * (model.q - 1) // 2, model
+        assert kac_table(model) == [(lab, kac_weight(model, lab.m, lab.n)) for lab in labels]
 
 
 def test_kac_table_matches_canonicalize_construction():

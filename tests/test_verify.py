@@ -300,3 +300,39 @@ def test_the_kac_determinant_suite_fails_when_bareiss_disagrees(monkeypatch):
                for f in details["failures"])
     monkeypatch.setattr(verify, "det", real)
     assert verify.suite_kac_determinant()["passed"]
+
+
+@pytest.mark.parametrize("fault", ["drop", "repeat"])
+def test_the_kac_data_suite_names_a_model_with_a_label_dropped_or_repeated(fault, monkeypatch):
+    """The suite counts the label enumeration kac_table is built from: one
+    label of M(7, 11) missing, or one repeated, fails it and names the
+    model."""
+    real = verify.kac_labels
+
+    def faulty(model):
+        labels = real(model)
+        if model == MinimalModel(7, 11):
+            return labels[:-1] if fault == "drop" else labels + labels[:1]
+        return labels
+
+    monkeypatch.setattr(verify, "kac_labels", faulty)
+    report = verify.suite_kac_data()
+    got = 29 if fault == "drop" else 31
+    assert not report["passed"]
+    assert report["details"]["failures"] == [f"table size {got} != 30 for MinimalModel(7, 11)"]
+
+
+def test_the_kac_data_suite_builds_no_weight_per_label(monkeypatch):
+    """Of the Fractions models constructs, the suite needs only those of
+    its three pinned values, not one weight per label of its 45 models."""
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr("virmin.models.Fraction", Counting)
+    report = verify.suite_kac_data()
+    assert report["passed"] and report["details"]["models"] == 45
+    assert len(built) <= 3
