@@ -110,9 +110,10 @@ def det(matrix: Matrix) -> Fraction:
     return Fraction(sign * ech[n - 1][n - 1], d**n)
 
 
-def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:
-    """Basis of {v : M v = 0} for a matrix of Fractions or ints,
-    echelon-canonical.
+def nullspace(matrix: Matrix) -> list[Vector]:
+    """Basis of {v : M v = 0} for a nonempty matrix of Fractions or ints,
+    echelon-canonical; the width is that of the rows, so a matrix with
+    no rows raises ValueError.
 
     Each basis vector carries a 1 in "its" free column and 0 in the other
     free columns, so the result is deterministic.  It is back-substituted
@@ -121,11 +122,7 @@ def nullspace(matrix: Matrix, n_cols: int | None = None) -> list[Vector]:
     Fraction once, at the end.
     """
     if not matrix:
-        if n_cols is None:
-            raise ValueError("need n_cols for an empty matrix")
-        return [[Fraction(i == j) for j in range(n_cols)] for i in range(n_cols)]
-    if n_cols is not None and n_cols != len(matrix[0]):
-        raise ValueError(f"n_cols is {n_cols}, but the rows have {len(matrix[0])} entries")
+        raise ValueError("nullspace needs at least one row")
     n_cols = len(matrix[0])
     if any(len(row) != n_cols for row in matrix):
         raise ValueError("nullspace needs rows of equal length")

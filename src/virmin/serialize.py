@@ -21,10 +21,10 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s: str) -> Fraction:
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    """The Fraction of an "n/d" string as frac_str writes it; any other
+    form raises ValueError."""
+    num, den = s.split("/")
+    return Fraction(int(num), int(den))
 
 
 def label_str(label: KacLabel) -> str:

@@ -360,7 +360,7 @@ def _singular_space(params: VermaParams, level: int) -> list[PBWVector]:
             for t, cf in zip(positions, coefficients):
                 block[t][j] = cf
         rows += block
-    kernel = nullspace(rows, n_cols=len(basis))
+    kernel = nullspace(rows)
     return [
         PBWVector._of(level, dict(zip(basis, vec)))
         for vec in kernel

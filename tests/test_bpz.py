@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -21,6 +22,7 @@ from exact_oracles import (
     reference_frobenius_expand,
     reference_indicial_polynomial,
 )
+from test_caches import module_lru_caches
 
 from virmin import bpz, crossing
 from virmin.blocks import frobenius_expand
@@ -808,3 +810,31 @@ def test_a_wrong_shift_set_is_a_model_violation(monkeypatch, capsys):
         assert "not an indicial root at 0" in capsys.readouterr().err
     finally:
         reduced_ode.cache_clear()
+
+
+def test_a_wrong_shift_set_fails_the_suites_that_read_it_and_verify_all_reports_every_suite(
+    monkeypatch, capsys
+):
+    """A typed error inside a suite fails that suite's report, not the
+    run: with the exponents at 0 moved by two, `verify all` prints all
+    ten reports, each failed one naming the ModelViolationError, and
+    exits 1 (a failed check), not 3 (bad input)."""
+    caches = module_lru_caches().values()
+    for cached in caches:  # no suite may read a series or fit built before the patch
+        cached.cache_clear()
+    monkeypatch.setattr(bpz, "fusion_exponents", moved_by_two(bpz.fusion_exponents))
+    try:
+        assert main(["verify", "all", "--format", "json"]) == 1
+        reports = json.loads(capsys.readouterr().out)["reports"]
+    finally:
+        for cached in caches:  # nor may a later test read one built under it
+            cached.cache_clear()
+    assert len(reports) == 10
+    failed = [r for r in reports if not r["passed"]]
+    assert [r["suite"] for r in failed] == [
+        "blocks", "bpz-indicial", "commutativity", "ising-crossing", "monodromy",
+    ]
+    for r in failed:
+        assert len(r) == 7 and r["max_residual"] is None and r["tolerance"] is None
+        assert r["details"]["error"].startswith("ModelViolationError: ")
+        assert "is not an indicial root at 0" in r["details"]["error"]

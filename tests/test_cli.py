@@ -301,6 +301,9 @@ def test_verify_reads_no_cache_directory_from_the_environment(capsys, monkeypatc
 def test_serialize_roundtrips():
     for x in (F(3, 7), F(-22, 5), F(0), F(5)):
         assert parse_frac(frac_str(x)) == x
+    for text in ("5", "1/2/3"):  # frac_str writes every Fraction as n/d
+        with pytest.raises(ValueError):
+            parse_frac(text)
     for lab in (KacLabel(1, 2), KacLabel(11, 3)):
         assert parse_label(label_str(lab)) == lab
     vec = PBWVector(3, {(3,): F(1), (2, 1): F(-4), (1, 1, 1): F(4, 3)})

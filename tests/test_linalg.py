@@ -165,9 +165,9 @@ def test_ff_echelon_equals_the_eager_elimination_on_the_singular_vector_matrices
     benchmark labels are extracted from, through level 10."""
     matrices = []
 
-    def recording(matrix, n_cols=None):
+    def recording(matrix):
         matrices.append([row[:] for row in matrix])
-        return nullspace(matrix, n_cols)
+        return nullspace(matrix)
 
     monkeypatch.setattr(verma, "nullspace", recording)
     for p in (4, 5, 6):
@@ -194,7 +194,7 @@ def test_rowspace():
 )
 @settings(max_examples=40)
 def test_nullspace_property(rows):
-    basis = nullspace([r[:] for r in rows], n_cols=4)
+    basis = nullspace([r[:] for r in rows])
     assert len(basis) == 4 - rank([r[:] for r in rows])
     for v in basis:
         for row in rows:
@@ -303,11 +303,10 @@ def test_nullspace_equals_the_oracle_on_edge_cases(m):
     assert nullspace(m) == fraction_nullspace(m)
 
 
-def test_nullspace_rejects_an_n_cols_that_disagrees_with_the_rows():
-    m = [[1, 2, 3], [2, 4, 6]]
-    with pytest.raises(ValueError, match="n_cols"):
-        nullspace(m, n_cols=4)
-    assert nullspace(m, n_cols=3) == nullspace(m)
+def test_nullspace_of_a_matrix_without_rows_is_an_error():
+    """The width is read from the rows, so no rows give no width."""
+    with pytest.raises(ValueError, match="at least one row"):
+        nullspace([])
 
 
 def test_nullspace_rejects_ragged_rows():

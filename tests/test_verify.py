@@ -13,13 +13,14 @@ import pytest
 
 from exact_oracles import pairwise_ring_failures
 from virmin import crossing, verify
-from virmin.bpz import CorrelatorSpec, reduced_ode
+from virmin.bpz import CorrelatorSpec, ODESpec, reduced_ode
 from virmin.crossing import (
     channel_basis,
     commutativity_residual,
     commutativity_residuals,
     monodromy_residuals,
 )
+from virmin.errors import StructureError
 from virmin.fusion import FusionTable, fusion_table
 from virmin.models import KacLabel, MinimalModel
 from virmin.verma import VermaParams
@@ -135,9 +136,32 @@ def test_suites_are_the_module_functions_and_report_seven_keys():
     for name, fn in verify.SUITES.items():
         assert getattr(verify, fn.__name__) is fn
         assert fn.__name__ == "suite_" + name.replace("-", "_")
-        report = verify.run_suite(name)
+        report = fn()
         assert set(report) == keys
         assert report["suite"] == name and report["passed"]
+
+
+def test_an_ode_that_fails_validation_fails_bpz_indicial(monkeypatch):
+    """reduce_to_ode validates every ODE reduced_ode returns, so the
+    suite's one validation is that one: a StructureError raised there
+    fails the suite's report instead of escaping it."""
+    target = reduced_ode(CorrelatorSpec(M45, *[KacLabel(1, 2)] * 4))[0]
+    validate = ODESpec.validate_minimal_form
+
+    def rejecting(ode):
+        if ode == target:
+            raise StructureError("irregular singular point at 1")
+        validate(ode)
+
+    monkeypatch.setattr(ODESpec, "validate_minimal_form", rejecting)
+    reduced_ode.cache_clear()
+    try:
+        report = verify.suite_bpz_indicial()
+    finally:
+        reduced_ode.cache_clear()
+    assert not report["passed"]
+    assert report["max_residual"] is None and report["tolerance"] is None
+    assert report["details"] == {"error": "StructureError: irregular singular point at 1"}
 
 
 @pytest.mark.parametrize("waypoint", [0, 1, 2])
